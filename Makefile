@@ -1,6 +1,6 @@
 # Convenience targets for the CROPHE reproduction.
 
-.PHONY: install test bench bench-check bench-sched bench-serve bench-serve-check bench-pytest bench-full trace experiments experiments-quick experiments-cached dse-stat serve serve-chaos examples lint verify-static verify-passes
+.PHONY: install test bench bench-check bench-serve bench-serve-check bench-pytest bench-full trace experiments experiments-quick experiments-cached dse-stat serve serve-chaos examples lint verify-static verify-passes
 
 install:
 	pip install -e . || python setup.py develop
@@ -20,27 +20,6 @@ bench:
 bench-check:
 	PYTHONPATH=src python -m repro.obs bench --quick --out bench_current.json
 	PYTHONPATH=src python -m repro.obs diff BENCH_seed.json bench_current.json
-
-# Cold-scheduler wall benchmark: run the quick bench suite against a
-# scratch artifact cache so every DP search pays full price, recording
-# cold search wall time plus the sched.plan.memo_* and
-# sched.price.vector counters.  A second cold pass with the vectorized
-# frontier pricing disabled (REPRO_VECTOR_PRICING=0) writes the scalar
-# reference; the obs diff between the two must show no counter drift —
-# the packed-table kernel only trades wall-clock, never results.
-# Compare against the committed baseline with
-# `python -m repro.obs diff BENCH_seed.json bench_sched.json`.
-bench-sched:
-	rm -rf .bench-sched-cache
-	REPRO_DSE_CACHE=$(CURDIR)/.bench-sched-cache PYTHONPATH=src \
-		python -m repro.obs bench --quick --out bench_sched.json
-	rm -rf .bench-sched-cache
-	REPRO_VECTOR_PRICING=0 REPRO_DSE_CACHE=$(CURDIR)/.bench-sched-cache \
-		PYTHONPATH=src \
-		python -m repro.obs bench --quick --out bench_sched_scalar.json
-	rm -rf .bench-sched-cache
-	PYTHONPATH=src python -m repro.obs diff \
-		bench_sched_scalar.json bench_sched.json
 
 # Serving-telemetry baseline: the quick aggressive-chaos scenario's
 # metrics snapshot (deterministic counters only — request/outcome/

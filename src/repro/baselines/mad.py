@@ -101,12 +101,7 @@ class MadScheduler(Scheduler):
         super().__init__(graph, hw, mad_config, n_split=None)
 
     def _plan_for(self, window):
-        key = tuple(op.uid for op in window)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = MadSpatialGroupPlan(self.graph, window, self.hw)
-            self._plan_cache[key] = plan
-        return plan
+        return MadSpatialGroupPlan(self.graph, window, self.hw)
 
 
 def mad_schedule(graph: OperatorGraph, hw: HardwareConfig):

@@ -45,7 +45,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = run_sweep(
         spec,
         jobs=args.jobs,
-        sched_jobs=args.sched_jobs,
         cache_dir=args.cache_dir,
         artifact_path=args.artifact,
         resume=args.resume,
@@ -136,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="parameter-set name overriding pairing defaults")
     run.add_argument("--jobs", type=int, default=1,
                      help="parallel workers (deterministic sharding)")
-    run.add_argument("--sched-jobs", type=int, default=None,
-                     help="threads pricing each DP frontier inside every "
-                          "worker (artifacts are identical at any value)")
     run.add_argument("--cache-dir", default=None,
                      help="persistent cache root (shared by workers)")
     run.add_argument("--artifact", default="dse_sweep.json",

@@ -82,13 +82,8 @@ def params_payload(params: CKKSParams) -> Dict[str, Any]:
 def config_payload(config: SchedulerConfig) -> Dict[str, Any]:
     """Every scheduler knob, including search budgets and the verify
     gate — two searches under different budgets may legitimately land on
-    different (degraded vs optimal) schedules.  ``sched_jobs`` is
-    excluded: frontier pricing is deterministic by construction (serial
-    budget charge, ordered apply), so the thread count cannot change the
-    schedule and must not fork the cache key."""
-    payload = asdict(config)
-    payload.pop("sched_jobs", None)
-    return payload
+    different (degraded vs optimal) schedules."""
+    return asdict(config)
 
 
 def graph_fingerprint(graph: OperatorGraph) -> str:

@@ -297,7 +297,6 @@ def run_sweep(
     timeout: Optional[float] = None,
     retries: int = 1,
     isolated: bool = True,
-    sched_jobs: Optional[int] = None,
     backoff: Optional[BackoffPolicy] = DEFAULT_BACKOFF,
 ) -> SweepReport:
     """Execute a sweep across a deterministic worker pool.
@@ -307,21 +306,13 @@ def run_sweep(
     orchestrate.  ``cache_dir`` points the content-addressed cache at a
     directory, shared by every worker through the environment; the
     report carries the hit/miss delta this sweep produced there.
-    ``sched_jobs`` threads each DP frontier's pricing *inside* every
-    worker (``REPRO_SCHED_JOBS``); schedules — and therefore artifacts
-    — are byte-identical at any value.  Transient worker failures
-    (crashes, timeouts) are retried after a ``backoff`` delay with
-    jitter seeded from the task id, so a shard of workers tripping
-    over the same shared resource does not retry in lockstep.
+    Transient worker failures (crashes, timeouts) are retried after a
+    ``backoff`` delay with jitter seeded from the task id, so a shard of
+    workers tripping over the same shared resource does not retry in
+    lockstep.
     """
     if jobs < 1:
         raise ConfigError("jobs", jobs, "need at least one worker")
-    if sched_jobs is not None:
-        if sched_jobs < 1:
-            raise ConfigError(
-                "sched_jobs", sched_jobs, "need at least one thread"
-            )
-        os.environ["REPRO_SCHED_JOBS"] = str(sched_jobs)
     if cache_dir:
         os.environ[CACHE_ENV] = cache_dir
     tasks = spec.tasks()

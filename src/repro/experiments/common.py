@@ -132,9 +132,7 @@ def default_scheduler_config() -> SchedulerConfig:
     ``REPRO_MAX_SEARCH_SECONDS`` / ``REPRO_MAX_SEARCH_NODES`` bound each
     DP search; exhausted budgets degrade to the greedy fallback (the
     schedule is tagged, never missing). Unset variables mean unbounded —
-    the historical behaviour.  ``REPRO_SCHED_JOBS`` sets the frontier
-    pricing thread count (``--sched-jobs``; schedules are identical at
-    any value, so it never forks cache keys).
+    the historical behaviour.
     """
     def _parse(name: str, cast) -> Optional[float]:
         raw = os.environ.get(name, "").strip()
@@ -148,7 +146,6 @@ def default_scheduler_config() -> SchedulerConfig:
     return SchedulerConfig(
         max_search_seconds=_parse("REPRO_MAX_SEARCH_SECONDS", float),
         max_search_nodes=_parse("REPRO_MAX_SEARCH_NODES", int),
-        sched_jobs=int(_parse("REPRO_SCHED_JOBS", int) or 1),
     )
 
 

@@ -370,12 +370,6 @@ def main(argv=None) -> int:
         help="node budget per DP schedule search inside cells",
     )
     parser.add_argument(
-        "--sched-jobs", type=int, default=None, metavar="N",
-        help="threads pricing each DP frontier inside every search "
-             "(exported as REPRO_SCHED_JOBS); schedules are identical "
-             "at any value — this only trades threads for cold time",
-    )
-    parser.add_argument(
         "--verify", action="store_true",
         help="statically verify the shipped workload graphs/schedules "
              "before running; abort with exit status 5 on findings",
@@ -412,8 +406,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_MAX_SEARCH_SECONDS"] = str(args.search_seconds)
     if args.search_nodes is not None:
         os.environ["REPRO_MAX_SEARCH_NODES"] = str(args.search_nodes)
-    if args.sched_jobs is not None:
-        os.environ["REPRO_SCHED_JOBS"] = str(args.sched_jobs)
     if args.cache_dir:
         os.environ[CACHE_ENV] = args.cache_dir
     jobs = max(1, args.jobs)

@@ -16,11 +16,9 @@ from repro.hw.config import HardwareConfig
 #: Serialization derate applied to the aggregate-bandwidth NoC view: an
 #: average X-Y route crosses ~1/4 of the mesh links concurrently, so the
 #: usable group-level bandwidth is the aggregate divided by this factor.
-#: Every consumer of the group-level NoC time — the engine's
-#: ``SpatialGroupPlan.execution_seconds``/``seconds_floor``, the
-#: standalone ``group_time_breakdown``, and the vectorized
-#: ``GroupPricing.price_block`` — must use this one definition so the
-#: models cannot drift apart.
+#: The group cost model (``repro.sched.dataflow.GroupPricing``) applies
+#: it; the DP's prices, ``SpatialGroupPlan.execution_seconds``, and the
+#: standalone ``group_time_breakdown`` all price through that model.
 NOC_SERIALIZATION_FACTOR = 4.0
 
 

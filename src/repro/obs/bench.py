@@ -15,7 +15,7 @@ telemetry on, and writes one JSON document per run::
     }
 
 Per experiment the snapshot carries the scheduler search counters
-(``sched.windows_explored``, degraded fallbacks, checkpoint activity)
+(``sched.windows_explored``, degraded fallbacks, plan-memo activity)
 and the simulator's per-resource busy-cycle totals and bottleneck
 winners — the deterministic half of the baseline.  ``wall_seconds``
 and every ``*_seconds`` metric are wall-clock and therefore noisy; the

@@ -1,11 +1,11 @@
-"""Resilience machinery: typed errors, search budgets, checkpoints.
+"""Resilience machinery: typed errors, search budgets, isolation.
 
 The scheduler's exhaustive search and the experiment harness both need
 to fail *well*: invalid knobs are rejected at construction time with the
 offending field named, searches run under wall-clock/node budgets and
-degrade to a deterministic greedy fallback instead of hanging, partial
-DP results checkpoint to disk so an interrupted search resumes, and
-experiment cells run crash-isolated with per-cell status reporting.
+degrade to a deterministic greedy fallback instead of hanging, and
+experiment cells run crash-isolated with per-cell status reporting (an
+interrupted run resumes from its artifact and the DSE cache).
 
 Public surface:
 
@@ -13,14 +13,12 @@ Public surface:
 * :mod:`repro.resilience.backoff` — shared retry-delay policy with
   deterministic seeded jitter, plus clock-agnostic deadlines.
 * :mod:`repro.resilience.budget` — ``SearchBudget`` / ``BudgetMeter``.
-* :mod:`repro.resilience.checkpoint` — resumable DP search covers.
 * :mod:`repro.resilience.isolation` — crash-isolated cell execution
   and the resumable experiment artifact.
 """
 
 from repro.resilience.backoff import DEFAULT_BACKOFF, BackoffPolicy, Deadline
 from repro.resilience.budget import BudgetMeter, SearchBudget
-from repro.resilience.checkpoint import SearchCheckpoint
 from repro.resilience.errors import (
     CacheError,
     ConfigError,
@@ -49,7 +47,6 @@ __all__ = [
     "Deadline",
     "SearchBudget",
     "BudgetMeter",
-    "SearchCheckpoint",
     "CellStatus",
     "RunArtifact",
     "run_isolated",

@@ -7,18 +7,19 @@ top, searched bottom-up with an analytical cost model and dynamic
 programming (Section V-D).
 """
 
-from repro.sched.dataflow import SpatialGroupPlan, Schedule, ScheduledStep
+from repro.sched.dataflow import (
+    GroupPricing,
+    SpatialGroupPlan,
+    Schedule,
+    ScheduledStep,
+)
 from repro.sched.scheduler import (
     Scheduler,
     SchedulerConfig,
     schedule_graph,
     schedule_partitioned,
 )
-from repro.sched.cost_model import (
-    GroupPricing,
-    group_time_breakdown,
-    schedule_roofline,
-)
+from repro.sched.cost_model import group_time_breakdown, schedule_roofline
 from repro.sched.partition import partition_graph, merge_redundant
 from repro.sched.hybrid_rotation import estimate_tradeoff, r_hyb_candidates
 from repro.sched.ntt_decomp import candidate_splits, orientation_switch_report

@@ -5,47 +5,24 @@ carefully calculates its execution time with full consideration of both
 the computation and memory access latencies.  The final time of a group
 is the maximum of the two."
 
-The model itself lives with the group plan
-(:meth:`repro.sched.dataflow.SpatialGroupPlan.execution_seconds`); this
-module provides the standalone entry points used for analysis and
-testing — per-resource time decomposition, bottleneck attribution, and
-roofline-style summaries for whole schedules — plus the **vectorized
-pricing kernel** (:class:`GroupPricing`) the DP scheduler uses to price
-a whole frontier of candidate windows in one numpy call.
+The model itself lives beside the group plan
+(:class:`repro.sched.dataflow.GroupPricing`, which the DP scheduler and
+:meth:`~repro.sched.dataflow.SpatialGroupPlan.execution_seconds` both
+price through); this module provides the standalone entry points used
+for analysis and testing — per-resource time decomposition, bottleneck
+attribution, and roofline-style summaries for whole schedules.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.hw.config import HardwareConfig
-from repro.hw.memory import HbmMemory, SramBuffer
-from repro.hw.noc import NOC_SERIALIZATION_FACTOR, MeshNoc
-from repro.hw.transpose import TransposeUnit
+from repro.hw.memory import HbmMemory
 from repro.resilience.errors import ConfigError
-from repro.sched.dataflow import (
-    GroupMetrics,
-    Schedule,
-    SpatialGroupPlan,
-)
+from repro.sched.dataflow import GroupMetrics, GroupPricing, Schedule
 from repro.sim.stats import dominant_bottleneck
-
-#: Set to ``0``/``false``/``off`` to price DP frontiers through the
-#: scalar per-window path instead of :meth:`GroupPricing.price_block`.
-#: The two paths are float-identical by construction (same expressions,
-#: same association); this switch exists so CI can prove it.
-VECTOR_ENV = "REPRO_VECTOR_PRICING"
-
-
-def vector_pricing_enabled() -> bool:
-    """Whether frontier pricing uses the numpy block kernel (default)."""
-    return os.environ.get(VECTOR_ENV, "").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
 
 
 @dataclass
@@ -82,25 +59,10 @@ def group_time_breakdown(
     metrics: GroupMetrics, hw: HardwareConfig
 ) -> TimeBreakdown:
     """Decompose a group's effective metrics into per-resource times."""
-    freq = hw.frequency_ghz * 1e9
-    noc = MeshNoc.for_config(hw)
-    if hw.fu_mix is not None:
-        noc_s = 0.0  # idealized baseline NoC (Section VII-B)
-    else:
-        noc_s = (
-            metrics.noc_bytes
-            / (noc.aggregate_bytes_per_cycle() * freq)
-            * NOC_SERIALIZATION_FACTOR
-        )
-    return TimeBreakdown(
-        compute=metrics.compute_cycles / freq,
-        dram=HbmMemory.for_config(hw).access_seconds(metrics.dram_bytes),
-        sram=SramBuffer.for_config(hw).access_seconds(metrics.sram_bytes),
-        noc=noc_s,
-        transpose=TransposeUnit.for_config(hw).transpose_seconds(
-            metrics.transpose_bytes
-        ),
-    )
+    return TimeBreakdown(*GroupPricing.for_config(hw).terms(
+        metrics.compute_cycles, metrics.dram_bytes, metrics.sram_bytes,
+        metrics.noc_bytes, metrics.transpose_bytes,
+    ))
 
 
 def schedule_bottleneck_profile(
@@ -178,117 +140,3 @@ def machine_balance(hw: HardwareConfig) -> float:
             "machine balance is undefined without DRAM bandwidth",
         )
     return hw.muls_per_second / dram_effective / hw.total_lanes
-
-
-# ---------------------------------------------------------------------
-# Vectorized frontier pricing
-# ---------------------------------------------------------------------
-
-#: Per-config pricing scalars (identity fast-path mirrors
-#: ``repro.sched.dataflow._models_for`` — a DP search prices hundreds of
-#: thousands of windows against the same config object).
-_PRICING_CACHE: Dict[HardwareConfig, "GroupPricing"] = {}
-_PRICING_LAST: Optional[Tuple[HardwareConfig, "GroupPricing"]] = None
-
-
-@dataclass(frozen=True)
-class GroupPricing:
-    """Precomputed scalars pricing groups on one hardware config.
-
-    Every scalar below is computed with the **same float expression and
-    association** as the scalar model it mirrors
-    (:meth:`SpatialGroupPlan.execution_seconds` and the ``for_config``
-    hardware models), so :meth:`price_block` over packed per-window byte
-    tables returns bit-identical IEEE-754 doubles: elementwise numpy
-    float64 arithmetic is correctly rounded exactly like CPython float
-    arithmetic, and integer byte counts (< 2**53) convert exactly.
-    """
-
-    freq_hz: float
-    hbm_base_s: float
-    hbm_bytes_per_s: float
-    sram_bytes_per_s: float
-    #: ``None`` for specialized baselines (idealized NoC, Section VII-B).
-    noc_denom: Optional[float]
-    transpose_bytes_per_s: float
-
-    @classmethod
-    def for_config(cls, hw: HardwareConfig) -> "GroupPricing":
-        global _PRICING_LAST
-        last = _PRICING_LAST
-        if last is not None and last[0] is hw:
-            return last[1]
-        pricing = _PRICING_CACHE.get(hw)
-        if pricing is None:
-            hbm = HbmMemory.for_config(hw)
-            noc = MeshNoc.for_config(hw)
-            pricing = cls(
-                freq_hz=hw.frequency_ghz * 1e9,
-                hbm_base_s=hbm.base_latency_s,
-                hbm_bytes_per_s=hbm.bytes_per_second,
-                sram_bytes_per_s=SramBuffer.for_config(hw).bytes_per_second,
-                noc_denom=(
-                    None if hw.fu_mix is not None
-                    else noc.aggregate_bytes_per_cycle()
-                    * hw.frequency_ghz * 1e9
-                ),
-                transpose_bytes_per_s=(
-                    TransposeUnit.for_config(hw).bytes_per_second
-                ),
-            )
-            _PRICING_CACHE[hw] = pricing
-        _PRICING_LAST = (hw, pricing)
-        return pricing
-
-    def price_block(
-        self,
-        compute_cycles: Sequence[int],
-        dram_bytes: Sequence[int],
-        sram_bytes: Sequence[int],
-        noc_bytes: Sequence[int],
-        transpose_bytes: Sequence[int],
-    ) -> np.ndarray:
-        """Bottleneck seconds for a block of candidate groups.
-
-        Input columns are the *effective* (residency-discounted) integer
-        resource demands of each candidate; the result's element ``k``
-        equals ``max(compute_s, dram_s, sram_s, noc_s, transpose_s)`` of
-        candidate ``k`` exactly as the scalar model computes it.
-        """
-        compute_s = np.asarray(compute_cycles, dtype=np.float64)
-        compute_s = compute_s / self.freq_hz
-        dram = np.asarray(dram_bytes, dtype=np.float64)
-        dram_s = np.where(
-            dram > 0.0, self.hbm_base_s + dram / self.hbm_bytes_per_s, 0.0
-        )
-        sram_s = np.asarray(sram_bytes, dtype=np.float64)
-        sram_s = sram_s / self.sram_bytes_per_s
-        if self.noc_denom is None:
-            noc_s: np.ndarray = np.zeros_like(compute_s)
-        else:
-            noc_s = np.asarray(noc_bytes, dtype=np.float64)
-            noc_s = noc_s / self.noc_denom * NOC_SERIALIZATION_FACTOR
-        transpose_s = np.asarray(transpose_bytes, dtype=np.float64)
-        transpose_s = transpose_s / self.transpose_bytes_per_s
-        return np.maximum.reduce(
-            [compute_s, dram_s, sram_s, noc_s, transpose_s]
-        )
-
-    def floor_seconds(
-        self,
-        compute_cycles: int,
-        sram_bytes: int,
-        noc_bytes: int,
-        transpose_bytes: int,
-    ) -> float:
-        """Scalar lower bound mirroring
-        :meth:`SpatialGroupPlan.seconds_floor` (residency discounts only
-        ever lower the DRAM term, which is omitted here)."""
-        compute_s = compute_cycles / self.freq_hz
-        sram_s = sram_bytes / self.sram_bytes_per_s
-        if self.noc_denom is None:
-            noc_s = 0.0
-        else:
-            noc_s = noc_bytes / self.noc_denom * NOC_SERIALIZATION_FACTOR
-        transpose_s = transpose_bytes / self.transpose_bytes_per_s
-        return max(compute_s, sram_s, noc_s, transpose_s)

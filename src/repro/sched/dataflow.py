@@ -21,7 +21,16 @@ sharing), which the scheduler decides and records per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.hw.config import HardwareConfig
 from repro.hw.memory import HbmMemory, SramBuffer
@@ -35,41 +44,146 @@ from repro.resilience.errors import InvariantViolation
 from repro.sched.tiling import NestAssignment, assign_loop_nests
 
 
-#: Derived hardware-model objects per configuration.  ``for_config``
-#: construction is deterministic, so serving one instance per config
-#: changes nothing but the allocation count — ``execution_seconds``
-#: runs once per DP transition and was rebuilding all four each time.
-_MODEL_CACHE: Dict[
-    HardwareConfig, Tuple[HbmMemory, SramBuffer, MeshNoc, TransposeUnit]
-] = {}
+#: Per-config pricing scalars (see :class:`GroupPricing`).  A DP search
+#: prices hundreds of thousands of windows against the *same* config
+#: object, and hashing the 15-field frozen dataclass per lookup is
+#: measurable, so the last config served is checked by identity first.
+_PRICING_CACHE: Dict[HardwareConfig, "GroupPricing"] = {}
+_PRICING_LAST: Optional[Tuple[HardwareConfig, "GroupPricing"]] = None
 
 
-#: Identity fast-path: a DP search prices hundreds of thousands of
-#: windows against the *same* config object, and hashing the 15-field
-#: frozen dataclass per lookup is measurable.
-_MODELS_LAST: Optional[
-    Tuple[HardwareConfig, Tuple[HbmMemory, SramBuffer, MeshNoc, TransposeUnit]]
-] = None
+@dataclass(frozen=True)
+class GroupPricing:
+    """The group cost model on one hardware configuration (Section V-D).
 
+    "The final time of a group is the maximum of" its compute and memory
+    times: compute, DRAM, SRAM, NoC, and transpose seconds, each an
+    integer resource demand over a per-config rate.  The rates are
+    computed once here with the same float expressions as the
+    ``for_config`` hardware models; every price in the repo (the DP's
+    objective, scheduled steps, the standalone breakdown) comes from
+    :meth:`terms`.
+    """
 
-def _models_for(
-    cfg: HardwareConfig,
-) -> Tuple[HbmMemory, SramBuffer, MeshNoc, TransposeUnit]:
-    global _MODELS_LAST
-    last = _MODELS_LAST
-    if last is not None and last[0] is cfg:
-        return last[1]
-    models = _MODEL_CACHE.get(cfg)
-    if models is None:
-        models = (
-            HbmMemory.for_config(cfg),
-            SramBuffer.for_config(cfg),
-            MeshNoc.for_config(cfg),
-            TransposeUnit.for_config(cfg),
+    freq_hz: float
+    hbm_base_s: float
+    hbm_bytes_per_s: float
+    sram_bytes_per_s: float
+    #: ``None`` for specialized baselines (idealized NoC, Section VII-B).
+    noc_denom: Optional[float]
+    transpose_bytes_per_s: float
+
+    @classmethod
+    def for_config(cls, hw: HardwareConfig) -> "GroupPricing":
+        global _PRICING_LAST
+        last = _PRICING_LAST
+        if last is not None and last[0] is hw:
+            return last[1]
+        pricing = _PRICING_CACHE.get(hw)
+        if pricing is None:
+            hbm = HbmMemory.for_config(hw)
+            pricing = cls(
+                freq_hz=hw.frequency_ghz * 1e9,
+                hbm_base_s=hbm.base_latency_s,
+                hbm_bytes_per_s=hbm.bytes_per_second,
+                sram_bytes_per_s=SramBuffer.for_config(hw).bytes_per_second,
+                noc_denom=(
+                    None if hw.fu_mix is not None
+                    else MeshNoc.for_config(hw).aggregate_bytes_per_cycle()
+                    * hw.frequency_ghz * 1e9
+                ),
+                transpose_bytes_per_s=(
+                    TransposeUnit.for_config(hw).bytes_per_second
+                ),
+            )
+            _PRICING_CACHE[hw] = pricing
+        _PRICING_LAST = (hw, pricing)
+        return pricing
+
+    def terms(
+        self,
+        compute_cycles: int,
+        dram_bytes: int,
+        sram_bytes: int,
+        noc_bytes: int,
+        transpose_bytes: int,
+    ) -> Tuple[float, float, float, float, float]:
+        """Per-resource seconds: compute, DRAM, SRAM, NoC, transpose."""
+        dram_s = (
+            self.hbm_base_s + dram_bytes / self.hbm_bytes_per_s
+            if dram_bytes > 0 else 0.0
         )
-        _MODEL_CACHE[cfg] = models
-    _MODELS_LAST = (cfg, models)
-    return models
+        noc_s = (
+            0.0 if self.noc_denom is None
+            else noc_bytes / self.noc_denom * NOC_SERIALIZATION_FACTOR
+        )
+        return (
+            compute_cycles / self.freq_hz,
+            dram_s,
+            sram_bytes / self.sram_bytes_per_s,
+            noc_s,
+            transpose_bytes / self.transpose_bytes_per_s,
+        )
+
+    def seconds(
+        self,
+        compute_cycles: int,
+        dram_bytes: int,
+        sram_bytes: int,
+        noc_bytes: int,
+        transpose_bytes: int,
+    ) -> float:
+        """Bottleneck seconds of a group.  With ``dram_bytes=0`` this is
+        a lower bound on the group under any residency: residency
+        discounts and deferred spills only move the DRAM term."""
+        return max(self.terms(
+            compute_cycles, dram_bytes, sram_bytes, noc_bytes,
+            transpose_bytes,
+        ))
+
+
+def effective_dram_bytes(
+    dram_read_bytes: int,
+    dram_write_bytes: int,
+    external_items: Iterable[Tuple[int, int]],
+    constant_items: Iterable[Tuple[int, int]],
+    out_items: Iterable[Tuple[int, int]],
+    resident_inputs: Collection[int],
+    resident_constants: Collection[int],
+    kept_outputs: Collection[int],
+    constant_share: int,
+    extra_write_bytes: int,
+) -> Tuple[int, int]:
+    """A group's DRAM (read, write) bytes given what is SRAM-resident.
+
+    The ``*_items`` are ``(uid, bytes)`` pairs: per external input the
+    slice the group charged, per constant its size, per escaping output
+    its size.  ``resident_inputs`` skip their read (pooled in SRAM or
+    streamed from the previous step via temporal pipelining);
+    ``resident_constants`` skip their fetch (temporal sharing), and with
+    data-parallel clusters (CROPHE-p) one fetch feeds all
+    ``constant_share`` clusters via multicast, so each cluster pays a
+    1/share slice of the remaining cold constant reads.
+    ``kept_outputs`` skip their write (pooled, or deferred until a later
+    step decides their fate), and ``extra_write_bytes`` charges spills
+    deferred from earlier steps.
+    """
+    dram_read = dram_read_bytes
+    for uid, nbytes in external_items:
+        if uid in resident_inputs:
+            dram_read -= nbytes
+    for uid, nbytes in constant_items:
+        if uid in resident_constants:
+            dram_read -= nbytes
+        elif constant_share > 1:
+            dram_read -= nbytes * (constant_share - 1) // constant_share
+    dram_write = dram_write_bytes
+    if kept_outputs:
+        for uid, nbytes in out_items:
+            if uid in kept_outputs:
+                dram_write -= nbytes
+        dram_write = max(dram_write, 0)
+    return max(dram_read, 0), dram_write + max(extra_write_bytes, 0)
 
 
 def _specialized_cycles(op: Operator, cfg: HardwareConfig) -> int:
@@ -141,7 +255,6 @@ class SpatialGroupPlan:
         self._boundary: Optional[
             Tuple[List[DataTensor], List[DataTensor]]
         ] = None
-        self._seconds_floor: Optional[float] = None
 
     @classmethod
     def from_parts(
@@ -170,7 +283,6 @@ class SpatialGroupPlan:
         plan.pe_allocation = pe_allocation
         plan.metrics = metrics
         plan._boundary = None
-        plan._seconds_floor = None
         return plan
 
     # ------------------------------------------------------------------
@@ -255,6 +367,7 @@ class SpatialGroupPlan:
         counted_constants: Set[int] = set()
         counted_externals: Set[int] = set()
         buffer = 0
+        transpose_capacity = TransposeUnit.for_config(cfg).capacity_bytes
 
         for op in self.ops:
             for t in op.inputs:
@@ -275,10 +388,7 @@ class SpatialGroupPlan:
                             or op.kind is OpKind.TRANSPOSE
                         ):
                             m.transpose_bytes += t.bytes
-                            buffer += min(
-                                t.bytes,
-                                _models_for(cfg)[3].capacity_bytes,
-                            )
+                            buffer += min(t.bytes, transpose_capacity)
                         else:
                             buffer += t.bytes
                             m.sram_bytes += 2 * t.bytes
@@ -348,99 +458,41 @@ class SpatialGroupPlan:
     ) -> Tuple[float, GroupMetrics]:
         """Group execution time given what is already SRAM-resident.
 
-        ``resident_inputs`` skip their DRAM read (they are pooled in SRAM
-        or streamed from the previous step via temporal pipelining),
-        ``resident_constants`` skip their DRAM fetch (temporal sharing),
-        and ``kept_outputs`` skip their DRAM write (pooled, or deferred
-        until the next step decides their fate).  ``extra_write_bytes``
-        charges spills whose decision was deferred from the previous
-        step.  Returns the bottleneck time (max of compute / DRAM / SRAM
-        / NoC / transpose) and the effective metrics after discounts.
+        The residency arguments discount DRAM traffic as
+        :func:`effective_dram_bytes` describes.  Returns the bottleneck
+        time (:meth:`GroupPricing.seconds`) and the effective metrics
+        after discounts.
         """
-        cfg = self.config
         m = self.metrics
-        # Shallow-clone the metrics (dataclass __init__ is slow for a
-        # once-per-transition call); the two dicts get fresh copies.
+        kept = kept_outputs or ()
+        dram_read, dram_write = effective_dram_bytes(
+            m.dram_read_bytes, m.dram_write_bytes,
+            m.external_read_bytes.items(), m.constant_bytes.items(),
+            [(t.uid, t.bytes) for t in self.boundary()[1]] if kept else (),
+            resident_inputs or (), resident_constants or (), kept,
+            constant_share, extra_write_bytes,
+        )
+        eff = self.effective_metrics(dram_read, dram_write)
+        seconds = GroupPricing.for_config(self.config).seconds(
+            eff.compute_cycles, eff.dram_bytes, eff.sram_bytes,
+            eff.noc_bytes, eff.transpose_bytes,
+        )
+        return seconds, eff
+
+    def effective_metrics(
+        self, dram_read_bytes: int, dram_write_bytes: int
+    ) -> GroupMetrics:
+        """A copy of :attr:`metrics` with residency-adjusted DRAM bytes."""
+        m = self.metrics
+        # Shallow clone (dataclass __init__ is slow for a per-step call);
+        # the two dicts get fresh copies.
         eff = GroupMetrics.__new__(GroupMetrics)
         eff.__dict__.update(m.__dict__)
         eff.constant_bytes = dict(m.constant_bytes)
         eff.external_read_bytes = dict(m.external_read_bytes)
-        resident_inputs = resident_inputs or set()
-        resident_constants = resident_constants or set()
-        # Inputs already in SRAM skip the DRAM read (discount the charged
-        # slice once per tensor).  ``external_read_bytes`` already holds
-        # exactly one entry per external non-constant input with its
-        # charged slice, so iterating it is equivalent to re-walking
-        # every operator input — and this method runs once per DP
-        # transition, where the walk dominated.
-        for uid, nbytes in m.external_read_bytes.items():
-            if uid in resident_inputs:
-                eff.dram_read_bytes -= nbytes
-        # Constants already resident (temporal sharing) are not re-read;
-        # with data-parallel clusters (CROPHE-p) one fetch feeds all
-        # ``constant_share`` clusters via multicast, so each cluster pays
-        # a 1/share slice of the remaining cold constant reads.
-        for uid, nbytes in m.constant_bytes.items():
-            if uid in resident_constants:
-                eff.dram_read_bytes -= nbytes
-            elif constant_share > 1:
-                eff.dram_read_bytes -= nbytes * (constant_share - 1) // constant_share
-        eff.dram_read_bytes = max(eff.dram_read_bytes, 0)
-        # Outputs kept on-chip for the next step skip their DRAM write.
-        if kept_outputs:
-            _, outs = self.boundary()
-            for t in outs:
-                if t.uid in kept_outputs:
-                    eff.dram_write_bytes -= t.bytes
-            eff.dram_write_bytes = max(eff.dram_write_bytes, 0)
-        eff.dram_write_bytes += max(extra_write_bytes, 0)
-
-        hbm, sram, noc, tpu = _models_for(cfg)
-        compute_s = eff.compute_cycles / (cfg.frequency_ghz * 1e9)
-        dram_s = hbm.access_seconds(eff.dram_bytes)
-        sram_s = sram.access_seconds(eff.sram_bytes)
-        if cfg.fu_mix is not None:
-            # Baselines get an idealized NoC (paper, Section VII-B).
-            noc_s = 0.0
-        else:
-            noc_s = (
-                eff.noc_bytes
-                / (noc.aggregate_bytes_per_cycle() * cfg.frequency_ghz * 1e9)
-                * NOC_SERIALIZATION_FACTOR
-            )
-        transpose_s = tpu.transpose_seconds(eff.transpose_bytes)
-        return max(compute_s, dram_s, sram_s, noc_s, transpose_s), eff
-
-    def seconds_floor(self) -> float:
-        """Exact lower bound on :meth:`execution_seconds` (cached).
-
-        Residency discounts and deferred spills only move the *DRAM*
-        term; the compute/SRAM/NoC/transpose terms below use the very
-        same expressions as :meth:`execution_seconds`, so
-        ``max`` of them can never exceed the priced step time.  The DP
-        uses this to skip transitions that provably cannot beat an
-        existing frontier state.
-        """
-        floor = self._seconds_floor
-        if floor is None:
-            cfg = self.config
-            m = self.metrics
-            _, sram, noc, tpu = _models_for(cfg)
-            compute_s = m.compute_cycles / (cfg.frequency_ghz * 1e9)
-            sram_s = sram.access_seconds(m.sram_bytes)
-            if cfg.fu_mix is not None:
-                noc_s = 0.0
-            else:
-                noc_s = (
-                    m.noc_bytes
-                    / (noc.aggregate_bytes_per_cycle()
-                       * cfg.frequency_ghz * 1e9)
-                    * NOC_SERIALIZATION_FACTOR
-                )
-            transpose_s = tpu.transpose_seconds(m.transpose_bytes)
-            floor = max(compute_s, sram_s, noc_s, transpose_s)
-            self._seconds_floor = floor
-        return floor
+        eff.dram_read_bytes = dram_read_bytes
+        eff.dram_write_bytes = dram_write_bytes
+        return eff
 
     def boundary(self) -> Tuple[List[DataTensor], List[DataTensor]]:
         """External (inputs, outputs) of this group (cached)."""

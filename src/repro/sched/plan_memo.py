@@ -438,9 +438,9 @@ class PlanMemo:
     :data:`~repro.dse.cache.CACHE` (kind ``"plan"``), so it follows the
     same root resolution (``REPRO_DSE_CACHE`` / ``--cache-dir``),
     atomic-write discipline, and corrupt-degrades-to-miss contract.
-    Counters are accumulated under the lock; the scheduler stamps them
-    into the metric registry once per search (parallel pricing threads
-    must not race on registry counters).
+    Counters are accumulated under the lock (in-process sweep workers
+    share the memo across threads); the scheduler stamps per-search
+    deltas into the metric registry once per search.
     """
 
     def __init__(self) -> None:
@@ -503,8 +503,8 @@ class PlanMemo:
         Tier order: memory skeleton, then disk (only when the DSE cache
         has a root), then fresh construction — which back-fills both
         tiers.  Hits return ``(skeleton, None)`` without instantiating
-        a live plan, which is what lets the scheduler's vectorized
-        search price windows straight off skeleton integers; a miss
+        a live plan, which is what lets the scheduler's search price
+        windows straight off skeleton integers; a miss
         returns the freshly constructed plan alongside its skeleton so
         the caller never pays construction twice.  A fresh construction
         runs under a ``sched.plan`` span so cold traces show exactly
@@ -554,21 +554,18 @@ class PlanMemo:
         hw: HardwareConfig,
         n_split: Optional[Tuple[int, int]] = None,
         enabled: Optional[bool] = None,
-        uids: Optional[Tuple[int, ...]] = None,
     ) -> SpatialGroupPlan:
         """A live plan for ``ops``, served structurally when possible.
 
         ``enabled`` short-circuits the per-call environment read; the
         scheduler samples :func:`memo_enabled` once at construction and
-        passes it through (this runs for every window of every search).
-        ``uids`` forwards the caller's precomputed uid tuple to
-        :func:`window_key`.
+        passes it through.
         """
         if enabled is None:
             enabled = memo_enabled()
         if not enabled:
             return SpatialGroupPlan(graph, ops, hw, n_split)
-        skeleton, plan = self.lookup(graph, ops, hw, n_split, uids)
+        skeleton, plan = self.lookup(graph, ops, hw, n_split)
         if plan is not None:
             return plan
         return instantiate(skeleton, graph, ops, hw, n_split)

@@ -13,6 +13,12 @@ Bottom-up composition with dynamic programming:
    (temporal pipelining) and keep constants on-chip across steps
    (temporal sharing), which the DP transition prices in.
 
+The transition exists once (:meth:`Scheduler._resolve`): it resolves
+residency against a window view and prices the result with
+:class:`~repro.sched.dataflow.GroupPricing`.  The search, ``replay``,
+and the greedy fallback all extend DP states through it, and the
+winning chain's steps carry the very seconds and DRAM bytes it priced.
+
 The paper searches all subgraphs of a pre-partitioned graph exhaustively
 (100 CPU-hours for ResNet-20); contiguous-window DP with memoization is
 the tractable restriction we ship, with the window size and split
@@ -23,16 +29,12 @@ construction time, the DP runs under optional wall-clock/node budgets,
 and on budget exhaustion or an infeasible cover the scheduler degrades
 to a deterministic greedy fallback (MAD-style fusion windows) instead of
 hanging or dying — the result is tagged ``degraded=True`` with the
-reason. A checkpoint path makes the DP search resumable: per-window
-best covers are serialized so an interrupted search continues instead
-of restarting.
+reason.
 """
 
 from __future__ import annotations
 
-import time as _time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # CKKSParams is annotation-only here (no import cycle).
@@ -42,18 +44,23 @@ from repro.hw.config import HardwareConfig
 from repro.ir.graph import OperatorGraph
 from repro.ir.loops import LoopNest, matched_prefix, power_of_two_splits
 from repro.ir.operators import Operator, OpKind
+from repro.ir.tensors import TensorKind
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.tracer import span as _span
 from repro.resilience.budget import BudgetMeter, SearchBudget
-from repro.resilience.checkpoint import SearchCheckpoint, search_fingerprint
 from repro.resilience.errors import (
     ConfigError,
     InfeasibleScheduleError,
     InvariantViolation,
     SearchBudgetExceeded,
 )
-from repro.sched.cost_model import GroupPricing, vector_pricing_enabled
-from repro.sched.dataflow import Schedule, ScheduledStep, SpatialGroupPlan
+from repro.sched.dataflow import (
+    GroupPricing,
+    Schedule,
+    ScheduledStep,
+    SpatialGroupPlan,
+    effective_dram_bytes,
+)
 from repro.sched.plan_memo import (
     MEMO as _PLAN_MEMO,
     PlanSkeleton,
@@ -86,10 +93,6 @@ class SchedulerConfig:
     constant_residency_fraction: float = 0.4
     min_ntt_tile: int = 64
     constant_share: int = 1
-    #: Workload segments are windows of one continuous program: their
-    #: ciphertext inputs arrive SRAM-resident from the previous segment
-    #: and their outputs stay on-chip for the next one (budget allowing).
-    chained_io: bool = True
     #: Fine-grained temporal pipelining between consecutive groups: a
     #: boundary tensor whose producer/consumer loop nests share top loops
     #: streams through a granule-sized SRAM FIFO instead of spilling.
@@ -113,14 +116,6 @@ class SchedulerConfig:
     #: schedule, ``"warn"`` downgrades the findings to a warning,
     #: ``"off"`` skips the gate.
     verify: str = "error"
-    #: Worker threads pricing the candidate windows of one DP frontier
-    #: (1 = serial).  Pricing is pure (plans and transitions read shared
-    #: state, never write it) and the budget is charged serially before
-    #: the batch with results applied in size order afterwards, so the
-    #: schedule is float-identical to the serial path — this knob only
-    #: trades threads for cold wall-clock.  Excluded from search and
-    #: sweep fingerprints for exactly that reason.
-    sched_jobs: int = 1
 
     def __post_init__(self) -> None:
         self.validate()
@@ -181,11 +176,6 @@ class SchedulerConfig:
                 "verify", self.verify,
                 'the verification gate is "error", "warn", or "off"',
             )
-        if not isinstance(self.sched_jobs, int) or self.sched_jobs < 1:
-            raise ConfigError(
-                "sched_jobs", self.sched_jobs,
-                "frontier pricing needs >= 1 worker (1 = serial)",
-            )
 
     def validate_for_hardware(self, hw: HardwareConfig) -> None:
         """Cross-check knobs against one hardware configuration.
@@ -214,57 +204,20 @@ class SchedulerConfig:
         )
 
 
-@dataclass
-class _DpState:
-    """Forward DP state: cumulative time plus what lives in SRAM.
-
-    States form a linked chain through ``parent``: instead of copying a
-    growing step list on every transition (O(steps) work and garbage per
-    priced candidate), each state records only its own ``entry`` — a
-    fully priced :class:`ScheduledStep` on the scalar path, or a
-    lightweight :class:`_Candidate` on the vectorized path — and
-    ``window``, the ``(start, size)`` slice of the topological order it
-    covers (all a checkpoint needs).  The winning chain is materialized
-    into real steps once, at the end (:meth:`Scheduler._materialize`).
-
-    ``pool`` holds intermediate tensors kept on-chip (uid -> bytes); a
-    tensor leaves the pool when its last consumer has executed.  This is
-    the top "sequential execution with fully materialized intermediates"
-    level of the hierarchy: with enough SRAM, producer/consumer pairs far
-    apart in the order still avoid the DRAM round trip.
-    """
-
-    seconds: float
-    parent: Optional["_DpState"] = None
-    #: ScheduledStep (scalar path) or _Candidate (vectorized path).
-    entry: Optional[object] = None
-    window: Optional[Tuple[int, int]] = None
-    pool: Dict[int, int] = field(default_factory=dict)
-    resident_constants: Set[int] = field(default_factory=set)
-    resident_constant_bytes: int = 0
-    #: Boundary outputs whose write decision is deferred: a later step
-    #: within the stream window may stream them (temporal pipelining),
-    #: pool them, or finally spill them.  uid -> (bytes, age, producer
-    #: plan or view).
-    pending: Dict[int, Tuple[int, int, Optional[object]]] = field(
-        default_factory=dict
-    )
-
-
 class _WindowView:
     """Pricing-time view of one candidate window.
 
-    Carries exactly what the DP transition and the vectorized block
-    pricer read: the integer resource demands, the per-position loop
-    nests (streamability checks), boundary outputs and per-tensor
-    constant/external byte items rebound to this window's uids, and the
-    feasibility verdicts.  On a structural-memo hit the view is built
-    straight from the stored :class:`PlanSkeleton` — **no live plan is
-    instantiated** for windows that only get priced; a plan materializes
-    lazily (:meth:`live_plan`) only for the windows on the winning
-    cover.  A view can also wrap an existing live plan (memo misses,
-    memo-off runs, and subclasses with their own plan construction), so
-    both sources price through one code path.
+    Carries exactly what the DP transition reads: the integer resource
+    demands, the per-position loop nests (streamability checks),
+    boundary outputs and per-tensor constant/external byte items rebound
+    to this window's uids, and the feasibility verdicts.  With the
+    structural memo on, the view is built straight from the stored
+    :class:`PlanSkeleton` — **no live plan is instantiated** for windows
+    that only get priced; a plan materializes lazily
+    (:meth:`live_plan`) only for the windows on the winning cover.  A
+    view can also wrap a live plan (memo-off runs and subclasses with
+    their own plan construction), so both sources price through one
+    transition.
     """
 
     __slots__ = (
@@ -289,14 +242,16 @@ class _WindowView:
     dram_write_bytes: int
     buffer_bytes: int
     #: ``(uid, bytes)`` in the metrics dicts' insertion order — the
-    #: residency discount loops below are order-sensitive only through
-    #: the constant-budget fill, which must match the plan's dict order.
+    #: transition is order-sensitive only through the constant-budget
+    #: fill, which must match the plan's dict order.
     constant_items: Tuple[Tuple[int, int], ...]
     external_items: Tuple[Tuple[int, int], ...]
     #: ``(uid, bytes)`` of the window's escaping outputs, in
     #: ``plan.boundary()`` order.
     out_items: Tuple[Tuple[int, int], ...]
     consumed: Set[int]
+    #: The window's price with zero DRAM bytes: no residency can make
+    #: the step cheaper (the dominance prune's bound).
     floor: float
 
     @classmethod
@@ -306,11 +261,12 @@ class _WindowView:
         ops: Tuple[Operator, ...],
         hw: HardwareConfig,
         pricing: GroupPricing,
+        plan: Optional[SpatialGroupPlan] = None,
     ) -> "_WindowView":
         view = cls()
         view.ops = ops
         view.skeleton = skeleton
-        view.plan = None
+        view.plan = plan
         view.nests = skeleton.nests
         view.feasible = bool(skeleton.pe_allocation) or all(
             op.kind is OpKind.TRANSPOSE for op in ops
@@ -336,14 +292,16 @@ class _WindowView:
             for p, idx in skeleton.boundary_outs
         )
         view.consumed = {t.uid for op in ops for t in op.inputs}
-        view.floor = pricing.floor_seconds(
-            skeleton.compute_cycles, skeleton.sram_bytes,
+        view.floor = pricing.seconds(
+            skeleton.compute_cycles, 0, skeleton.sram_bytes,
             skeleton.noc_bytes, skeleton.transpose_bytes,
         )
         return view
 
     @classmethod
-    def from_plan(cls, plan: SpatialGroupPlan) -> "_WindowView":
+    def from_plan(
+        cls, plan: SpatialGroupPlan, pricing: GroupPricing
+    ) -> "_WindowView":
         view = cls()
         view.ops = plan.ops
         view.skeleton = None
@@ -367,7 +325,10 @@ class _WindowView:
             (t.uid, t.bytes) for t in plan.boundary()[1]
         )
         view.consumed = {t.uid for op in plan.ops for t in op.inputs}
-        view.floor = plan.seconds_floor()
+        view.floor = pricing.seconds(
+            m.compute_cycles, 0, m.sram_bytes, m.noc_bytes,
+            m.transpose_bytes,
+        )
         return view
 
     def live_plan(self, scheduler: "Scheduler") -> SpatialGroupPlan:
@@ -382,35 +343,60 @@ class _WindowView:
         return plan
 
 
-class _Candidate:
-    """One resolved DP transition awaiting block pricing.
+class _DpState:
+    """Forward DP state: cumulative time plus what lives in SRAM.
 
-    Produced by :meth:`Scheduler._resolve_candidate` — the residency
-    bookkeeping of a transition with the float pricing factored out.
-    ``seconds`` is filled by the frontier's single
-    :meth:`GroupPricing.price_block` call; the effective DRAM integers
-    are resolved here because they depend on the *state* (what is
-    resident), unlike the other resource columns which are per-window.
+    States form a linked chain through ``parent``: instead of copying a
+    growing step list on every transition, each state records only the
+    step that reached it — its window ``view``, priced ``step_seconds``,
+    effective DRAM bytes, and residency sets.  The winning chain is
+    materialized into real steps once, at the end
+    (:meth:`Scheduler._materialize`).
+
+    ``pool`` holds intermediate tensors kept on-chip (uid -> bytes); a
+    tensor leaves the pool when its last consumer has executed.  This is
+    the top "sequential execution with fully materialized intermediates"
+    level of the hierarchy: with enough SRAM, producer/consumer pairs far
+    apart in the order still avoid the DRAM round trip.  ``pending``
+    holds boundary outputs whose write decision is deferred: a later
+    step within the stream window may stream them (temporal pipelining),
+    pool them, or finally spill them — uid -> (bytes, age, producer
+    view).
     """
 
     __slots__ = (
-        "view", "pool", "pending", "kept", "spill_bytes",
-        "resident_inputs", "resident_constants", "new_consts",
-        "new_const_bytes", "eff_dram_read", "eff_dram_write", "seconds",
+        "seconds", "parent", "view", "step_seconds", "dram_read",
+        "dram_write", "resident_inputs", "kept", "pool", "pending",
+        "resident_constants", "resident_constant_bytes",
     )
 
-    view: _WindowView
-    pool: Dict[int, int]
-    pending: Dict[int, Tuple[int, int, Optional[object]]]
-    kept: Set[int]
-    spill_bytes: int
-    resident_inputs: Set[int]
-    resident_constants: Set[int]
-    new_consts: Set[int]
-    new_const_bytes: int
-    eff_dram_read: int
-    eff_dram_write: int
-    seconds: float
+    def __init__(
+        self,
+        seconds: float,
+        pool: Dict[int, int],
+        pending: Dict[int, Tuple[int, int, "_WindowView"]],
+        resident_constants: Set[int],
+        resident_constant_bytes: int,
+        parent: Optional["_DpState"] = None,
+        view: Optional[_WindowView] = None,
+        step_seconds: float = 0.0,
+        dram_read: int = 0,
+        dram_write: int = 0,
+        resident_inputs: Optional[Set[int]] = None,
+        kept: Optional[Set[int]] = None,
+    ):
+        self.seconds = seconds
+        self.pool = pool
+        self.pending = pending
+        self.resident_constants = resident_constants
+        self.resident_constant_bytes = resident_constant_bytes
+        self.parent = parent
+        self.view = view
+        self.step_seconds = step_seconds
+        self.dram_read = dram_read
+        self.dram_write = dram_write
+        self.resident_inputs = resident_inputs
+        self.kept = kept
 
 
 class Scheduler:
@@ -455,7 +441,6 @@ class Scheduler:
         hw: HardwareConfig,
         config: Optional[SchedulerConfig] = None,
         n_split: Optional[Tuple[int, int]] = None,
-        checkpoint_path: Optional[str] = None,
         params: Optional["CKKSParams"] = None,
     ):
         graph = self._lowered(graph, n_split, params)
@@ -465,60 +450,51 @@ class Scheduler:
         if n_split is not None:
             self.config.validate_for_hardware(hw)
         self.n_split = n_split
-        self.checkpoint_path = checkpoint_path
-        self._plan_cache: Dict[Tuple, SpatialGroupPlan] = {}
-        self._view_cache: Dict[Tuple, _WindowView] = {}
+        sram = hw.sram_capacity_bytes
+        self._keep_budget = int(sram * self.config.keep_fraction)
+        self._const_budget = int(
+            sram * self.config.constant_residency_fraction
+        )
+        #: Last topological position consuming each tensor (set per
+        #: search or replay by :meth:`_order`).
+        self._last_use: Dict[int, int] = {}
+        self._view_cache: Dict[Tuple[int, ...], _WindowView] = {}
         #: Sampled once — the memo gate sits on the hottest path.
         self._memo_enabled = memo_enabled()
-        #: Vectorized frontier pricing (REPRO_VECTOR_PRICING, default
-        #: on); sampled once like the memo gate.  Float-identical to the
-        #: scalar path by construction — see GroupPricing.
-        self._vector = vector_pricing_enabled()
         self._pricing = GroupPricing.for_config(hw)
-        #: Per-plan consumed-uid sets and per-(producer, consumer,
-        #: tensor) streamability verdicts — producer/consumer being a
-        #: plan or a window view.  Both are pure functions of objects
-        #: this scheduler holds alive, recomputed otherwise on every DP
-        #: transition.
-        self._consumed_cache: Dict[SpatialGroupPlan, Set[int]] = {}
+        #: Per-(producer view, consumer view, tensor) streamability
+        #: verdicts: pure in objects this scheduler holds alive, and
+        #: re-queried from many DP states.
         self._stream_cache: Dict[Tuple[object, object, int], bool] = {}
         self.stats: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
 
     def _plan_for(self, window: Tuple[Operator, ...]) -> SpatialGroupPlan:
-        """Plan construction, cached per window identity and structure.
+        """A live plan for one window, served by the structural memo.
 
-        Two tiers: the per-scheduler identity cache (this exact window,
-        by uid — repriced windows reuse the very same plan object), then
-        the process-wide *structural* memo
-        (:data:`repro.sched.plan_memo.MEMO`), which serves every window
-        whose shape it has seen before — the same KeySwitch ladder or
-        BSGS diamond recurring within a graph, across NTT-split
-        candidates, and across the graphs of a sweep — by rebinding a
-        stored plan skeleton instead of re-running nest assignment, PE
-        allocation, and the metrics walk.
+        Subclasses override this to build their own plans (the MAD
+        baseline's depth-1 plans, test doubles); :meth:`_view_for` routes
+        every window of an overriding class through it.
         """
-        key = tuple(op.uid for op in window)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = _PLAN_MEMO.plan_for(
-                self.graph, window, self.hw, self.n_split,
-                enabled=self._memo_enabled, uids=key,
-            )
-            self._plan_cache[key] = plan
-        return plan
+        return _PLAN_MEMO.plan_for(
+            self.graph, window, self.hw, self.n_split,
+            enabled=self._memo_enabled,
+        )
 
     def _view_for(self, window: Tuple[Operator, ...]) -> _WindowView:
         """Pricing view of a window, cached per window identity.
 
-        With the structural memo on, a memo hit yields a view straight
-        from the stored skeleton — no live plan exists until the window
-        lands on the winning cover.  Subclasses that override
-        ``_plan_for`` (the MAD baseline's depth-1 plans, test doubles)
-        are detected and routed through their override, wrapped in a
-        view, so the vectorized search never bypasses custom plan
-        construction — and MAD skeletons never poison the shared memo.
+        With the structural memo on, a view comes straight from the
+        stored skeleton (the process-wide
+        :data:`repro.sched.plan_memo.MEMO`, which serves every window
+        whose shape it has seen before — the same KeySwitch ladder or
+        BSGS diamond recurring within a graph, across NTT-split
+        candidates, and across the graphs of a sweep); no live plan
+        exists until the window lands on the winning cover.  Subclasses
+        that override ``_plan_for`` are routed through their override,
+        wrapped in a view, so the search never bypasses custom plan
+        construction — and their plans never poison the shared memo.
         """
         key = tuple(op.uid for op in window)
         view = self._view_cache.get(key)
@@ -528,204 +504,84 @@ class Scheduler:
             self._memo_enabled
             and type(self)._plan_for is Scheduler._plan_for
         ):
+            # A memo miss also returns the freshly constructed plan;
+            # the view keeps it instead of re-instantiating later.
             skeleton, plan = _PLAN_MEMO.lookup(
                 self.graph, window, self.hw, self.n_split, uids=key,
             )
-            if plan is not None:
-                # Memo miss: the freshly constructed plan is already
-                # live, so keep it (identity cache included) instead of
-                # re-instantiating at materialization time.
-                self._plan_cache[key] = plan
-                view = _WindowView.from_plan(plan)
-            else:
-                view = _WindowView.from_skeleton(
-                    skeleton, window, self.hw, self._pricing
-                )
+            view = _WindowView.from_skeleton(
+                skeleton, window, self.hw, self._pricing, plan
+            )
         else:
-            view = _WindowView.from_plan(self._plan_for(window))
+            view = _WindowView.from_plan(
+                self._plan_for(window), self._pricing
+            )
         self._view_cache[key] = view
         return view
 
     # ------------------------------------------------------------------
 
-    def _search_fingerprint(self, order: Sequence[Operator]) -> str:
-        """Structural identity of this search (checkpoint validity)."""
-        cfg = self.config
-        return search_fingerprint(
-            self.graph.subgraph_signature(tuple(order)),
-            (self.hw.name, self.hw.num_pes, self.hw.lanes_per_pe,
-             self.hw.sram_capacity_mb, self.hw.word_bits),
-            (cfg.max_group_size, cfg.keep_fraction,
-             cfg.constant_residency_fraction, cfg.min_ntt_tile,
-             cfg.constant_share, cfg.chained_io, cfg.temporal_streaming,
-             cfg.stream_window),
-            self.n_split,
-        )
+    def _order(self) -> List[Operator]:
+        """The topological order, recording each tensor's last use.
 
-    def _initial_state(self, keep_budget: int) -> _DpState:
-        """The DP origin: segment inputs arrive on-chip if chained."""
-        initial_pool: Dict[int, int] = {}
-        if self.config.chained_io:
-            from repro.ir.tensors import TensorKind
+        Liveness evicts dead intermediates from the resident pool.
+        """
+        order = self.graph.operators_topological()
+        last_use: Dict[int, int] = {}
+        for pos, op in enumerate(order):
+            for t in op.inputs:
+                last_use[t.uid] = pos
+        self._last_use = last_use
+        return order
 
-            used = 0
-            for t in self.graph.graph_inputs():
-                if t.kind is TensorKind.EXTERNAL and used + t.bytes <= keep_budget:
-                    initial_pool[t.uid] = t.bytes
-                    used += t.bytes
-        return _DpState(seconds=0.0, pool=initial_pool)
+    def _initial_state(self) -> _DpState:
+        """The DP origin.
 
-    def _settle(self, final: _DpState, steps: List[ScheduledStep]) -> None:
-        """Settle still-deferred outputs (graph results must land in
-        memory): charge their writes to the last step.  With chained
-        segment I/O the outputs stay on-chip for the next segment."""
-        if final.pending and steps and not self.config.chained_io:
-            spill = sum(nbytes for nbytes, _, _ in final.pending.values())
-            last = steps[-1]
-            last.metrics.dram_write_bytes += spill
-            last.seconds = max(
-                last.seconds,
-                last.metrics.dram_bytes
-                / (self.hw.dram_bytes_per_second * 0.85),
-            )
-
-    def _cover_of(self, state: _DpState) -> List[Tuple[int, int]]:
-        """The (start, size) window sequence that produced a DP state."""
-        cover: List[Tuple[int, int]] = []
-        node: Optional[_DpState] = state
-        while node is not None and node.window is not None:
-            cover.append(node.window)
-            node = node.parent
-        cover.reverse()
-        return cover
+        Workload segments are windows of one continuous program: their
+        ciphertext inputs arrive SRAM-resident from the previous segment
+        (budget allowing) and their outputs stay on-chip for the next.
+        """
+        pool: Dict[int, int] = {}
+        used = 0
+        for t in self.graph.graph_inputs():
+            if (
+                t.kind is TensorKind.EXTERNAL
+                and used + t.bytes <= self._keep_budget
+            ):
+                pool[t.uid] = t.bytes
+                used += t.bytes
+        return _DpState(0.0, pool, {}, set(), 0)
 
     def _materialize(self, state: _DpState) -> List[ScheduledStep]:
-        """Realize a winning DP chain as fully priced scheduled steps.
+        """Realize a DP chain as scheduled steps.
 
-        Scalar-path entries already are steps.  Vectorized candidates
-        instantiate their plan now (for most windows this is the only
-        instantiation that ever happens) and price the final step
-        through the **legacy scalar**
-        :meth:`SpatialGroupPlan.execution_seconds` with the residency
-        sets the transition recorded — so the artifact floats come from
-        the exact same code path whichever pricing mode ran the search.
+        Each link's plan instantiates now (for memo-served windows the
+        only instantiation that ever happens), and its step carries the
+        link's priced seconds and effective DRAM bytes — the step costs
+        exactly what the DP compared.
         """
         chain: List[_DpState] = []
-        node: Optional[_DpState] = state
-        while node is not None and node.entry is not None:
+        node = state
+        while node.parent is not None:
             chain.append(node)
             node = node.parent
         chain.reverse()
         steps: List[ScheduledStep] = []
         for link in chain:
-            entry = link.entry
-            if isinstance(entry, ScheduledStep):
-                steps.append(entry)
-                continue
-            plan = entry.view.live_plan(self)
-            seconds, metrics = plan.execution_seconds(
-                resident_inputs=entry.resident_inputs,
-                resident_constants=entry.resident_constants,
-                kept_outputs=entry.kept,
-                constant_share=self.config.constant_share,
-                extra_write_bytes=entry.spill_bytes,
-            )
+            plan = link.view.live_plan(self)
             steps.append(ScheduledStep(
                 plan=plan,
-                seconds=seconds,
-                metrics=metrics,
-                resident_inputs=entry.resident_inputs,
-                resident_constants=entry.resident_constants,
-                kept_outputs=entry.kept,
+                seconds=link.step_seconds,
+                metrics=plan.effective_metrics(
+                    link.dram_read, link.dram_write
+                ),
+                resident_inputs=link.resident_inputs,
+                # Resident-constant sets are never mutated in place
+                # after a transition, so steps and states share them.
+                resident_constants=link.parent.resident_constants,
+                kept_outputs=link.kept,
             ))
         return steps
-
-    def _replay_cover(
-        self,
-        windows: Sequence[Tuple[int, int]],
-        order: Sequence[Operator],
-        keep_budget: int,
-        const_budget: int,
-        last_use: Dict[int, int],
-        origin: _DpState,
-    ) -> _DpState:
-        """Rebuild a DP state by replaying its checkpointed cover."""
-        state = origin
-        expected = 0
-        for start, size in windows:
-            if start != expected or size < 1 or start + size > len(order):
-                raise ValueError("malformed checkpoint cover")
-            window = tuple(order[start: start + size])
-            plan = self._plan_for(window)
-            if not plan.feasible_allocation or not plan.fits_buffer:
-                raise ValueError("checkpoint cover replays infeasible window")
-            _, state = self._transition(
-                state, plan, keep_budget, const_budget,
-                end_pos=start + size, last_use=last_use,
-            )
-            expected = start + size
-        return state
-
-    def _restore_checkpoint(
-        self,
-        fingerprint: str,
-        order: Sequence[Operator],
-        keep_budget: int,
-        const_budget: int,
-        last_use: Dict[int, int],
-        dp: List[Optional[_DpState]],
-    ) -> Tuple[int, int]:
-        """Load a matching checkpoint into ``dp``; return the resume
-        point ``(next_i, next_size)`` — ``(0, 1)`` when no usable
-        checkpoint exists.  ``next_size`` matters when the budget
-        tripped *inside* the window-size loop: sizes below it at
-        ``next_i`` are already folded into the restored covers, and
-        re-exploring them would double-charge the budget."""
-        if self.checkpoint_path is None:
-            return 0, 1
-        ckpt = SearchCheckpoint.load(self.checkpoint_path, fingerprint)
-        if ckpt is None:
-            return 0, 1
-        try:
-            for j, windows in sorted(ckpt.covers.items()):
-                if not 1 <= j <= len(order):
-                    raise ValueError("checkpoint index out of range")
-                dp[j] = self._replay_cover(
-                    windows, order, keep_budget, const_budget, last_use,
-                    dp[0],
-                )
-        except Exception:
-            # A stale or corrupt checkpoint must never poison a fresh
-            # search: drop everything replayed and start over.
-            for j in range(1, len(dp)):
-                dp[j] = None
-            return 0, 1
-        self.stats["resumed_from"] = float(ckpt.next_i)
-        if _METRICS.enabled:
-            _METRICS.counter("sched.checkpoint_restores").inc()
-        return min(max(ckpt.next_i, 0), len(order)), max(ckpt.next_size, 1)
-
-    def _save_checkpoint(
-        self,
-        fingerprint: str,
-        next_i: int,
-        dp: Sequence[Optional[_DpState]],
-        next_size: int = 1,
-    ) -> None:
-        """Persist the per-window best covers reached so far."""
-        if self.checkpoint_path is None:
-            return
-        covers = {
-            j: self._cover_of(state)
-            for j, state in enumerate(dp)
-            if j > 0 and state is not None
-        }
-        SearchCheckpoint(
-            fingerprint=fingerprint, next_i=next_i, next_size=next_size,
-            covers=covers,
-        ).save(self.checkpoint_path)
-        if _METRICS.enabled:
-            _METRICS.counter("sched.checkpoint_saves").inc()
 
     # ------------------------------------------------------------------
 
@@ -733,8 +589,7 @@ class Scheduler:
         """Run the DP and return the best schedule found.
 
         Under an exhausted search budget (wall-clock or node count) the
-        DP is abandoned — checkpointing its frontier when a checkpoint
-        path is set — and the deterministic greedy fallback produces a
+        DP is abandoned and the deterministic greedy fallback produces a
         valid schedule tagged ``degraded=True`` (unless
         ``fallback_on_budget=False``, which raises
         :class:`SearchBudgetExceeded` instead). An infeasible DP cover
@@ -743,9 +598,8 @@ class Scheduler:
 
         When telemetry is on (:mod:`repro.obs`) the search runs inside a
         ``sched.schedule`` span and stamps the search counters of the
-        metric catalog (windows explored, checkpoint activity, budget
-        spend, degraded fallbacks); when it is off the only overhead is
-        one flag check.
+        metric catalog (windows explored, plan-memo activity, degraded
+        fallbacks); when it is off the only overhead is one flag check.
         """
         with _span(
             "sched.schedule", graph=self.graph.name,
@@ -757,186 +611,83 @@ class Scheduler:
             return schedule
 
     def _schedule_impl(self) -> Schedule:
-        t0 = _time.time()
-        order = self.graph.operators_topological()
-        n = len(order)
-        sram = self.hw.sram_capacity_bytes
-        keep_budget = int(sram * self.config.keep_fraction)
-        const_budget = int(sram * self.config.constant_residency_fraction)
-
-        # Liveness: the last topological position consuming each tensor,
-        # used to evict dead intermediates from the resident pool.
-        pos = {op.uid: idx for idx, op in enumerate(order)}
-        last_use: Dict[int, int] = {}
-        for op in order:
-            for t in op.inputs:
-                last_use[t.uid] = max(last_use.get(t.uid, -1), pos[op.uid])
-
         meter = BudgetMeter(self.config.budget())
-        self._meter = meter
-        self._memo_base = _PLAN_MEMO.snapshot()
+        memo_base = _PLAN_MEMO.snapshot()
+        order = self._order()
+        n = len(order)
+        max_size = self.config.max_group_size
         dp: List[Optional[_DpState]] = [None] * (n + 1)
-        dp[0] = self._initial_state(keep_budget)
-        fingerprint = self._search_fingerprint(order)
-        start_i, start_size = self._restore_checkpoint(
-            fingerprint, order, keep_budget, const_budget, last_use, dp
-        )
-        jobs = self.config.sched_jobs
-        executor = (
-            ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-        )
-        #: The exact (position, window size) the budget tripped at — the
-        #: resume point a checkpoint must record so no candidate is
-        #: explored (or budget-charged) twice across interruptions.
-        interrupted_at: Optional[Tuple[int, int]] = None
-        try:
-            for i in range(start_i, n):
+        dp[0] = self._initial_state()
+        tripped = False
+        for i in range(n):
+            if meter.exceeded:
+                tripped = True
+                break
+            state = dp[i]
+            if state is None:
+                continue
+            for size in range(1, min(max_size, n - i) + 1):
+                meter.charge()
                 if meter.exceeded:
-                    interrupted_at = (i, 1)
+                    tripped = True
                     break
-                state = dp[i]
-                if state is None:
+                j = i + size
+                view = self._view_for(tuple(order[i:j]))
+                if not view.feasible or not view.fits:
+                    # Infeasible at this size does not rule out larger
+                    # windows — feasibility is a property of the whole
+                    # window, not a prefix of it — so *skip* this size
+                    # rather than abandoning the frontier.
                     continue
-
-                # Charge the budget serially, in size order, *before*
-                # pricing: the interruption point is then identical
-                # whether the batch below prices serially or in
-                # parallel.
-                size_lo = start_size if i == start_i else 1
-                sizes: List[int] = []
-                budget_trip: Optional[int] = None
-                for size in range(size_lo, self.config.max_group_size + 1):
-                    if i + size > n:
-                        break
-                    meter.charge()
-                    if meter.exceeded:
-                        budget_trip = size
-                        break
-                    sizes.append(size)
-
-                if self._vector:
-                    self._vector_frontier(
-                        dp, order, state, i, sizes, executor,
-                        keep_budget, const_budget, last_use,
-                    )
-                    if budget_trip is not None:
-                        interrupted_at = (i, budget_trip)
-                        break
+                # Dominance prune: no residency beats ``view.floor``, so
+                # a candidate whose floor cannot beat the state already
+                # at dp[j] would lose the strict `<` below anyway.
+                existing = dp[j]
+                if (
+                    existing is not None
+                    and state.seconds + view.floor >= existing.seconds
+                ):
                     continue
+                reached = self._resolve(state, view, j)
+                if existing is None or reached.seconds < existing.seconds:
+                    dp[j] = reached
+            if tripped:
+                break
 
-                def _price(
-                    size: int, state: _DpState = state, i: int = i
-                ) -> Optional[Tuple[ScheduledStep, _DpState]]:
-                    window = tuple(order[i: i + size])
-                    plan = self._plan_for(window)
-                    if not plan.feasible_allocation:
-                        # Infeasible at this size does not rule out
-                        # larger windows — feasibility is a property of
-                        # the whole window, not a prefix of it — so
-                        # *skip* this size rather than abandoning the
-                        # frontier (a `break` here silently pruned every
-                        # larger candidate).
-                        return None
-                    if not plan.fits_buffer:
-                        return None
-                    # Dominance prune: residency discounts only lower
-                    # the DRAM term, so ``seconds_floor`` bounds the
-                    # step time from below.  A candidate that cannot
-                    # beat the state already at dp[i+size] would be
-                    # discarded by the strict `<` in the apply loop —
-                    # skipping it leaves dp evolution byte-identical.
-                    # (dp[i+size] is only written after this whole
-                    # batch prices, so the read is race-free under
-                    # parallel pricing too.)
-                    existing = dp[i + size]
-                    if (
-                        existing is not None
-                        and state.seconds + plan.seconds_floor()
-                        >= existing.seconds
-                    ):
-                        return None
-                    return self._transition(
-                        state, plan, keep_budget, const_budget,
-                        end_pos=i + size, last_use=last_use,
-                    )
-
-                # Pricing is pure (reads dp[i] and the plan, writes
-                # nothing shared), so the batch can fan out to threads;
-                # results are applied in size order below either way,
-                # which keeps dp evolution — and thus the schedule —
-                # float-identical to the serial path.
-                if executor is not None and len(sizes) > 1:
-                    self.stats["parallel_priced"] = (
-                        self.stats.get("parallel_priced", 0.0) + len(sizes)
-                    )
-                    priced = list(executor.map(_price, sizes))
-                else:
-                    priced = [_price(size) for size in sizes]
-                for size, result in zip(sizes, priced):
-                    if result is None:
-                        continue
-                    _, new_state = result
-                    j = i + size
-                    if dp[j] is None or new_state.seconds < dp[j].seconds:
-                        dp[j] = new_state
-                if budget_trip is not None:
-                    interrupted_at = (i, budget_trip)
-                    break
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
-
-        if interrupted_at is not None:
-            self._save_checkpoint(
-                fingerprint, interrupted_at[0], dp,
-                next_size=interrupted_at[1],
-            )
-            frontier = max(
-                (j for j, s in enumerate(dp) if s is not None), default=0
-            )
+        if tripped:
             if not self.config.fallback_on_budget:
                 raise SearchBudgetExceeded(
                     elapsed_seconds=meter.elapsed,
                     nodes_explored=meter.nodes,
                     budget_seconds=self.config.max_search_seconds,
                     budget_nodes=self.config.max_search_nodes,
-                    frontier=frontier,
+                    frontier=max(
+                        j for j, s in enumerate(dp) if s is not None
+                    ),
                 )
-            return self._finish(
-                self._greedy_schedule(
-                    order, keep_budget, const_budget, last_use,
-                    reason=f"search budget exceeded ({meter.describe()})",
-                ),
-                t0,
+            schedule = self._greedy_schedule(
+                order, f"search budget exceeded ({meter.describe()})"
             )
-        final = dp[n]
-        if final is None:
+        elif dp[n] is None:
             # No feasible DP cover (e.g. a single window exceeding the
             # stream budget interacting badly with the keep pool): the
             # greedy fallback tries smaller windows before giving up.
-            return self._finish(
-                self._greedy_schedule(
-                    order, keep_budget, const_budget, last_use,
-                    reason="no feasible DP cover",
-                ),
-                t0,
-            )
-        if self.checkpoint_path is not None:
-            self._save_checkpoint(fingerprint, n, dp)
-        steps = self._materialize(final)
-        self._settle(final, steps)
-        return self._finish(Schedule(steps=steps), t0)
+            schedule = self._greedy_schedule(order, "no feasible DP cover")
+        else:
+            schedule = Schedule(steps=self._materialize(dp[n]))
+        return self._finish(schedule, meter, memo_base)
 
     def replay(self, window_sizes: Sequence[int]) -> Schedule:
         """Rebuild a schedule from its window cover, without searching.
 
         A schedule this class produces is fully determined by the sizes
         of its consecutive windows over the deterministic topological
-        order: replaying the cover through the same ``_transition``
-        pricing reproduces every step (seconds, metrics, residency sets)
-        exactly.  This is how the DSE cache rehydrates schedules across
-        processes — the cover is tiny and portable where live
-        :class:`~repro.sched.dataflow.SpatialGroupPlan` objects are not.
+        order: replaying the cover through the same transition
+        (:meth:`_resolve`) reproduces every step (seconds, metrics,
+        residency sets) exactly.  This is how the DSE cache rehydrates
+        schedules across processes — the cover is tiny and portable
+        where live :class:`~repro.sched.dataflow.SpatialGroupPlan`
+        objects are not.
 
         The DP search counters (``sched.searches`` etc.) are *not*
         touched — a replay is a cache hit, not a search — and the static
@@ -949,7 +700,7 @@ class Scheduler:
                 stale or foreign cover — callers treat this as a cache
                 miss and fall back to a fresh search).
         """
-        order = self.graph.operators_topological()
+        order = self._order()
         n = len(order)
         sizes = [int(s) for s in window_sizes]
         if any(s < 1 for s in sizes) or sum(sizes) != n:
@@ -957,61 +708,45 @@ class Scheduler:
                 "repro.sched.scheduler.Scheduler.replay",
                 f"cover {sizes!r} does not tile the {n}-operator order",
             )
-        sram = self.hw.sram_capacity_bytes
-        keep_budget = int(sram * self.config.keep_fraction)
-        const_budget = int(sram * self.config.constant_residency_fraction)
-        pos = {op.uid: idx for idx, op in enumerate(order)}
-        last_use: Dict[int, int] = {}
-        for op in order:
-            for t in op.inputs:
-                last_use[t.uid] = max(last_use.get(t.uid, -1), pos[op.uid])
-        windows: List[Tuple[int, int]] = []
+        state = self._initial_state()
         start = 0
         for size in sizes:
-            windows.append((start, size))
+            view = self._view_for(tuple(order[start:start + size]))
+            if not view.feasible or not view.fits:
+                raise InvariantViolation(
+                    "repro.sched.scheduler.Scheduler.replay",
+                    f"cover replays an infeasible window at {start}",
+                )
             start += size
-        try:
-            final = self._replay_cover(
-                windows, order, keep_budget, const_budget, last_use,
-                self._initial_state(keep_budget),
-            )
-        except ValueError as exc:
-            raise InvariantViolation(
-                "repro.sched.scheduler.Scheduler.replay", str(exc)
-            ) from None
-        steps = self._materialize(final)
-        self._settle(final, steps)
+            state = self._resolve(state, view, start)
         self.stats["replayed"] = 1.0
         if _METRICS.enabled:
             _METRICS.counter("sched.replays").inc()
-        return Schedule(steps=steps)
+        return Schedule(steps=self._materialize(state))
 
-    def _finish(self, schedule: Schedule, t0: float) -> Schedule:
+    def _finish(
+        self,
+        schedule: Schedule,
+        meter: BudgetMeter,
+        memo_base: Dict[str, int],
+    ) -> Schedule:
         """Stamp search stats, run the verification gate, and return."""
-        self.stats["search_seconds"] = _time.time() - t0
-        # On the vectorized path most windows never instantiate a live
-        # plan; the view cache is the per-window working set then.
-        self.stats["plans_cached"] = float(
-            max(len(self._plan_cache), len(self._view_cache))
-        )
+        self.stats["search_seconds"] = meter.elapsed
+        # Most windows never instantiate a live plan; the view cache is
+        # the per-window working set.
+        self.stats["plans_cached"] = float(len(self._view_cache))
         self.stats["degraded"] = 1.0 if schedule.degraded else 0.0
-        meter: Optional[BudgetMeter] = getattr(self, "_meter", None)
-        if meter is not None:
-            self.stats["windows_explored"] = float(meter.nodes)
+        self.stats["windows_explored"] = float(meter.nodes)
         # Structural plan-memo activity during this search (the memo is
-        # process-wide; counters are stamped here, single-threaded, so
-        # pricing workers never race on the registry).
-        memo_hits = memo_misses = 0
-        base = getattr(self, "_memo_base", None)
-        if base is not None:
-            snap = _PLAN_MEMO.snapshot()
-            memo_hits = (
-                snap["memo_hit"] - base["memo_hit"]
-                + snap["disk_hit"] - base["disk_hit"]
-            )
-            memo_misses = snap["memo_miss"] - base["memo_miss"]
-            self.stats["plan_memo_hits"] = float(memo_hits)
-            self.stats["plan_memo_misses"] = float(memo_misses)
+        # process-wide; the deltas are stamped once per search).
+        snap = _PLAN_MEMO.snapshot()
+        memo_hits = (
+            snap["memo_hit"] - memo_base["memo_hit"]
+            + snap["disk_hit"] - memo_base["disk_hit"]
+        )
+        memo_misses = snap["memo_miss"] - memo_base["memo_miss"]
+        self.stats["plan_memo_hits"] = float(memo_hits)
+        self.stats["plan_memo_misses"] = float(memo_misses)
         if _METRICS.enabled:
             _METRICS.counter("sched.searches").inc()
             _METRICS.counter("sched.plans_cached").inc(
@@ -1020,18 +755,11 @@ class Scheduler:
             _METRICS.histogram("sched.search_seconds").observe(
                 self.stats["search_seconds"]
             )
-            if meter is not None:
-                _METRICS.counter("sched.windows_explored").inc(meter.nodes)
+            _METRICS.counter("sched.windows_explored").inc(meter.nodes)
             if memo_hits:
                 _METRICS.counter("sched.plan.memo_hit").inc(memo_hits)
             if memo_misses:
                 _METRICS.counter("sched.plan.memo_miss").inc(memo_misses)
-            parallel = int(self.stats.get("parallel_priced", 0))
-            if parallel:
-                _METRICS.counter("sched.price.parallel").inc(parallel)
-            vectored = int(self.stats.get("vector_priced", 0))
-            if vectored:
-                _METRICS.counter("sched.price.vector").inc(vectored)
             if schedule.degraded:
                 _METRICS.counter("sched.degraded_fallbacks").inc()
         self._verify_gate(schedule)
@@ -1099,357 +827,67 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _greedy_schedule(
-        self,
-        order: Sequence[Operator],
-        keep_budget: int,
-        const_budget: int,
-        last_use: Dict[int, int],
-        reason: str,
+        self, order: Sequence[Operator], reason: str
     ) -> Schedule:
         """Deterministic fallback: fixed MAD-style fusion windows.
 
         Walks the topological order taking the largest feasible window
         up to :data:`GREEDY_FALLBACK_WINDOW` operators — linear in the
-        graph, no search — and prices each step with the same transition
-        function as the DP, so the result is a *valid* (if suboptimal)
-        schedule.  Raises :class:`InfeasibleScheduleError` only when a
-        single operator cannot be placed at all.
+        graph, no search — and prices each step with the DP's own
+        transition (:meth:`_resolve`), so the result is a *valid* (if
+        suboptimal) schedule.  Raises :class:`InfeasibleScheduleError`
+        only when a single operator cannot be placed at all.
         """
         n = len(order)
-        state = self._initial_state(keep_budget)
+        state = self._initial_state()
         cap = min(self.config.max_group_size, GREEDY_FALLBACK_WINDOW)
+        placed = 0
         i = 0
         while i < n:
-            placed = False
             for size in range(min(cap, n - i), 0, -1):
-                window = tuple(order[i: i + size])
-                plan = self._plan_for(window)
-                if not plan.feasible_allocation or not plan.fits_buffer:
-                    continue
-                _, state = self._transition(
-                    state, plan, keep_budget, const_budget,
-                    end_pos=i + size, last_use=last_use,
-                )
-                i += size
-                placed = True
-                break
-            if not placed:
-                single = self._plan_for((order[i],))
+                view = self._view_for(tuple(order[i:i + size]))
+                if view.feasible and view.fits:
+                    i += size
+                    state = self._resolve(state, view, i)
+                    placed += 1
+                    break
+            else:
                 raise InfeasibleScheduleError(
                     "no feasible cover: operator cannot be placed even "
                     "as a singleton group",
                     operator=order[i].name,
                     position=i,
-                    partial_steps=len(self._cover_of(state)),
+                    partial_steps=placed,
                     detail=(
-                        f"group buffer needs "
-                        f"{single.metrics.buffer_bytes} B but SRAM holds "
-                        f"{self.hw.sram_capacity_bytes} B"
+                        f"group buffer needs {view.buffer_bytes} B but "
+                        f"SRAM holds {self.hw.sram_capacity_bytes} B"
                     ),
                 )
-        steps = self._materialize(state)
-        self._settle(state, steps)
         return Schedule(
-            steps=steps, degraded=True, degraded_reason=reason
+            steps=self._materialize(state), degraded=True,
+            degraded_reason=reason,
         )
 
     # ------------------------------------------------------------------
 
-    def _vector_frontier(
-        self,
-        dp: List[Optional[_DpState]],
-        order: Sequence[Operator],
-        state: _DpState,
-        i: int,
-        sizes: Sequence[int],
-        executor: Optional[ThreadPoolExecutor],
-        keep_budget: int,
-        const_budget: int,
-        last_use: Dict[int, int],
-    ) -> None:
-        """Price one DP frontier through the numpy block kernel.
+    def _resolve(
+        self, state: _DpState, view: _WindowView, end_pos: int
+    ) -> _DpState:
+        """The DP transition: run ``view``'s window (ending before
+        topological position ``end_pos``) after ``state``.
 
-        The per-candidate *residency resolution* (pool/pending/constant
-        bookkeeping, pure integer work) runs first — serially or fanned
-        out to the pricing threads exactly like the scalar path — then
-        the surviving candidates' packed integer columns price in a
-        single :meth:`GroupPricing.price_block` call, and results apply
-        in size order with the same strict ``<`` as the scalar path.
-        Feasibility, fit, and dominance prunes reproduce the scalar
-        path's decisions (``view.floor`` is ``seconds_floor`` computed
-        from the same integers), so dp evolution is float-identical.
+        Resolves what the step finds and leaves in SRAM — pool eviction,
+        pending settlement, residency capture, the constant-pool fill —
+        then the effective DRAM bytes
+        (:func:`~repro.sched.dataflow.effective_dram_bytes`), and prices
+        the step with :meth:`GroupPricing.seconds`.  Search, ``replay``,
+        and the greedy fallback all extend states through here.
         """
-
-        def _resolve(
-            size: int, state: _DpState = state, i: int = i
-        ) -> Optional[_Candidate]:
-            view = self._view_for(tuple(order[i: i + size]))
-            if not view.feasible or not view.fits:
-                # Same skip-not-break semantics as the scalar path:
-                # infeasibility at one size says nothing about larger
-                # windows.
-                return None
-            existing = dp[i + size]
-            if (
-                existing is not None
-                and state.seconds + view.floor >= existing.seconds
-            ):
-                return None
-            return self._resolve_candidate(
-                state, view, keep_budget, const_budget,
-                end_pos=i + size, last_use=last_use,
-            )
-
-        if executor is not None and len(sizes) > 1:
-            self.stats["parallel_priced"] = (
-                self.stats.get("parallel_priced", 0.0) + len(sizes)
-            )
-            cands = list(executor.map(_resolve, sizes))
-        else:
-            cands = [_resolve(size) for size in sizes]
-        live = [c for c in cands if c is not None]
-        if live:
-            block = self._pricing.price_block(
-                [c.view.compute_cycles for c in live],
-                [c.eff_dram_read + c.eff_dram_write for c in live],
-                [c.view.sram_bytes for c in live],
-                [c.view.noc_bytes for c in live],
-                [c.view.transpose_bytes for c in live],
-            )
-            for cand, sec in zip(live, block):
-                cand.seconds = float(sec)
-            self.stats["vector_priced"] = (
-                self.stats.get("vector_priced", 0.0) + len(live)
-            )
-        for size, cand in zip(sizes, cands):
-            if cand is None:
-                continue
-            j = i + size
-            total = state.seconds + cand.seconds
-            existing = dp[j]
-            if existing is None or total < existing.seconds:
-                dp[j] = _DpState(
-                    seconds=total,
-                    parent=state,
-                    entry=cand,
-                    window=(i, size),
-                    pool=cand.pool,
-                    resident_constants=cand.new_consts,
-                    resident_constant_bytes=cand.new_const_bytes,
-                    pending=cand.pending,
-                )
-
-    def _resolve_candidate(
-        self,
-        state: _DpState,
-        view: _WindowView,
-        keep_budget: int,
-        const_budget: int,
-        end_pos: int,
-        last_use: Dict[int, int],
-    ) -> _Candidate:
-        """The residency half of a DP transition, sans pricing.
-
-        Mirrors :meth:`_transition` statement for statement — pool
-        eviction, pending settlement, residency capture, effective-DRAM
-        resolution, constant-pool fill — against a :class:`_WindowView`
-        instead of a live plan.  All integer/set arithmetic; the float
-        pricing happens once per frontier in
-        :meth:`GroupPricing.price_block`.
-        """
-        resident_constants = state.resident_constants
+        last_use = self._last_use
+        keep_budget = self._keep_budget
+        window = self.config.stream_window
         consumed = view.consumed
-        window = max(self.config.stream_window, 1)
-        new_pool = {
-            uid: nbytes
-            for uid, nbytes in state.pool.items()
-            if last_use.get(uid, -1) >= end_pos
-        }
-        pool_bytes = sum(new_pool.values())
-
-        streamed: Set[int] = set()
-        spill_bytes = 0
-        new_pending: Dict[int, Tuple[int, int, Optional[object]]] = {}
-        for uid, (nbytes, age, producer) in state.pending.items():
-            live_later = last_use.get(uid, -1) >= end_pos
-            consumed_now = uid in consumed
-            if consumed_now and self._streamable(uid, producer, view):
-                streamed.add(uid)
-                if live_later:
-                    if pool_bytes + nbytes <= keep_budget:
-                        new_pool[uid] = nbytes
-                        pool_bytes += nbytes
-                    elif age + 1 < window:
-                        new_pending[uid] = (nbytes, age + 1, producer)
-                    else:
-                        spill_bytes += nbytes
-                continue
-            if consumed_now:
-                if pool_bytes + nbytes <= keep_budget:
-                    new_pool[uid] = nbytes
-                    pool_bytes += nbytes
-                else:
-                    spill_bytes += nbytes
-                continue
-            if pool_bytes + nbytes <= keep_budget and live_later:
-                new_pool[uid] = nbytes
-                pool_bytes += nbytes
-            elif age + 1 < window and live_later:
-                new_pending[uid] = (nbytes, age + 1, producer)
-            else:
-                spill_bytes += nbytes
-
-        # Captured *before* this window's outputs enter the pool —
-        # exactly where _transition computes it.
-        resident_inputs = new_pool.keys() | streamed | state.pool.keys()
-        kept: Set[int] = set()
-        for uid, nbytes in view.out_items:
-            if last_use.get(uid, -1) < end_pos:
-                new_pending[uid] = (nbytes, 0, view)  # graph output
-                kept.add(uid)
-                continue
-            if pool_bytes + nbytes <= keep_budget:
-                new_pool[uid] = nbytes
-                pool_bytes += nbytes
-                kept.add(uid)
-            else:
-                new_pending[uid] = (nbytes, 0, view)
-                kept.add(uid)
-
-        # Effective DRAM integers: the same discounts, in the same
-        # order, with the same clamps as execution_seconds.
-        share = self.config.constant_share
-        dram_read = view.dram_read_bytes
-        for uid, nbytes in view.external_items:
-            if uid in resident_inputs:
-                dram_read -= nbytes
-        for uid, nbytes in view.constant_items:
-            if uid in resident_constants:
-                dram_read -= nbytes
-            elif share > 1:
-                dram_read -= nbytes * (share - 1) // share
-        dram_read = max(dram_read, 0)
-        dram_write = view.dram_write_bytes
-        if kept:
-            for uid, nbytes in view.out_items:
-                if uid in kept:
-                    dram_write -= nbytes
-            dram_write = max(dram_write, 0)
-        dram_write += max(spill_bytes, 0)
-
-        new_consts = state.resident_constants
-        new_const_bytes = state.resident_constant_bytes
-        added: Optional[Set[int]] = None
-        for uid, nbytes in view.constant_items:
-            if uid not in new_consts and new_const_bytes + nbytes <= const_budget:
-                if added is None:
-                    added = set()
-                added.add(uid)
-                new_const_bytes += nbytes
-        if added:
-            new_consts = state.resident_constants | added
-
-        cand = _Candidate()
-        cand.view = view
-        cand.pool = new_pool
-        cand.pending = new_pending
-        cand.kept = kept
-        cand.spill_bytes = spill_bytes
-        cand.resident_inputs = resident_inputs
-        cand.resident_constants = resident_constants
-        cand.new_consts = new_consts
-        cand.new_const_bytes = new_const_bytes
-        cand.eff_dram_read = dram_read
-        cand.eff_dram_write = dram_write
-        cand.seconds = 0.0
-        return cand
-
-    def _consumed_uids(self, plan: SpatialGroupPlan) -> Set[int]:
-        uids = self._consumed_cache.get(plan)
-        if uids is None:
-            uids = set()
-            for op in plan.ops:
-                for t in op.inputs:
-                    uids.add(t.uid)
-            self._consumed_cache[plan] = uids
-        return uids
-
-    @staticmethod
-    def _nest_at(group: object, pos: int) -> LoopNest:
-        """Loop nest of operator ``pos`` in a plan or a window view.
-
-        Views carry nests by window position; plans key them by uid.
-        Skeleton-derived nests are the very objects a live plan would
-        hold (instantiation re-keys, never rebuilds), so
-        ``matched_prefix`` verdicts are identical across the two forms.
-        """
-        if isinstance(group, _WindowView):
-            return group.nests[pos]
-        return group.assignment.nest_of(group.ops[pos])
-
-    def _streamable(
-        self,
-        uid: int,
-        producer: Optional[object],
-        consumer: object,
-    ) -> bool:
-        """Can a deferred tensor stream from the previous group into this
-        one (matched top loops across the boundary, Section V-A)?
-
-        ``producer``/``consumer`` are plans or window views — DP chains
-        can mix them (a checkpoint replays through live plans, the
-        vectorized search extends through views).  Pure in its
-        arguments, so verdicts are cached per (producer, consumer,
-        tensor) — the same pair is re-queried from many DP states.
-        """
-        if producer is None or not self.config.temporal_streaming:
-            return False
-        key = (producer, consumer, uid)
-        hit = self._stream_cache.get(key)
-        if hit is not None:
-            return hit
-        verdict = self._streamable_uncached(uid, producer, consumer)
-        self._stream_cache[key] = verdict
-        return verdict
-
-    def _streamable_uncached(
-        self,
-        uid: int,
-        producer: object,
-        consumer: object,
-    ) -> bool:
-        prod_ops = producer.ops  # type: ignore[attr-defined]
-        prod_pos = None
-        for pos, op in enumerate(prod_ops):
-            if any(t.uid == uid for t in op.outputs):
-                prod_pos = pos
-                break
-        if prod_pos is None:
-            return False
-        prod_nest = self._nest_at(producer, prod_pos)
-        cons_ops = consumer.ops  # type: ignore[attr-defined]
-        for pos, op in enumerate(cons_ops):
-            if any(t.uid == uid for t in op.inputs):
-                cons_nest = self._nest_at(consumer, pos)
-                if matched_prefix(prod_nest, cons_nest) > 0:
-                    return True
-        return False
-
-    def _transition(
-        self,
-        state: _DpState,
-        plan: SpatialGroupPlan,
-        keep_budget: int,
-        const_budget: int,
-        end_pos: int,
-        last_use: Dict[int, int],
-    ) -> Tuple[ScheduledStep, _DpState]:
-        resident_constants = state.resident_constants
-        consumed = self._consumed_uids(plan)
-        window = max(self.config.stream_window, 1)
         # Evolve the resident pool: evict tensors dead after this window.
-        # NOTE: _resolve_candidate mirrors this method statement for
-        # statement (minus the float pricing) — keep them in lockstep.
         new_pool = {
             uid: nbytes
             for uid, nbytes in state.pool.items()
@@ -1465,18 +903,18 @@ class Scheduler:
         # and tensors that outlive the window are spilled too.
         streamed: Set[int] = set()
         spill_bytes = 0
-        new_pending: Dict[int, Tuple[int, int, Optional[object]]] = {}
-        for uid, (nbytes, age, producer_plan) in state.pending.items():
+        new_pending: Dict[int, Tuple[int, int, _WindowView]] = {}
+        for uid, (nbytes, age, producer) in state.pending.items():
             live_later = last_use.get(uid, -1) >= end_pos
             consumed_now = uid in consumed
-            if consumed_now and self._streamable(uid, producer_plan, plan):
+            if consumed_now and self._streamable(uid, producer, view):
                 streamed.add(uid)
                 if live_later:
                     if pool_bytes + nbytes <= keep_budget:
                         new_pool[uid] = nbytes
                         pool_bytes += nbytes
                     elif age + 1 < window:
-                        new_pending[uid] = (nbytes, age + 1, producer_plan)
+                        new_pending[uid] = (nbytes, age + 1, producer)
                     else:
                         spill_bytes += nbytes
                 continue
@@ -1493,67 +931,97 @@ class Scheduler:
                 new_pool[uid] = nbytes
                 pool_bytes += nbytes
             elif age + 1 < window and live_later:
-                new_pending[uid] = (nbytes, age + 1, producer_plan)
+                new_pending[uid] = (nbytes, age + 1, producer)
             else:
                 spill_bytes += nbytes
 
+        # Captured before this window's outputs enter the pool.
         resident_inputs = new_pool.keys() | streamed | state.pool.keys()
-        # Outputs of this window: pool what fits, defer the rest.
-        _, outs = plan.boundary()
+        # Outputs of this window: pool what fits, defer the rest (graph
+        # outputs stay on-chip for the next segment).  Either way their
+        # write is deferred; a later transition settles it.
         kept: Set[int] = set()
-        for t in outs:
-            if last_use.get(t.uid, -1) < end_pos:
-                new_pending[t.uid] = (t.bytes, 0, plan)  # graph output
-                kept.add(t.uid)  # defer the write
-                continue
-            if pool_bytes + t.bytes <= keep_budget:
-                new_pool[t.uid] = t.bytes
-                pool_bytes += t.bytes
-                kept.add(t.uid)
+        for uid, nbytes in view.out_items:
+            kept.add(uid)
+            if (
+                last_use.get(uid, -1) >= end_pos
+                and pool_bytes + nbytes <= keep_budget
+            ):
+                new_pool[uid] = nbytes
+                pool_bytes += nbytes
             else:
-                new_pending[t.uid] = (t.bytes, 0, plan)
-                kept.add(t.uid)  # defer; a later transition settles it
-        pending = new_pending
-        seconds, metrics = plan.execution_seconds(
-            resident_inputs=resident_inputs,
-            resident_constants=resident_constants,
-            kept_outputs=kept,
-            constant_share=self.config.constant_share,
-            extra_write_bytes=spill_bytes,
+                new_pending[uid] = (nbytes, 0, view)
+
+        dram_read, dram_write = effective_dram_bytes(
+            view.dram_read_bytes, view.dram_write_bytes,
+            view.external_items, view.constant_items, view.out_items,
+            resident_inputs, state.resident_constants, kept,
+            self.config.constant_share, spill_bytes,
         )
-        step = ScheduledStep(
-            plan=plan,
-            seconds=seconds,
-            metrics=metrics,
-            resident_inputs=resident_inputs,
-            # Resident-constant sets are never mutated in place after a
-            # transition, so steps and states can share them.
-            resident_constants=resident_constants,
-            kept_outputs=kept,
+        step_seconds = self._pricing.seconds(
+            view.compute_cycles, dram_read + dram_write, view.sram_bytes,
+            view.noc_bytes, view.transpose_bytes,
         )
+
         # Update the resident-constant pool (kept while the budget holds).
         new_consts = state.resident_constants
         new_const_bytes = state.resident_constant_bytes
         added: Optional[Set[int]] = None
-        for uid, nbytes in plan.metrics.constant_bytes.items():
-            if uid not in new_consts and new_const_bytes + nbytes <= const_budget:
+        for uid, nbytes in view.constant_items:
+            if (
+                uid not in new_consts
+                and new_const_bytes + nbytes <= self._const_budget
+            ):
                 if added is None:
                     added = set()
                 added.add(uid)
                 new_const_bytes += nbytes
         if added:
             new_consts = state.resident_constants | added
-        new_state = _DpState(
-            seconds=state.seconds + seconds,
-            parent=state,
-            entry=step,
-            window=(end_pos - len(plan.ops), len(plan.ops)),
-            pool=new_pool,
-            resident_constants=new_consts,
-            resident_constant_bytes=new_const_bytes,
-            pending=pending,
+        return _DpState(
+            state.seconds + step_seconds, new_pool, new_pending,
+            new_consts, new_const_bytes,
+            parent=state, view=view, step_seconds=step_seconds,
+            dram_read=dram_read, dram_write=dram_write,
+            resident_inputs=resident_inputs, kept=kept,
         )
-        return step, new_state
+
+    def _streamable(
+        self, uid: int, producer: _WindowView, consumer: _WindowView
+    ) -> bool:
+        """Can a deferred tensor stream from the previous group into this
+        one (matched top loops across the boundary, Section V-A)?
+
+        Pure in its arguments, so verdicts are cached per (producer,
+        consumer, tensor) — the same pair is re-queried from many DP
+        states.
+        """
+        if not self.config.temporal_streaming:
+            return False
+        key = (producer, consumer, uid)
+        hit = self._stream_cache.get(key)
+        if hit is not None:
+            return hit
+        verdict = self._streamable_uncached(uid, producer, consumer)
+        self._stream_cache[key] = verdict
+        return verdict
+
+    @staticmethod
+    def _streamable_uncached(
+        uid: int, producer: _WindowView, consumer: _WindowView
+    ) -> bool:
+        prod_nest = None
+        for pos, op in enumerate(producer.ops):
+            if any(t.uid == uid for t in op.outputs):
+                prod_nest = producer.nests[pos]
+                break
+        if prod_nest is None:
+            return False
+        for pos, op in enumerate(consumer.ops):
+            if any(t.uid == uid for t in op.inputs):
+                if matched_prefix(prod_nest, consumer.nests[pos]) > 0:
+                    return True
+        return False
 
 
 def schedule_graph(
@@ -1608,10 +1076,9 @@ def schedule_partitioned(
     A degraded segment schedule (budget fallback) marks the combined
     schedule degraded.
     """
-    from repro.sched.partition import merge_redundant, partition_graph
+    from repro.sched.partition import partition_graph
 
     partitions = partition_graph(graph, limit=segment_limit)
-    groups = merge_redundant(partitions)
     searched: Dict[Tuple, Schedule] = {}
     combined = Schedule(steps=[])
     for part in partitions:

@@ -1,4 +1,4 @@
-"""Budgeted search degradation, checkpoint/resume, and infeasibility."""
+"""Budgeted search degradation and infeasibility."""
 
 import math
 
@@ -79,53 +79,6 @@ class TestDegradation:
         sched = Scheduler(_hmult_graph(), CROPHE_64, cfg).schedule()
         assert sched.degraded
         assert all(len(s.plan.ops) <= 2 for s in sched.steps)
-
-
-class TestCheckpointResume:
-    def test_interrupt_then_resume_matches_uninterrupted(
-        self, tmp_path, full_schedule
-    ):
-        path = str(tmp_path / "search.ck.json")
-        # Phase 1: interrupt partway through the DP with a node budget
-        # large enough to complete several outer positions.
-        cfg = SchedulerConfig(max_search_nodes=40, fallback_on_budget=False)
-        with pytest.raises(SearchBudgetExceeded):
-            Scheduler(
-                _hmult_graph(), CROPHE_64, cfg, checkpoint_path=path
-            ).schedule()
-        # Phase 2: resume without a budget; must finish from the
-        # checkpoint and reproduce the uninterrupted schedule exactly.
-        s = Scheduler(
-            _hmult_graph(), CROPHE_64, checkpoint_path=path
-        )
-        resumed = s.schedule()
-        assert s.stats.get("resumed_from", 0.0) > 0.0
-        assert not resumed.degraded
-        assert resumed.total_seconds == full_schedule.total_seconds
-        assert [len(st.plan.ops) for st in resumed.steps] == [
-            len(st.plan.ops) for st in full_schedule.steps
-        ]
-
-    def test_stale_checkpoint_is_ignored(self, tmp_path, full_schedule):
-        path = str(tmp_path / "search.ck.json")
-        with open(path, "w") as fh:
-            fh.write('{"version": 1, "fingerprint": "bogus", "next_i": 3}')
-        s = Scheduler(_hmult_graph(), CROPHE_64, checkpoint_path=path)
-        sched = s.schedule()
-        assert "resumed_from" not in s.stats
-        assert sched.total_seconds == full_schedule.total_seconds
-
-    def test_completed_search_writes_checkpoint(self, tmp_path):
-        path = str(tmp_path / "search.ck.json")
-        Scheduler(
-            _hmult_graph(), CROPHE_64, checkpoint_path=path
-        ).schedule()
-        from repro.sched.scheduler import Scheduler as S  # same fingerprint
-
-        s = S(_hmult_graph(), CROPHE_64, checkpoint_path=path)
-        s.schedule()
-        # A completed checkpoint resumes at the final DP position.
-        assert s.stats.get("resumed_from", 0.0) > 0.0
 
 
 class TestInfeasible:

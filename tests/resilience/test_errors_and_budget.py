@@ -1,12 +1,8 @@
-"""The exception hierarchy, search budgets, and checkpoint robustness."""
-
-import json
-import os
+"""The exception hierarchy and search budgets."""
 
 import pytest
 
 from repro.resilience.budget import BudgetMeter, SearchBudget
-from repro.resilience.checkpoint import SearchCheckpoint, search_fingerprint
 from repro.resilience.errors import (
     ConfigError,
     InfeasibleScheduleError,
@@ -89,43 +85,3 @@ class TestBudget:
         meter = BudgetMeter(SearchBudget(max_nodes=5))
         meter.charge(2)
         assert "2/5 nodes" in meter.describe()
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        fp = search_fingerprint("sig", ("hw",), (7,))
-        ck = SearchCheckpoint(
-            fingerprint=fp, next_i=4, covers={3: [(0, 3)], 5: [(0, 3), (3, 2)]}
-        )
-        ck.save(path)
-        loaded = SearchCheckpoint.load(path, fp)
-        assert loaded is not None
-        assert loaded.next_i == 4
-        assert loaded.covers == {3: [(0, 3)], 5: [(0, 3), (3, 2)]}
-
-    def test_missing_file_is_none(self, tmp_path):
-        assert SearchCheckpoint.load(str(tmp_path / "nope"), "fp") is None
-
-    def test_corrupt_file_is_none(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        with open(path, "w") as fh:
-            fh.write("{not json")
-        assert SearchCheckpoint.load(path, "fp") is None
-
-    def test_fingerprint_mismatch_is_none(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        SearchCheckpoint(fingerprint="aaa", next_i=1).save(path)
-        assert SearchCheckpoint.load(path, "bbb") is None
-
-    def test_save_is_atomic(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        SearchCheckpoint(fingerprint="fp", next_i=1).save(path)
-        SearchCheckpoint(fingerprint="fp", next_i=2).save(path)
-        with open(path) as fh:
-            assert json.load(fh)["next_i"] == 2
-        leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
-        assert not leftovers
-
-    def test_fingerprint_varies_with_parts(self):
-        assert search_fingerprint("a", 1) != search_fingerprint("a", 2)

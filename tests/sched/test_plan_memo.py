@@ -1,15 +1,16 @@
-"""Structural plan memoization, parallel pricing, and DP-loop fixes.
+"""Structural plan memoization and a DP-loop fix.
 
-The hard requirement the first two classes pin: the memo (on/off, warm
-or cold, memory or disk tier) and the frontier-pricing thread count
-must be **invisible** in the output — float-identical schedules,
-identical serialized window covers.  The later classes are regression
-tests for two DP-loop bugs: an infeasible window size silently pruning
-every larger candidate at its frontier, and mid-size-loop budget
-interruptions resuming at the wrong window size (double-charging the
-budget and re-exploring candidates).
+The hard requirement pinned here: the memo (on/off, warm or cold,
+memory or disk tier) must be **invisible** in the output —
+float-identical schedules, identical serialized window covers — while
+structurally congruent windows share stored skeletons across
+*workloads* (ResNet-20 warming ResNet-110) and across *hardware
+variants* that differ only in fields plan construction never reads.
+The last class is a regression test for an infeasible window size
+silently pruning every larger candidate at its frontier.
 """
 
+import dataclasses
 import json
 import os
 
@@ -20,8 +21,6 @@ from hypothesis import strategies as st
 from repro.fhe.params import CKKSParams, parameter_set
 from repro.hw.config import CROPHE_36, CROPHE_64
 from repro.ir.builders import GraphBuilder
-from repro.resilience.checkpoint import SearchCheckpoint
-from repro.resilience.errors import SearchBudgetExceeded
 from repro.sched.dataflow import SpatialGroupPlan
 from repro.sched.plan_memo import (
     MEMO,
@@ -34,7 +33,7 @@ from repro.sched.plan_memo import (
 from repro.sched.scheduler import Scheduler, SchedulerConfig
 from repro.sched.serialize import schedule_to_doc
 from repro.workloads import build_bootstrapping
-from repro.workloads.resnet import build_resnet20
+from repro.workloads.resnet import build_resnet20, build_resnet110
 
 ARK = parameter_set("ARK")
 
@@ -78,10 +77,23 @@ def _doc(schedule):
     return json.dumps(schedule_to_doc(schedule), sort_keys=True)
 
 
-def _schedule(graph, hw, monkeypatch, memo=True, jobs=1, **knobs):
+def _distinct_segment_graphs(workload):
+    seen, graphs = set(), []
+    for seg in workload.segments:
+        sig = seg.graph.subgraph_signature(
+            tuple(seg.graph.operators_topological())
+        )
+        if sig not in seen:
+            seen.add(sig)
+            graphs.append(seg.graph)
+    return graphs
+
+
+def _schedule(graph, hw, monkeypatch, memo=True, fresh_memo=True, **knobs):
     monkeypatch.setenv("REPRO_PLAN_MEMO", "1" if memo else "0")
-    MEMO.clear()
-    sched = Scheduler(graph, hw, SchedulerConfig(sched_jobs=jobs, **knobs))
+    if fresh_memo:
+        MEMO.clear()
+    sched = Scheduler(graph, hw, SchedulerConfig(**knobs))
     return sched, sched.schedule()
 
 
@@ -139,39 +151,11 @@ class TestWindowKey:
 
 
 # ---------------------------------------------------------------------
-# Determinism: memo and thread count must be invisible
+# Determinism: the memo must be invisible
 # ---------------------------------------------------------------------
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("workload", ["resnet20", "bootstrapping"])
-    def test_memo_and_jobs_invisible(self, workload, monkeypatch):
-        """Memo off/on and 1 vs 4 pricing threads: float-identical
-        schedules, identical serialized window covers."""
-        if workload == "resnet20":
-            segments = build_resnet20(TINY_DEEP).segments
-        else:
-            segments = build_bootstrapping(TINY_BOOT).segments
-        # Distinct segment structures only; one is plenty per structure.
-        seen, graphs = set(), []
-        for seg in segments:
-            sig = seg.graph.subgraph_signature(
-                tuple(seg.graph.operators_topological())
-            )
-            if sig not in seen:
-                seen.add(sig)
-                graphs.append(seg.graph)
-        assert graphs
-        for graph in graphs[:3]:
-            _, base = _schedule(graph, CROPHE_36, monkeypatch, memo=False)
-            sched_on, on = _schedule(graph, CROPHE_36, monkeypatch)
-            _, par = _schedule(graph, CROPHE_36, monkeypatch, jobs=4)
-            assert on.total_seconds == base.total_seconds
-            assert par.total_seconds == base.total_seconds
-            assert _doc(on) == _doc(base)
-            assert _doc(par) == _doc(base)
-            assert sched_on.stats["plan_memo_misses"] >= 1
-
     def test_warm_memo_all_hits_and_identical(self, monkeypatch):
         graph = _hmult_graph()
         _, first = _schedule(graph, CROPHE_64, monkeypatch)
@@ -189,13 +173,12 @@ class TestDeterminism:
     @given(
         max_group_size=st.integers(min_value=1, max_value=6),
         stream_window=st.integers(min_value=1, max_value=4),
-        jobs=st.sampled_from([2, 3, 4]),
     )
     def test_property_identical_under_any_knobs(
-        self, max_group_size, stream_window, jobs
+        self, max_group_size, stream_window
     ):
-        """Any (window, stream, thread) knob combination: memo+threads
-        reproduce the serial memo-free schedule exactly."""
+        """Any (window, stream) knob combination: the memo reproduces
+        the memo-free schedule exactly."""
         graph = _hmult_graph()
         knobs = dict(
             max_group_size=max_group_size, stream_window=stream_window
@@ -209,14 +192,72 @@ class TestDeterminism:
             os.environ["REPRO_PLAN_MEMO"] = "1"
             MEMO.clear()
             fast = Scheduler(
-                graph, CROPHE_64,
-                SchedulerConfig(sched_jobs=jobs, **knobs),
+                graph, CROPHE_64, SchedulerConfig(**knobs)
             ).schedule()
         finally:
             os.environ.pop("REPRO_PLAN_MEMO", None)
             MEMO.clear()
         assert fast.total_seconds == base.total_seconds
         assert _doc(fast) == _doc(base)
+
+
+# ---------------------------------------------------------------------
+# Sharing across workloads and hardware variants
+# ---------------------------------------------------------------------
+
+
+class TestCrossWorkloadMemo:
+    def test_resnet20_warms_resnet110(self, monkeypatch):
+        """ResNet-110 segments are structural twins of ResNet-20's:
+        after scheduling ResNet-20, a ResNet-110 segment search runs
+        memo-hot and yields the byte-identical schedule a cold search
+        produces."""
+        graphs110 = _distinct_segment_graphs(build_resnet110(TINY_DEEP))
+        target = graphs110[0]
+        _, cold = _schedule(target, CROPHE_36, monkeypatch)
+        # Warm the memo with ResNet-20 only, then search the
+        # ResNet-110 segment without clearing.
+        MEMO.clear()
+        for graph in _distinct_segment_graphs(build_resnet20(TINY_DEEP)):
+            _schedule(graph, CROPHE_36, monkeypatch, fresh_memo=False)
+        warm, hot = _schedule(target, CROPHE_36, monkeypatch,
+                              fresh_memo=False)
+        assert warm.stats["plan_memo_hits"] >= 1
+        assert warm.stats["plan_memo_misses"] == 0
+        assert _doc(hot) == _doc(cold)
+
+    def test_hw_variants_share_skeletons(self, monkeypatch):
+        """Configs differing only in timing fields (clock, bandwidths,
+        SRAM capacity label) share plan skeletons: construction reads
+        none of them, and timing always evaluates against the live
+        config — so the variant search runs miss-free yet prices with
+        its own clock."""
+        graph = _distinct_segment_graphs(build_bootstrapping(TINY_BOOT))[0]
+        first, base = _schedule(graph, CROPHE_64, monkeypatch)
+        assert first.stats["plan_memo_misses"] >= 1
+        variant = dataclasses.replace(
+            CROPHE_64, name="variant-2x",
+            frequency_ghz=CROPHE_64.frequency_ghz * 2,
+        )
+        second, out = _schedule(graph, variant, monkeypatch,
+                                fresh_memo=False)
+        assert second.stats["plan_memo_misses"] == 0
+        assert second.stats["plan_memo_hits"] >= 1
+        # Same windows (structure is config-independent here), faster
+        # or equal steps under the doubled clock.
+        assert [len(s.plan.ops) for s in out.steps] \
+            == [len(s.plan.ops) for s in base.steps]
+        assert out.total_seconds <= base.total_seconds
+
+    def test_word_bits_still_split_the_memo(self, monkeypatch):
+        """Fields plan construction *does* read (word size) must keep
+        separate memo entries — the projection only widens over timing
+        fields."""
+        graph = _distinct_segment_graphs(build_bootstrapping(TINY_BOOT))[0]
+        _schedule(graph, CROPHE_64, monkeypatch)
+        second, _ = _schedule(graph, CROPHE_36, monkeypatch,
+                              fresh_memo=False)
+        assert second.stats["plan_memo_misses"] >= 1
 
 
 # ---------------------------------------------------------------------
@@ -356,88 +397,3 @@ class TestInfeasibleSizeContinues:
             infeasible_sizes=(),
         ).schedule()
         assert _doc(doubled) == _doc(plain)
-
-
-# ---------------------------------------------------------------------
-# Bugfix: mid-size-loop budget interruption resumes exactly
-# ---------------------------------------------------------------------
-
-
-class TestMidSizeResume:
-    def _run_uninterrupted(self, graph):
-        sched = Scheduler(graph, CROPHE_64, SchedulerConfig())
-        return sched.schedule(), sched.stats["windows_explored"]
-
-    def test_resume_explores_each_candidate_exactly_once(self, tmp_path):
-        """Interrupted at charge B+1 mid-size-loop, the resumed search
-        must charge exactly W - B more candidates (pre-fix it restarted
-        the size loop at 1 and re-charged the already-explored sizes)
-        and land on the uninterrupted schedule."""
-        graph = _hmult_graph()
-        full_schedule, total = self._run_uninterrupted(graph)
-        ckpt_path = str(tmp_path / "search.ckpt")
-
-        # Find a node budget whose trip point is mid-size-loop
-        # (next_size >= 2) — the case the fix exists for.  The charge
-        # sequence is deterministic, so scan small budgets.
-        chosen = None
-        for budget in range(2, int(total)):
-            if os.path.exists(ckpt_path):
-                os.unlink(ckpt_path)
-            interrupted = Scheduler(
-                graph, CROPHE_64,
-                SchedulerConfig(
-                    max_search_nodes=budget, fallback_on_budget=False
-                ),
-                checkpoint_path=ckpt_path,
-            )
-            with pytest.raises(SearchBudgetExceeded):
-                interrupted.schedule()
-            ckpt = SearchCheckpoint.load(
-                ckpt_path, interrupted._search_fingerprint(
-                    graph.operators_topological()
-                )
-            )
-            assert ckpt is not None
-            if ckpt.next_size >= 2:
-                chosen = budget
-                break
-        assert chosen is not None, "no budget tripped mid-size-loop"
-
-        resumed = Scheduler(
-            graph, CROPHE_64, SchedulerConfig(),
-            checkpoint_path=ckpt_path,
-        )
-        schedule = resumed.schedule()
-        assert resumed.stats["resumed_from"] >= 0
-        # Exactly-once exploration: interrupted charged `chosen` full
-        # candidates (its tripping charge explored nothing), so the
-        # remainder is total - chosen.  The pre-fix scheduler re-charged
-        # next_size - 1 already-explored sizes on top.
-        assert resumed.stats["windows_explored"] == total - chosen
-        assert _doc(schedule) == _doc(full_schedule)
-        assert schedule.total_seconds == full_schedule.total_seconds
-
-    def test_interrupt_resume_parallel_matches_serial(self, tmp_path):
-        """Resume-equivalence holds under parallel pricing too."""
-        graph = _hmult_graph()
-        full_schedule, total = self._run_uninterrupted(graph)
-        ckpt_path = str(tmp_path / "search.ckpt")
-        budget = max(2, int(total) // 2)
-        interrupted = Scheduler(
-            graph, CROPHE_64,
-            SchedulerConfig(
-                max_search_nodes=budget, fallback_on_budget=False,
-                sched_jobs=4,
-            ),
-            checkpoint_path=ckpt_path,
-        )
-        with pytest.raises(SearchBudgetExceeded):
-            interrupted.schedule()
-        resumed = Scheduler(
-            graph, CROPHE_64, SchedulerConfig(sched_jobs=4),
-            checkpoint_path=ckpt_path,
-        )
-        schedule = resumed.schedule()
-        assert resumed.stats["windows_explored"] == total - budget
-        assert _doc(schedule) == _doc(full_schedule)
