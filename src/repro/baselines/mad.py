@@ -61,6 +61,8 @@ def _clamp_matches(assignment: NestAssignment, depth: int) -> NestAssignment:
 class MadSpatialGroupPlan(SpatialGroupPlan):
     """A spatial group under MAD's limb-granular streaming."""
 
+    dataflow = "mad"
+
     def __init__(
         self,
         graph: OperatorGraph,
@@ -76,6 +78,8 @@ class MadSpatialGroupPlan(SpatialGroupPlan):
 
 class MadScheduler(Scheduler):
     """The Scheduler restricted to MAD's fusion/caching discipline."""
+
+    plan_kind = MadSpatialGroupPlan
 
     def __init__(
         self,
@@ -99,9 +103,6 @@ class MadScheduler(Scheduler):
             verify=base.verify,
         )
         super().__init__(graph, hw, mad_config, n_split=None)
-
-    def _plan_for(self, window):
-        return MadSpatialGroupPlan(self.graph, window, self.hw)
 
 
 def mad_schedule(graph: OperatorGraph, hw: HardwareConfig):

@@ -47,6 +47,7 @@ from repro.resilience.errors import (
 from repro.fhe.params import CKKSParams
 from repro.hw.config import HardwareConfig
 from repro.sched.dataflow import Schedule
+from repro.sched.plan_memo import MEMO as PLAN_MEMO
 from repro.sched.scheduler import Scheduler, SchedulerConfig
 from repro.sched.serialize import (
     eval_result_from_doc,
@@ -62,6 +63,9 @@ from repro.workloads.base import Workload, WorkloadOptions
 #: r_hyb values enumerated for hybrid rotation (Section V-D: one graph
 #: per candidate, scheduled separately, fastest kept).
 R_HYB_CANDIDATES = (1, 4, 8)
+
+#: What rotation strategy "auto" enumerates (fastest kept).
+AUTO_ROTATION_STRATEGIES = ("min-ks", "hoisting")
 
 
 @dataclass(frozen=True)
@@ -378,7 +382,7 @@ def evaluate_workload(
         # (MAD) for small ones (Section V-C).
         variants = [
             (replace(point, rotation_strategy=s), 1)
-            for s in ("min-ks", "hoisting")
+            for s in AUTO_ROTATION_STRATEGIES
         ]
     else:
         variants = [(point, 1)]
@@ -451,12 +455,13 @@ def _restore_result(doc: Any) -> Optional[EvalResult]:
 
 
 def clear_cache() -> None:
-    """Drop all in-memory cached results and schedules.
+    """Drop all in-memory cached results, schedules and plans.
 
-    Compatibility shim over the :mod:`repro.dse` tiers: clears the live
-    front maps and the doc cache's memory tier (tests, sweeps, and the
-    bench harness, which must measure search work from cold).  On-disk
-    entries survive — remove the cache directory to go fully cold.
+    Clears the live front maps, the lowering memo, the doc cache's
+    memory tier, and the structural plan memo with its window tables
+    (tests, sweeps, and the bench harness, which must measure search
+    work from cold).  On-disk entries survive — remove the cache
+    directory to go fully cold.
     """
     from repro.passes.lowering import clear_lowering_memo
 
@@ -464,6 +469,7 @@ def clear_cache() -> None:
     _SCHED_LIVE.clear()
     clear_lowering_memo()
     CACHE.clear_memory()
+    PLAN_MEMO.clear()
 
 
 def speedup(baseline: EvalResult, contender: EvalResult) -> float:

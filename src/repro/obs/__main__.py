@@ -184,11 +184,15 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.baselines.accelerators import baseline_config, paired_crophe
     from repro.experiments.common import (
+        AUTO_ROTATION_STRATEGIES,
         DesignPoint,
         _evaluate_once,
         clear_cache,
+        default_scheduler_config,
     )
     from repro.fhe.params import parameter_set
     from repro.obs.attribution import attribute_events, format_attribution
@@ -203,15 +207,29 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         hw = baseline_config(args.baseline)
         point = DesignPoint(args.baseline, hw)
+    config = default_scheduler_config()
+
+    def evaluate(design: DesignPoint):
+        return _evaluate_once(
+            design, args.workload, params,
+            r_hyb=args.r_hyb, decompose_ntt=False, clusters=1,
+            base_config=config,
+        )
+
     clear_cache()
+    hybrid = point.dataflow == "crophe" and point.use_hybrid_rotation
+    if point.rotation_strategy == "auto" and not hybrid:
+        # Trace the strategy evaluate_workload keeps: the first fastest.
+        point = min(
+            (replace(point, rotation_strategy=s)
+             for s in AUTO_ROTATION_STRATEGIES),
+            key=lambda design: evaluate(design).seconds,
+        )
+        clear_cache()  # the traced run searches cold
     obs.reset()
     obs.enable(events=True)
     try:
-        result = _evaluate_once(
-            point, args.workload, params,
-            r_hyb=args.r_hyb, decompose_ntt=False, clusters=1,
-            scheduler_config=None,
-        )
+        result = evaluate(point)
         name = f"{args.workload}_{point.label}".replace("/", "_")
         paths = obs.dump_cell_artifacts(name, args.out_dir)
         print(format_attribution(attribute_events(obs.SINK.flattened())))

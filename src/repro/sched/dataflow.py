@@ -237,6 +237,9 @@ class GroupMetrics:
 class SpatialGroupPlan:
     """One spatial pipelining/sharing group on the PE array."""
 
+    #: The dataflow this plan kind models (a plan-memo disk field).
+    dataflow = "crophe"
+
     def __init__(
         self,
         graph: OperatorGraph,
@@ -439,10 +442,6 @@ class SpatialGroupPlan:
         m.dram_read_bytes += sum(m.constant_bytes.values())
         m.buffer_bytes = buffer
         return m
-
-    @property
-    def fits_buffer(self) -> bool:
-        return self.metrics.buffer_bytes <= self.config.sram_capacity_bytes
 
     # ------------------------------------------------------------------
     # Timing

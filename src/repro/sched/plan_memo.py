@@ -1,27 +1,39 @@
-"""Structural memoization of :class:`~repro.sched.dataflow.SpatialGroupPlan`.
+"""Structural memoization of window plans, and per-graph window tables.
 
-The DP search constructs one plan per candidate window, and the same
-window *structure* — a KeySwitch ladder, a BSGS rotation diamond, an
-NTT phase pair — recurs dozens of times per graph and across every
-graph of a sweep.  Plan construction (loop-nest assignment, PE
-allocation, traffic metrics) reads nothing but the window's structure,
-the hardware configuration, and the NTT split, so one construction can
-serve every structurally identical window.
+The DP search prices one candidate window per (start, size) of a
+graph's topological order, and the same window *structure* — a
+KeySwitch ladder, a BSGS rotation diamond, an NTT phase pair — recurs
+dozens of times per graph and across every graph of a sweep.  Plan
+construction (loop-nest assignment, PE allocation, traffic metrics)
+reads nothing but the window's structure, the hardware configuration,
+the NTT split, and the *plan kind* (the plan class: CROPHE's
+:class:`~repro.sched.dataflow.SpatialGroupPlan` or the MAD baseline's
+depth-1 variant), so one construction serves every structurally
+identical window.
 
-Two tiers behind :data:`MEMO` (process-wide, thread-safe):
+Behind :data:`MEMO` (process-wide, thread-safe):
 
-* an **in-memory tier** keyed by ``(hw, n_split, window_key(...))`` —
-  a plain tuple, uid-free, cheap to hash;
-* an optional **on-disk tier** under the existing content-addressed
-  :class:`~repro.dse.cache.ArtifactCache` (kind ``"plan"``), active
-  whenever the DSE cache root is configured, so sweeps share plan
-  structures across processes and runs.
+* a **window table** per lowered graph (:class:`WindowTable`): the
+  topological order indexed by position, plus the structure key of
+  each (start, size) window, interned process-wide as a small integer
+  id;
+* **entries** keyed by ``(projected hw, n_split, plan kind, structure
+  id)``: the :class:`PlanSkeleton` plus one :class:`WindowTemplate` per
+  live hardware config, holding exactly what the DP transition reads;
+* **rows** (:class:`WindowRow`), one per (graph, hw, split, plan
+  kind): templates by (start, size), shared by every scheduler over
+  that graph — the cluster and design variants of a sweep re-search
+  the same lowered graph objects;
+* an optional **on-disk tier** of skeletons under the existing
+  content-addressed :class:`~repro.dse.cache.ArtifactCache` (kind
+  ``"plan"``), active whenever the DSE cache root is configured, so
+  sweeps share plan structures across processes and runs.
 
-What is stored is a :class:`PlanSkeleton`: the plan's chosen loop
-nests, edge match depths, PE allocation, and metrics with every
-operator/tensor reference translated from process-local uids to window
-positions.  :func:`instantiate` rebuilds a live plan from a skeleton on
-any structurally identical window via
+A :class:`PlanSkeleton` is a plan's chosen loop nests, edge match
+depths, PE allocation, and metrics with every operator/tensor reference
+translated from process-local uids to window positions.
+:func:`instantiate` rebuilds a live plan from a skeleton on any
+structurally identical window via
 :meth:`~repro.sched.dataflow.SpatialGroupPlan.from_parts` — pure dict
 re-keying, no search, no float arithmetic — so a memoized plan is
 **identical** (not merely equivalent) to the one direct construction
@@ -29,8 +41,12 @@ would produce: same nests, same integer metrics in the same dict
 order, and therefore float-identical schedules downstream.  The
 determinism tests in ``tests/sched/test_plan_memo.py`` pin this.
 
-``REPRO_PLAN_MEMO=0`` disables both tiers (every window constructs
-fresh) — the comparison baseline for those tests and for benchmarking.
+:meth:`PlanMemo.clear` drops every entry, key id, table and row (a
+generation counter retires the tables cached on graph objects), so a
+search after it runs cold.  ``REPRO_PLAN_MEMO=0`` bypasses the memo:
+the scheduler builds every window's plan fresh and shares nothing
+across windows or searches — the comparison baseline for those tests
+and for benchmarking.
 """
 
 from __future__ import annotations
@@ -38,20 +54,23 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.hw.config import HardwareConfig
 from repro.ir.graph import OperatorGraph
 from repro.ir.loops import Axis, Loop, LoopNest
-from repro.ir.operators import Operator
+from repro.ir.operators import Operator, OpKind
 from repro.obs.tracer import span as _span
-from repro.sched.dataflow import GroupMetrics, SpatialGroupPlan
+from repro.sched.dataflow import GroupMetrics, GroupPricing, SpatialGroupPlan
 from repro.sched.tiling import NestAssignment
 
 __all__ = [
     "MEMO",
     "PlanMemo",
     "PlanSkeleton",
+    "WindowRow",
+    "WindowTable",
+    "WindowTemplate",
     "instantiate",
     "memo_enabled",
     "skeleton_from_doc",
@@ -115,53 +134,12 @@ def _memo_hw(hw: HardwareConfig) -> HardwareConfig:
 
 
 # ---------------------------------------------------------------------
-# Structural window key
+# Structural window keys, window tables, templates, rows
 # ---------------------------------------------------------------------
 
 
-def _graph_tables(
-    graph: OperatorGraph,
-) -> Tuple[Dict[int, Tuple], Dict[Tuple[int, ...], Tuple[Any, ...]]]:
-    """Per-operator structural rows plus this graph's window-key cache.
-
-    Both are cached on the graph object (invalidated when its operator
-    count changes): every DP search over a graph — and every NTT-split
-    candidate re-searching it — enumerates the same windows, so the
-    producer/consumer/byte-size walk runs once per operator instead of
-    once per window occurrence.
-    """
-    cached = graph.__dict__.get("_plan_memo_tables")
-    if cached is not None and cached[0] == graph.num_operators:
-        return cached[1], cached[2]
-    rows: Dict[int, Tuple] = {}
-    for op in graph.operators:
-        ins = []
-        for t in op.inputs:
-            producer = graph.producer_of(t)
-            ins.append((
-                t.uid,
-                producer.uid if producer is not None else None,
-                t.kind.value,
-                t.bytes,
-            ))
-        outs = []
-        for t in op.outputs:
-            outs.append((
-                t.uid,
-                tuple(c.uid for c in graph.consumers_of(t)),
-                t.kind.value,
-                t.bytes,
-            ))
-        rows[op.uid] = (op.signature(), tuple(ins), tuple(outs))
-    window_cache: Dict[Tuple[int, ...], Tuple[Any, ...]] = {}
-    graph._plan_memo_tables = (graph.num_operators, rows, window_cache)
-    return rows, window_cache
-
-
 def window_key(
-    graph: OperatorGraph,
-    ops: Sequence[Operator],
-    uids: Optional[Tuple[int, ...]] = None,
+    graph: OperatorGraph, ops: Sequence[Operator]
 ) -> Tuple[Any, ...]:
     """Uid-free structural identity of one candidate window.
 
@@ -174,20 +152,14 @@ def window_key(
     or a graph result).  Two windows with equal keys — in the same
     graph or different ones — yield byte-identical plan skeletons.
 
-    ``uids`` lets a caller that already holds ``tuple(op.uid for op in
-    ops)`` (the scheduler's identity-cache key) skip rebuilding it.
+    Window tables call this once per (start, size) entry.
     """
-    rows, cache = _graph_tables(graph)
-    if uids is None:
-        uids = tuple(op.uid for op in ops)
-    key = cache.get(uids)
-    if key is not None:
-        return key
-    index = {uid: i for i, uid in enumerate(uids)}
+    rows = MEMO.table(graph).structure
+    index = {op.uid: i for i, op in enumerate(ops)}
     local: Dict[int, int] = {}
     parts = []
-    for uid in uids:
-        sig, row_ins, row_outs = rows[uid]
+    for op in ops:
+        sig, row_ins, row_outs = rows[op.uid]
         ins = []
         for t_uid, prod_uid, kind, nbytes in row_ins:
             lid = local.setdefault(t_uid, len(local))
@@ -204,9 +176,145 @@ def window_key(
             escapes = not cons_uids or len(internal) != len(cons_uids)
             outs.append((lid, escapes, internal, kind, nbytes))
         parts.append((sig, tuple(ins), tuple(outs)))
-    key = tuple(parts)
-    cache[uids] = key
-    return key
+    return tuple(parts)
+
+
+class WindowTable:
+    """One lowered graph's windows, indexed by topological position.
+
+    Window (start, size) — operators ``order[start:start + size]`` — is
+    addressed by the slot ``start * stride + size``.  ``in_uids`` and
+    ``out_uids`` hold each position's tensor uids, which template
+    references bind to; ``last_use`` and ``consumers`` give each
+    tensor's last and every consuming position (liveness and
+    streamability in the DP transition).  ``structure`` holds each
+    operator's signature, producers, consumers and byte sizes (what
+    :func:`window_key` reads), and ``key_ids`` the interned structure id
+    of each slot filled so far; ``rows`` holds this graph's
+    :class:`WindowRow` per (hw, split, plan kind).  Cached on the graph
+    by :meth:`PlanMemo.table` until its operator count or the memo's
+    generation changes.
+    """
+
+    __slots__ = (
+        "num_operators", "generation", "order", "stride", "in_uids",
+        "out_uids", "last_use", "consumers", "structure", "key_ids",
+        "rows",
+    )
+
+    def __init__(self, graph: OperatorGraph, generation: int):
+        order = tuple(graph.operators_topological())
+        self.num_operators = graph.num_operators
+        self.generation = generation
+        self.order = order
+        self.stride = len(order) + 1
+        self.in_uids = tuple(tuple(t.uid for t in op.inputs) for op in order)
+        self.out_uids = tuple(
+            tuple(t.uid for t in op.outputs) for op in order
+        )
+        consumers: Dict[int, List[int]] = {}
+        for pos, inputs in enumerate(self.in_uids):
+            for uid in inputs:
+                consumers.setdefault(uid, []).append(pos)
+        self.consumers = {uid: tuple(p) for uid, p in consumers.items()}
+        self.last_use = {uid: p[-1] for uid, p in consumers.items()}
+        self.structure: Dict[int, Tuple] = {}
+        for op in order:
+            ins = []
+            for t in op.inputs:
+                producer = graph.producer_of(t)
+                ins.append((
+                    t.uid, producer.uid if producer is not None else None,
+                    t.kind.value, t.bytes,
+                ))
+            outs = tuple(
+                (t.uid, tuple(c.uid for c in graph.consumers_of(t)),
+                 t.kind.value, t.bytes)
+                for t in op.outputs
+            )
+            self.structure[op.uid] = (op.signature(), tuple(ins), outs)
+        self.key_ids: Dict[int, int] = {}
+        self.rows: Dict[Tuple, "WindowRow"] = {}
+
+
+class WindowTemplate:
+    """What the DP transition reads of one window structure on one
+    live hardware config.
+
+    The integer resource demands and verdicts come straight from the
+    skeleton; ``floor`` is the price with zero DRAM bytes (no residency
+    can make the step cheaper — the dominance prune's bound).  Tensor
+    references are ``(position, input or output index, bytes)`` in the
+    source plan's dict order (the constant-budget fill is
+    order-sensitive), and ``tops`` holds each position's top loop as
+    ``(axis, trip count)``, ``None`` when it cannot match (no loops, or
+    NTT butterfly stages): a deferred tensor streams into a consumer
+    exactly when its producer's top loop is among the consuming
+    positions' (``matched_prefix > 0``, Section V-A).  Uid-free, so one
+    template serves every structural twin; the transition binds uids
+    through the :class:`WindowTable`.
+    """
+
+    __slots__ = (
+        "skeleton", "compute_cycles", "sram_bytes", "noc_bytes",
+        "transpose_bytes", "dram_read_bytes", "dram_write_bytes",
+        "buffer_bytes", "floor", "feasible", "fits", "constants",
+        "externals", "outs", "tops",
+    )
+
+    def __init__(
+        self,
+        skeleton: "PlanSkeleton",
+        ops: Sequence[Operator],
+        hw: HardwareConfig,
+    ):
+        self.skeleton = skeleton
+        self.compute_cycles = skeleton.compute_cycles
+        self.sram_bytes = skeleton.sram_bytes
+        self.noc_bytes = skeleton.noc_bytes
+        self.transpose_bytes = skeleton.transpose_bytes
+        self.dram_read_bytes = skeleton.dram_read_bytes
+        self.dram_write_bytes = skeleton.dram_write_bytes
+        self.buffer_bytes = skeleton.buffer_bytes
+        self.floor = GroupPricing.for_config(hw).seconds(
+            skeleton.compute_cycles, 0, skeleton.sram_bytes,
+            skeleton.noc_bytes, skeleton.transpose_bytes,
+        )
+        self.feasible = bool(skeleton.pe_allocation) or all(
+            op.kind is OpKind.TRANSPOSE for op in ops
+        )
+        self.fits = skeleton.buffer_bytes <= hw.sram_capacity_bytes
+        self.constants = skeleton.constant_bytes
+        self.externals = skeleton.external_read_bytes
+        self.outs = tuple(
+            (p, idx, ops[p].outputs[idx].bytes)
+            for p, idx in skeleton.boundary_outs
+        )
+        self.tops = tuple(
+            (nest.loops[0].axis, nest.loops[0].size)
+            if nest.loops and nest.loops[0].axis is not Axis.STAGE
+            else None
+            for nest in skeleton.nests
+        )
+
+
+class WindowRow:
+    """Templates of one (graph, live hw, n_split, plan kind) by slot,
+    shared by every scheduler over that graph and hardware."""
+
+    __slots__ = ("hw", "memo_hw", "n_split", "plan_kind", "templates")
+
+    def __init__(
+        self,
+        hw: HardwareConfig,
+        n_split: Optional[Tuple[int, int]],
+        plan_kind: Type[SpatialGroupPlan],
+    ):
+        self.hw = hw
+        self.memo_hw = _memo_hw(hw)
+        self.n_split = n_split
+        self.plan_kind = plan_kind
+        self.templates: Dict[int, WindowTemplate] = {}
 
 
 # ---------------------------------------------------------------------
@@ -302,8 +410,10 @@ def instantiate(
     ops: Sequence[Operator],
     hw: HardwareConfig,
     n_split: Optional[Tuple[int, int]],
+    plan_kind: Type[SpatialGroupPlan] = SpatialGroupPlan,
 ) -> SpatialGroupPlan:
-    """Rebuild a live plan from a skeleton onto a structural twin."""
+    """Rebuild a live plan of ``plan_kind`` from a skeleton onto a
+    structural twin."""
     ops = tuple(ops)
     assignment = NestAssignment(
         nests={op.uid: nest for op, nest in zip(ops, skeleton.nests)},
@@ -330,7 +440,7 @@ def instantiate(
         ops[p].inputs[idx].uid: nbytes
         for p, idx, nbytes in skeleton.external_read_bytes
     }
-    plan = SpatialGroupPlan.from_parts(
+    plan = plan_kind.from_parts(
         graph, ops, hw, n_split,
         assignment=assignment,
         pe_allocation={
@@ -432,7 +542,7 @@ def skeleton_from_doc(doc: Any) -> Optional[PlanSkeleton]:
 
 
 class PlanMemo:
-    """Two-tier structural plan store (thread-safe).
+    """Process-wide structural plan store (thread-safe).
 
     The disk tier piggybacks on the shared DSE
     :data:`~repro.dse.cache.CACHE` (kind ``"plan"``), so it follows the
@@ -445,7 +555,13 @@ class PlanMemo:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._skeletons: Dict[Tuple[Any, ...], PlanSkeleton] = {}
+        #: (skeleton, live hw -> template) per entry key.
+        self._entries: Dict[Tuple[Any, ...], Tuple[PlanSkeleton, Dict]] = {}
+        #: Interned structure keys: key -> id, and id -> key.
+        self._key_ids: Dict[Tuple[Any, ...], int] = {}
+        self._keys: List[Tuple[Any, ...]] = []
+        #: Bumped by :meth:`clear`; tables of older generations rebuild.
+        self.generation = 0
         self.stats: Dict[str, int] = {
             "memo_hit": 0, "memo_miss": 0, "disk_hit": 0,
         }
@@ -460,20 +576,48 @@ class PlanMemo:
             return dict(self.stats)
 
     def clear(self) -> None:
-        """Drop the in-memory tier and zero the counters (tests)."""
+        """Drop every entry, key id, table and row; zero the counters."""
         with self._lock:
-            self._skeletons.clear()
+            self._entries.clear()
+            self._key_ids.clear()
+            self._keys.clear()
+            self.generation += 1
             for key in self.stats:
                 self.stats[key] = 0
 
-    def _fingerprint(
-        self,
-        hw: HardwareConfig,
-        n_split: Optional[Tuple[int, int]],
-        key: Tuple[Any, ...],
-    ) -> str:
+    def table(self, graph: OperatorGraph) -> WindowTable:
+        """``graph``'s window table of the current generation."""
+        table = graph.__dict__.get("_window_table")
+        if (
+            table is None
+            or table.generation != self.generation
+            or table.num_operators != graph.num_operators
+        ):
+            table = WindowTable(graph, self.generation)
+            graph._window_table = table
+        return table
+
+    def structure_id(
+        self, graph: OperatorGraph, table: WindowTable, start: int, size: int
+    ) -> int:
+        """The interned structure id of window (start, size)."""
+        slot = start * table.stride + size
+        sid = table.key_ids.get(slot)
+        if sid is None:
+            key = window_key(graph, table.order[start:start + size])
+            with self._lock:
+                sid = self._key_ids.setdefault(key, len(self._keys))
+                if sid == len(self._keys):
+                    self._keys.append(key)
+            table.key_ids[slot] = sid
+        return sid
+
+    def _fingerprint(self, key: Tuple[Any, ...]) -> str:
+        """The disk-tier digest of one entry key."""
         # Imported lazily: repro.dse.fingerprint imports the scheduler.
         from repro.dse.fingerprint import FORMAT_VERSION, digest, hw_payload
+
+        hw, n_split, plan_kind, structure_id = key
 
         # ``hw`` here is the projected memo config — a handful of
         # distinct objects per process — so its asdict() payload is
@@ -482,93 +626,97 @@ class PlanMemo:
         if payload is None:
             payload = hw_payload(hw)
             _HW_PAYLOAD[hw] = payload
-        return digest({
+        doc = {
             "kind": "plan",
             "version": FORMAT_VERSION,
             "hw": payload,
             "n_split": list(n_split) if n_split else None,
-            "window": key,
-        })
+            "window": self._keys[structure_id],
+        }
+        if plan_kind.dataflow != SpatialGroupPlan.dataflow:
+            # Baseline skeletons never serve CROPHE windows (nor the
+            # reverse); CROPHE fingerprints predate the field.
+            doc["dataflow"] = plan_kind.dataflow
+        return digest(doc)
 
-    def lookup(
+    def template(
+        self,
+        graph: OperatorGraph,
+        table: WindowTable,
+        row: WindowRow,
+        start: int,
+        size: int,
+    ) -> WindowTemplate:
+        """The template of window (start, size) of ``table``'s graph.
+
+        Counts one memo hit, disk hit, or miss.  Tier order: the shared
+        row, the memory entry (built into a template for ``row.hw`` if
+        the entry has none yet), the disk skeleton (only when the DSE
+        cache has a root), then fresh construction — which back-fills
+        every tier.  A fresh construction runs under a ``sched.plan``
+        span so cold traces show exactly where structural planning time
+        goes; hits are span-free (they are dict lookups).
+        """
+        slot = start * table.stride + size
+        template = row.templates.get(slot)
+        if template is not None:
+            self._count("memo_hit")
+            return template
+        ops = table.order[start:start + size]
+        key = (
+            row.memo_hw, row.n_split, row.plan_kind,
+            self.structure_id(graph, table, start, size),
+        )
+        # One lock round trip covers both the lookup and the counter.
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.stats["memo_hit"] += 1
+        if entry is None:
+            entry = self._build(graph, ops, row, key)
+        skeleton, templates = entry
+        template = templates.get(row.hw)
+        if template is None:
+            template = templates.setdefault(
+                row.hw, WindowTemplate(skeleton, ops, row.hw)
+            )
+        row.templates[slot] = template
+        return template
+
+    def _build(
         self,
         graph: OperatorGraph,
         ops: Sequence[Operator],
-        hw: HardwareConfig,
-        n_split: Optional[Tuple[int, int]] = None,
-        uids: Optional[Tuple[int, ...]] = None,
-    ) -> Tuple[PlanSkeleton, Optional[SpatialGroupPlan]]:
-        """The skeleton for ``ops`` plus the live plan a miss built.
-
-        Tier order: memory skeleton, then disk (only when the DSE cache
-        has a root), then fresh construction — which back-fills both
-        tiers.  Hits return ``(skeleton, None)`` without instantiating
-        a live plan, which is what lets the scheduler's search price
-        windows straight off skeleton integers; a miss
-        returns the freshly constructed plan alongside its skeleton so
-        the caller never pays construction twice.  A fresh construction
-        runs under a ``sched.plan`` span so cold traces show exactly
-        where structural planning time goes; hits are span-free (they
-        are dict lookups).
-        """
-        key = (_memo_hw(hw), n_split, window_key(graph, ops, uids))
-        # One lock round trip covers both the lookup and the counter —
-        # this is the hot path of every priced window.
-        with self._lock:
-            skeleton = self._skeletons.get(key)
-            if skeleton is not None:
-                self.stats["memo_hit"] += 1
-        if skeleton is not None:
-            return skeleton, None
+        row: WindowRow,
+        key: Tuple[Any, ...],
+    ) -> Tuple[PlanSkeleton, Dict[HardwareConfig, WindowTemplate]]:
+        """A memory-tier miss: load the skeleton from disk or build it."""
         # Imported lazily: repro.dse depends on this package.
         from repro.dse.cache import CACHE
 
         fp = None
+        skeleton = None
+        stat = "memo_miss"
         if CACHE.root is not None:
-            fp = self._fingerprint(key[0], n_split, key[2])
+            fp = self._fingerprint(key)
             doc = CACHE.get("plan", fp)
             if doc is not None:
                 skeleton = skeleton_from_doc(doc)
             if skeleton is not None:
-                with self._lock:
-                    self._skeletons[key] = skeleton
-                self._count("disk_hit")
-                return skeleton, None
-        with _span("sched.plan", ops=len(ops)):
-            plan = SpatialGroupPlan(graph, ops, hw, n_split)
-        skeleton = skeleton_of(plan)
+                stat = "disk_hit"
+        if skeleton is None:
+            with _span("sched.plan", ops=len(ops)):
+                plan = row.plan_kind(graph, ops, row.hw, row.n_split)
+            skeleton = skeleton_of(plan)
+            if fp is not None:
+                CACHE.put(
+                    "plan", fp, skeleton_to_doc(skeleton),
+                    meta={"ops": len(ops), "hw": row.hw.name},
+                )
         with self._lock:
-            self._skeletons[key] = skeleton
-        self._count("memo_miss")
-        if fp is not None:
-            CACHE.put(
-                "plan", fp, skeleton_to_doc(skeleton),
-                meta={"ops": len(ops), "hw": hw.name},
-            )
-        return skeleton, plan
-
-    def plan_for(
-        self,
-        graph: OperatorGraph,
-        ops: Sequence[Operator],
-        hw: HardwareConfig,
-        n_split: Optional[Tuple[int, int]] = None,
-        enabled: Optional[bool] = None,
-    ) -> SpatialGroupPlan:
-        """A live plan for ``ops``, served structurally when possible.
-
-        ``enabled`` short-circuits the per-call environment read; the
-        scheduler samples :func:`memo_enabled` once at construction and
-        passes it through.
-        """
-        if enabled is None:
-            enabled = memo_enabled()
-        if not enabled:
-            return SpatialGroupPlan(graph, ops, hw, n_split)
-        skeleton, plan = self.lookup(graph, ops, hw, n_split)
-        if plan is not None:
-            return plan
-        return instantiate(skeleton, graph, ops, hw, n_split)
+            entry = self._entries.setdefault(key, (skeleton, {}))
+            self.stats[stat] += 1
+        return entry
 
 
 #: The process-wide memo every :class:`~repro.sched.scheduler.

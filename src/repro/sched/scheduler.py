@@ -14,10 +14,14 @@ Bottom-up composition with dynamic programming:
    (temporal sharing), which the DP transition prices in.
 
 The transition exists once (:meth:`Scheduler._resolve`): it resolves
-residency against a window view and prices the result with
-:class:`~repro.sched.dataflow.GroupPricing`.  The search, ``replay``,
-and the greedy fallback all extend DP states through it, and the
-winning chain's steps carry the very seconds and DRAM bytes it priced.
+residency against a window's pricing template and prices the result
+with :class:`~repro.sched.dataflow.GroupPricing`.  The search,
+``replay``, and the greedy fallback all extend DP states through it,
+and the winning chain's steps carry the very seconds and DRAM bytes it
+priced.  Templates come from the graph's window table
+(:mod:`repro.sched.plan_memo`), shared by every scheduler over the same
+graph, hardware, split and plan kind; live plans exist only for the
+winning cover.
 
 The paper searches all subgraphs of a pre-partitioned graph exhaustively
 (100 CPU-hours for ResNet-20); contiguous-window DP with memoization is
@@ -42,8 +46,8 @@ if TYPE_CHECKING:  # CKKSParams is annotation-only here (no import cycle).
 
 from repro.hw.config import HardwareConfig
 from repro.ir.graph import OperatorGraph
-from repro.ir.loops import LoopNest, matched_prefix, power_of_two_splits
-from repro.ir.operators import Operator, OpKind
+from repro.ir.loops import power_of_two_splits
+from repro.ir.operators import Operator
 from repro.ir.tensors import TensorKind
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.tracer import span as _span
@@ -63,9 +67,12 @@ from repro.sched.dataflow import (
 )
 from repro.sched.plan_memo import (
     MEMO as _PLAN_MEMO,
-    PlanSkeleton,
+    WindowRow,
+    WindowTable,
+    WindowTemplate,
     instantiate as _instantiate,
     memo_enabled,
+    skeleton_of,
 )
 
 #: Fusion depth of the greedy fallback scheduler (MAD-style windows).
@@ -204,154 +211,15 @@ class SchedulerConfig:
         )
 
 
-class _WindowView:
-    """Pricing-time view of one candidate window.
-
-    Carries exactly what the DP transition reads: the integer resource
-    demands, the per-position loop nests (streamability checks),
-    boundary outputs and per-tensor constant/external byte items rebound
-    to this window's uids, and the feasibility verdicts.  With the
-    structural memo on, the view is built straight from the stored
-    :class:`PlanSkeleton` — **no live plan is instantiated** for windows
-    that only get priced; a plan materializes lazily
-    (:meth:`live_plan`) only for the windows on the winning cover.  A
-    view can also wrap a live plan (memo-off runs and subclasses with
-    their own plan construction), so both sources price through one
-    transition.
-    """
-
-    __slots__ = (
-        "ops", "skeleton", "plan", "nests", "feasible", "fits",
-        "compute_cycles", "sram_bytes", "noc_bytes", "transpose_bytes",
-        "dram_read_bytes", "dram_write_bytes", "buffer_bytes",
-        "constant_items", "external_items", "out_items", "consumed",
-        "floor",
-    )
-
-    ops: Tuple[Operator, ...]
-    skeleton: Optional[PlanSkeleton]
-    plan: Optional[SpatialGroupPlan]
-    nests: Tuple[LoopNest, ...]
-    feasible: bool
-    fits: bool
-    compute_cycles: int
-    sram_bytes: int
-    noc_bytes: int
-    transpose_bytes: int
-    dram_read_bytes: int
-    dram_write_bytes: int
-    buffer_bytes: int
-    #: ``(uid, bytes)`` in the metrics dicts' insertion order — the
-    #: transition is order-sensitive only through the constant-budget
-    #: fill, which must match the plan's dict order.
-    constant_items: Tuple[Tuple[int, int], ...]
-    external_items: Tuple[Tuple[int, int], ...]
-    #: ``(uid, bytes)`` of the window's escaping outputs, in
-    #: ``plan.boundary()`` order.
-    out_items: Tuple[Tuple[int, int], ...]
-    consumed: Set[int]
-    #: The window's price with zero DRAM bytes: no residency can make
-    #: the step cheaper (the dominance prune's bound).
-    floor: float
-
-    @classmethod
-    def from_skeleton(
-        cls,
-        skeleton: PlanSkeleton,
-        ops: Tuple[Operator, ...],
-        hw: HardwareConfig,
-        pricing: GroupPricing,
-        plan: Optional[SpatialGroupPlan] = None,
-    ) -> "_WindowView":
-        view = cls()
-        view.ops = ops
-        view.skeleton = skeleton
-        view.plan = plan
-        view.nests = skeleton.nests
-        view.feasible = bool(skeleton.pe_allocation) or all(
-            op.kind is OpKind.TRANSPOSE for op in ops
-        )
-        view.fits = skeleton.buffer_bytes <= hw.sram_capacity_bytes
-        view.compute_cycles = skeleton.compute_cycles
-        view.sram_bytes = skeleton.sram_bytes
-        view.noc_bytes = skeleton.noc_bytes
-        view.transpose_bytes = skeleton.transpose_bytes
-        view.dram_read_bytes = skeleton.dram_read_bytes
-        view.dram_write_bytes = skeleton.dram_write_bytes
-        view.buffer_bytes = skeleton.buffer_bytes
-        view.constant_items = tuple(
-            (ops[p].inputs[idx].uid, nbytes)
-            for p, idx, nbytes in skeleton.constant_bytes
-        )
-        view.external_items = tuple(
-            (ops[p].inputs[idx].uid, nbytes)
-            for p, idx, nbytes in skeleton.external_read_bytes
-        )
-        view.out_items = tuple(
-            (ops[p].outputs[idx].uid, ops[p].outputs[idx].bytes)
-            for p, idx in skeleton.boundary_outs
-        )
-        view.consumed = {t.uid for op in ops for t in op.inputs}
-        view.floor = pricing.seconds(
-            skeleton.compute_cycles, 0, skeleton.sram_bytes,
-            skeleton.noc_bytes, skeleton.transpose_bytes,
-        )
-        return view
-
-    @classmethod
-    def from_plan(
-        cls, plan: SpatialGroupPlan, pricing: GroupPricing
-    ) -> "_WindowView":
-        view = cls()
-        view.ops = plan.ops
-        view.skeleton = None
-        view.plan = plan
-        view.nests = tuple(
-            plan.assignment.nest_of(op) for op in plan.ops
-        )
-        view.feasible = plan.feasible_allocation
-        view.fits = plan.fits_buffer
-        m = plan.metrics
-        view.compute_cycles = m.compute_cycles
-        view.sram_bytes = m.sram_bytes
-        view.noc_bytes = m.noc_bytes
-        view.transpose_bytes = m.transpose_bytes
-        view.dram_read_bytes = m.dram_read_bytes
-        view.dram_write_bytes = m.dram_write_bytes
-        view.buffer_bytes = m.buffer_bytes
-        view.constant_items = tuple(m.constant_bytes.items())
-        view.external_items = tuple(m.external_read_bytes.items())
-        view.out_items = tuple(
-            (t.uid, t.bytes) for t in plan.boundary()[1]
-        )
-        view.consumed = {t.uid for op in plan.ops for t in op.inputs}
-        view.floor = pricing.seconds(
-            m.compute_cycles, 0, m.sram_bytes, m.noc_bytes,
-            m.transpose_bytes,
-        )
-        return view
-
-    def live_plan(self, scheduler: "Scheduler") -> SpatialGroupPlan:
-        """The live plan for this window, instantiated on first use."""
-        plan = self.plan
-        if plan is None:
-            plan = _instantiate(
-                self.skeleton, scheduler.graph, self.ops,
-                scheduler.hw, scheduler.n_split,
-            )
-            self.plan = plan
-        return plan
-
-
 class _DpState:
     """Forward DP state: cumulative time plus what lives in SRAM.
 
     States form a linked chain through ``parent``: instead of copying a
     growing step list on every transition, each state records only the
-    step that reached it — its window ``view``, priced ``step_seconds``,
-    effective DRAM bytes, and residency sets.  The winning chain is
-    materialized into real steps once, at the end
-    (:meth:`Scheduler._materialize`).
+    step that reached it — its ``window`` template and ``start``
+    position, priced ``step_seconds``, effective DRAM bytes, and
+    residency sets.  The winning chain is materialized into real steps
+    once, at the end (:meth:`Scheduler._materialize`).
 
     ``pool`` holds intermediate tensors kept on-chip (uid -> bytes); a
     tensor leaves the pool when its last consumer has executed.  This is
@@ -360,25 +228,26 @@ class _DpState:
     apart in the order still avoid the DRAM round trip.  ``pending``
     holds boundary outputs whose write decision is deferred: a later
     step within the stream window may stream them (temporal pipelining),
-    pool them, or finally spill them — uid -> (bytes, age, producer
-    view).
+    pool them, or finally spill them — uid -> (bytes, age, producer's
+    top loop, or ``None`` when it cannot stream).
     """
 
     __slots__ = (
-        "seconds", "parent", "view", "step_seconds", "dram_read",
-        "dram_write", "resident_inputs", "kept", "pool", "pending",
-        "resident_constants", "resident_constant_bytes",
+        "seconds", "parent", "window", "start", "step_seconds",
+        "dram_read", "dram_write", "resident_inputs", "kept", "pool",
+        "pending", "resident_constants", "resident_constant_bytes",
     )
 
     def __init__(
         self,
         seconds: float,
         pool: Dict[int, int],
-        pending: Dict[int, Tuple[int, int, "_WindowView"]],
+        pending: Dict[int, Tuple[int, int, Optional[Tuple]]],
         resident_constants: Set[int],
         resident_constant_bytes: int,
         parent: Optional["_DpState"] = None,
-        view: Optional[_WindowView] = None,
+        window: Optional[WindowTemplate] = None,
+        start: int = 0,
         step_seconds: float = 0.0,
         dram_read: int = 0,
         dram_write: int = 0,
@@ -391,7 +260,8 @@ class _DpState:
         self.resident_constants = resident_constants
         self.resident_constant_bytes = resident_constant_bytes
         self.parent = parent
-        self.view = view
+        self.window = window
+        self.start = start
         self.step_seconds = step_seconds
         self.dram_read = dram_read
         self.dram_write = dram_write
@@ -410,6 +280,9 @@ class Scheduler:
     without them is a typed error, since coarse operators answer no
     cost queries.
     """
+
+    #: The plan class windows are built with (part of plan-memo keys).
+    plan_kind = SpatialGroupPlan
 
     @staticmethod
     def _lowered(
@@ -455,84 +328,62 @@ class Scheduler:
         self._const_budget = int(
             sram * self.config.constant_residency_fraction
         )
-        #: Last topological position consuming each tensor (set per
-        #: search or replay by :meth:`_order`).
-        self._last_use: Dict[int, int] = {}
-        self._view_cache: Dict[Tuple[int, ...], _WindowView] = {}
-        #: Sampled once — the memo gate sits on the hottest path.
-        self._memo_enabled = memo_enabled()
+        #: Whether the memo serves windows (it is on, and no test double
+        #: overrides :meth:`_plan_for`); sampled once.
+        self._shared = (
+            memo_enabled() and type(self)._plan_for is Scheduler._plan_for
+        )
         self._pricing = GroupPricing.for_config(hw)
-        #: Per-(producer view, consumer view, tensor) streamability
-        #: verdicts: pure in objects this scheduler holds alive, and
-        #: re-queried from many DP states.
-        self._stream_cache: Dict[Tuple[object, object, int], bool] = {}
+        #: Set by :meth:`_begin`: the graph's window table, this
+        #: scheduler's row of it (``None`` when not shared), and the
+        #: windows requested so far by slot — each counts once.
+        self._table: Optional[WindowTable] = None
+        self._row: Optional[WindowRow] = None
+        self._windows: Dict[int, WindowTemplate] = {}
         self.stats: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
 
     def _plan_for(self, window: Tuple[Operator, ...]) -> SpatialGroupPlan:
-        """A live plan for one window, served by the structural memo.
+        """A fresh plan of this scheduler's kind for one window.
 
-        Subclasses override this to build their own plans (the MAD
-        baseline's depth-1 plans, test doubles); :meth:`_view_for` routes
-        every window of an overriding class through it.
+        Builds every window when the plan memo is off; a test double
+        that overrides it gets every window routed through the override,
+        unshared.
         """
-        return _PLAN_MEMO.plan_for(
-            self.graph, window, self.hw, self.n_split,
-            enabled=self._memo_enabled,
-        )
+        return self.plan_kind(self.graph, window, self.hw, self.n_split)
 
-    def _view_for(self, window: Tuple[Operator, ...]) -> _WindowView:
-        """Pricing view of a window, cached per window identity.
+    def _begin(self) -> Tuple[Operator, ...]:
+        """The topological order, with the window table of the memo's
+        current generation (a scheduler reused across ``MEMO.clear()``
+        starts cold again)."""
+        table = _PLAN_MEMO.table(self.graph)
+        if table is not self._table:
+            self._table = table
+            self._windows = {}
+            if self._shared:
+                key = (self.hw, self.n_split, self.plan_kind)
+                self._row = table.rows.setdefault(key, WindowRow(*key))
+        return table.order
 
-        With the structural memo on, a view comes straight from the
-        stored skeleton (the process-wide
-        :data:`repro.sched.plan_memo.MEMO`, which serves every window
-        whose shape it has seen before — the same KeySwitch ladder or
-        BSGS diamond recurring within a graph, across NTT-split
-        candidates, and across the graphs of a sweep); no live plan
-        exists until the window lands on the winning cover.  Subclasses
-        that override ``_plan_for`` are routed through their override,
-        wrapped in a view, so the search never bypasses custom plan
-        construction — and their plans never poison the shared memo.
-        """
-        key = tuple(op.uid for op in window)
-        view = self._view_cache.get(key)
-        if view is not None:
-            return view
-        if (
-            self._memo_enabled
-            and type(self)._plan_for is Scheduler._plan_for
-        ):
-            # A memo miss also returns the freshly constructed plan;
-            # the view keeps it instead of re-instantiating later.
-            skeleton, plan = _PLAN_MEMO.lookup(
-                self.graph, window, self.hw, self.n_split, uids=key,
-            )
-            view = _WindowView.from_skeleton(
-                skeleton, window, self.hw, self._pricing, plan
-            )
-        else:
-            view = _WindowView.from_plan(
-                self._plan_for(window), self._pricing
-            )
-        self._view_cache[key] = view
-        return view
-
-    # ------------------------------------------------------------------
-
-    def _order(self) -> List[Operator]:
-        """The topological order, recording each tensor's last use.
-
-        Liveness evicts dead intermediates from the resident pool.
-        """
-        order = self.graph.operators_topological()
-        last_use: Dict[int, int] = {}
-        for pos, op in enumerate(order):
-            for t in op.inputs:
-                last_use[t.uid] = pos
-        self._last_use = last_use
-        return order
+    def _window(self, start: int, size: int) -> WindowTemplate:
+        """The template of window (start, size): from the shared row
+        (the process-wide :data:`repro.sched.plan_memo.MEMO` serves
+        every structure it has seen), or built by :meth:`_plan_for`."""
+        slot = start * self._table.stride + size
+        window = self._windows.get(slot)
+        if window is None:
+            if self._row is None:
+                ops = self._table.order[start:start + size]
+                window = WindowTemplate(
+                    skeleton_of(self._plan_for(ops)), ops, self.hw
+                )
+            else:
+                window = _PLAN_MEMO.template(
+                    self.graph, self._table, self._row, start, size
+                )
+            self._windows[slot] = window
+        return window
 
     def _initial_state(self) -> _DpState:
         """The DP origin.
@@ -555,10 +406,10 @@ class Scheduler:
     def _materialize(self, state: _DpState) -> List[ScheduledStep]:
         """Realize a DP chain as scheduled steps.
 
-        Each link's plan instantiates now (for memo-served windows the
-        only instantiation that ever happens), and its step carries the
-        link's priced seconds and effective DRAM bytes — the step costs
-        exactly what the DP compared.
+        Each link's plan instantiates now from its template's skeleton
+        (for memo-served windows the only live plan that ever exists),
+        and its step carries the link's priced seconds and effective
+        DRAM bytes — the step costs exactly what the DP compared.
         """
         chain: List[_DpState] = []
         node = state
@@ -566,9 +417,14 @@ class Scheduler:
             chain.append(node)
             node = node.parent
         chain.reverse()
+        table = self._table
         steps: List[ScheduledStep] = []
         for link in chain:
-            plan = link.view.live_plan(self)
+            plan = _instantiate(
+                link.window.skeleton, self.graph,
+                table.order[link.start:link.start + len(link.window.tops)],
+                self.hw, self.n_split, self.plan_kind,
+            )
             steps.append(ScheduledStep(
                 plan=plan,
                 seconds=link.step_seconds,
@@ -613,7 +469,7 @@ class Scheduler:
     def _schedule_impl(self) -> Schedule:
         meter = BudgetMeter(self.config.budget())
         memo_base = _PLAN_MEMO.snapshot()
-        order = self._order()
+        order = self._begin()
         n = len(order)
         max_size = self.config.max_group_size
         dp: List[Optional[_DpState]] = [None] * (n + 1)
@@ -632,23 +488,23 @@ class Scheduler:
                     tripped = True
                     break
                 j = i + size
-                view = self._view_for(tuple(order[i:j]))
-                if not view.feasible or not view.fits:
+                window = self._window(i, size)
+                if not window.feasible or not window.fits:
                     # Infeasible at this size does not rule out larger
                     # windows — feasibility is a property of the whole
                     # window, not a prefix of it — so *skip* this size
                     # rather than abandoning the frontier.
                     continue
-                # Dominance prune: no residency beats ``view.floor``, so
-                # a candidate whose floor cannot beat the state already
-                # at dp[j] would lose the strict `<` below anyway.
+                # Dominance prune: no residency beats ``window.floor``,
+                # so a candidate whose floor cannot beat the state
+                # already at dp[j] would lose the strict `<` below.
                 existing = dp[j]
                 if (
                     existing is not None
-                    and state.seconds + view.floor >= existing.seconds
+                    and state.seconds + window.floor >= existing.seconds
                 ):
                     continue
-                reached = self._resolve(state, view, j)
+                reached = self._resolve(state, window, i, j)
                 if existing is None or reached.seconds < existing.seconds:
                     dp[j] = reached
             if tripped:
@@ -700,8 +556,7 @@ class Scheduler:
                 stale or foreign cover — callers treat this as a cache
                 miss and fall back to a fresh search).
         """
-        order = self._order()
-        n = len(order)
+        n = len(self._begin())
         sizes = [int(s) for s in window_sizes]
         if any(s < 1 for s in sizes) or sum(sizes) != n:
             raise InvariantViolation(
@@ -711,14 +566,14 @@ class Scheduler:
         state = self._initial_state()
         start = 0
         for size in sizes:
-            view = self._view_for(tuple(order[start:start + size]))
-            if not view.feasible or not view.fits:
+            window = self._window(start, size)
+            if not window.feasible or not window.fits:
                 raise InvariantViolation(
                     "repro.sched.scheduler.Scheduler.replay",
                     f"cover replays an infeasible window at {start}",
                 )
+            state = self._resolve(state, window, start, start + size)
             start += size
-            state = self._resolve(state, view, start)
         self.stats["replayed"] = 1.0
         if _METRICS.enabled:
             _METRICS.counter("sched.replays").inc()
@@ -732,9 +587,9 @@ class Scheduler:
     ) -> Schedule:
         """Stamp search stats, run the verification gate, and return."""
         self.stats["search_seconds"] = meter.elapsed
-        # Most windows never instantiate a live plan; the view cache is
-        # the per-window working set.
-        self.stats["plans_cached"] = float(len(self._view_cache))
+        # Most windows never instantiate a live plan; the requested
+        # templates are the per-window working set.
+        self.stats["plans_cached"] = float(len(self._windows))
         self.stats["degraded"] = 1.0 if schedule.degraded else 0.0
         self.stats["windows_explored"] = float(meter.nodes)
         # Structural plan-memo activity during this search (the memo is
@@ -845,10 +700,10 @@ class Scheduler:
         i = 0
         while i < n:
             for size in range(min(cap, n - i), 0, -1):
-                view = self._view_for(tuple(order[i:i + size]))
-                if view.feasible and view.fits:
+                window = self._window(i, size)
+                if window.feasible and window.fits:
+                    state = self._resolve(state, window, i, i + size)
                     i += size
-                    state = self._resolve(state, view, i)
                     placed += 1
                     break
             else:
@@ -859,7 +714,7 @@ class Scheduler:
                     position=i,
                     partial_steps=placed,
                     detail=(
-                        f"group buffer needs {view.buffer_bytes} B but "
+                        f"group buffer needs {window.buffer_bytes} B but "
                         f"SRAM holds {self.hw.sram_capacity_bytes} B"
                     ),
                 )
@@ -871,22 +726,29 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _resolve(
-        self, state: _DpState, view: _WindowView, end_pos: int
+        self,
+        state: _DpState,
+        window: WindowTemplate,
+        start: int,
+        end_pos: int,
     ) -> _DpState:
-        """The DP transition: run ``view``'s window (ending before
-        topological position ``end_pos``) after ``state``.
+        """The DP transition: run ``window`` over topological positions
+        ``[start, end_pos)`` after ``state``.
 
-        Resolves what the step finds and leaves in SRAM — pool eviction,
+        Binds the template's position references to this graph's uids,
+        resolves what the step finds and leaves in SRAM — pool eviction,
         pending settlement, residency capture, the constant-pool fill —
         then the effective DRAM bytes
         (:func:`~repro.sched.dataflow.effective_dram_bytes`), and prices
         the step with :meth:`GroupPricing.seconds`.  Search, ``replay``,
         and the greedy fallback all extend states through here.
         """
-        last_use = self._last_use
+        table = self._table
+        last_use = table.last_use
+        consumers = table.consumers
         keep_budget = self._keep_budget
-        window = self.config.stream_window
-        consumed = view.consumed
+        depth = self.config.stream_window
+        tops = window.tops
         # Evolve the resident pool: evict tensors dead after this window.
         new_pool = {
             uid: nbytes
@@ -903,18 +765,24 @@ class Scheduler:
         # and tensors that outlive the window are spilled too.
         streamed: Set[int] = set()
         spill_bytes = 0
-        new_pending: Dict[int, Tuple[int, int, _WindowView]] = {}
-        for uid, (nbytes, age, producer) in state.pending.items():
+        new_pending: Dict[int, Tuple[int, int, Optional[Tuple]]] = {}
+        for uid, (nbytes, age, top) in state.pending.items():
             live_later = last_use.get(uid, -1) >= end_pos
-            consumed_now = uid in consumed
-            if consumed_now and self._streamable(uid, producer, view):
+            # It streams when its producer's top loop is among those of
+            # the positions consuming it here (matched top loops across
+            # the boundary, Section V-A).
+            consumed_now = [
+                tops[pos - start] for pos in consumers.get(uid, ())
+                if start <= pos < end_pos
+            ]
+            if top is not None and top in consumed_now:
                 streamed.add(uid)
                 if live_later:
                     if pool_bytes + nbytes <= keep_budget:
                         new_pool[uid] = nbytes
                         pool_bytes += nbytes
-                    elif age + 1 < window:
-                        new_pending[uid] = (nbytes, age + 1, producer)
+                    elif age + 1 < depth:
+                        new_pending[uid] = (nbytes, age + 1, top)
                     else:
                         spill_bytes += nbytes
                 continue
@@ -930,8 +798,8 @@ class Scheduler:
             if pool_bytes + nbytes <= keep_budget and live_later:
                 new_pool[uid] = nbytes
                 pool_bytes += nbytes
-            elif age + 1 < window and live_later:
-                new_pending[uid] = (nbytes, age + 1, producer)
+            elif age + 1 < depth and live_later:
+                new_pending[uid] = (nbytes, age + 1, top)
             else:
                 spill_bytes += nbytes
 
@@ -940,8 +808,13 @@ class Scheduler:
         # Outputs of this window: pool what fits, defer the rest (graph
         # outputs stay on-chip for the next segment).  Either way their
         # write is deferred; a later transition settles it.
+        streaming = self.config.temporal_streaming
+        out_uids = table.out_uids
+        out_items = []
         kept: Set[int] = set()
-        for uid, nbytes in view.out_items:
+        for p, idx, nbytes in window.outs:
+            uid = out_uids[start + p][idx]
+            out_items.append((uid, nbytes))
             kept.add(uid)
             if (
                 last_use.get(uid, -1) >= end_pos
@@ -950,24 +823,33 @@ class Scheduler:
                 new_pool[uid] = nbytes
                 pool_bytes += nbytes
             else:
-                new_pending[uid] = (nbytes, 0, view)
+                new_pending[uid] = (nbytes, 0, tops[p] if streaming else None)
 
+        in_uids = table.in_uids
+        constant_items = [
+            (in_uids[start + p][idx], nbytes)
+            for p, idx, nbytes in window.constants
+        ]
         dram_read, dram_write = effective_dram_bytes(
-            view.dram_read_bytes, view.dram_write_bytes,
-            view.external_items, view.constant_items, view.out_items,
+            window.dram_read_bytes, window.dram_write_bytes,
+            [
+                (in_uids[start + p][idx], nbytes)
+                for p, idx, nbytes in window.externals
+            ],
+            constant_items, out_items,
             resident_inputs, state.resident_constants, kept,
             self.config.constant_share, spill_bytes,
         )
         step_seconds = self._pricing.seconds(
-            view.compute_cycles, dram_read + dram_write, view.sram_bytes,
-            view.noc_bytes, view.transpose_bytes,
+            window.compute_cycles, dram_read + dram_write,
+            window.sram_bytes, window.noc_bytes, window.transpose_bytes,
         )
 
         # Update the resident-constant pool (kept while the budget holds).
         new_consts = state.resident_constants
         new_const_bytes = state.resident_constant_bytes
         added: Optional[Set[int]] = None
-        for uid, nbytes in view.constant_items:
+        for uid, nbytes in constant_items:
             if (
                 uid not in new_consts
                 and new_const_bytes + nbytes <= self._const_budget
@@ -981,47 +863,11 @@ class Scheduler:
         return _DpState(
             state.seconds + step_seconds, new_pool, new_pending,
             new_consts, new_const_bytes,
-            parent=state, view=view, step_seconds=step_seconds,
+            parent=state, window=window, start=start,
+            step_seconds=step_seconds,
             dram_read=dram_read, dram_write=dram_write,
             resident_inputs=resident_inputs, kept=kept,
         )
-
-    def _streamable(
-        self, uid: int, producer: _WindowView, consumer: _WindowView
-    ) -> bool:
-        """Can a deferred tensor stream from the previous group into this
-        one (matched top loops across the boundary, Section V-A)?
-
-        Pure in its arguments, so verdicts are cached per (producer,
-        consumer, tensor) — the same pair is re-queried from many DP
-        states.
-        """
-        if not self.config.temporal_streaming:
-            return False
-        key = (producer, consumer, uid)
-        hit = self._stream_cache.get(key)
-        if hit is not None:
-            return hit
-        verdict = self._streamable_uncached(uid, producer, consumer)
-        self._stream_cache[key] = verdict
-        return verdict
-
-    @staticmethod
-    def _streamable_uncached(
-        uid: int, producer: _WindowView, consumer: _WindowView
-    ) -> bool:
-        prod_nest = None
-        for pos, op in enumerate(producer.ops):
-            if any(t.uid == uid for t in op.outputs):
-                prod_nest = producer.nests[pos]
-                break
-        if prod_nest is None:
-            return False
-        for pos, op in enumerate(consumer.ops):
-            if any(t.uid == uid for t in op.inputs):
-                if matched_prefix(prod_nest, consumer.nests[pos]) > 0:
-                    return True
-        return False
 
 
 def schedule_graph(

@@ -109,6 +109,37 @@ class TestBenchCommand:
             ])
 
 
+class TestTraceCommand:
+    @pytest.mark.parametrize("design", ["crophe", "baseline", "mad"])
+    def test_trace_each_design(self, design, tmp_path, capsys):
+        out_dir = str(tmp_path)
+        assert obs_main([
+            "trace", "--workload", "bootstrapping", "--design", design,
+            "--out-dir", out_dir,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "ms simulated" in out
+        written = os.listdir(out_dir)
+        assert any(name.endswith(".spans.perfetto.json") for name in written)
+        assert any(name.endswith(".trace.jsonl") for name in written)
+        if design == "mad":
+            # MAD's "auto" rotation strategy traces the variant that
+            # evaluate_workload keeps.
+            from repro.baselines.accelerators import baseline_config
+            from repro.experiments.common import DesignPoint, evaluate_workload
+            from repro.fhe.params import parameter_set
+
+            kept = evaluate_workload(
+                DesignPoint("SHARP+MAD", baseline_config("SHARP"),
+                            dataflow="mad"),
+                "bootstrapping", parameter_set("SHARP"),
+            )
+            assert (
+                f"{kept.ms:.3f} ms simulated, {kept.num_groups} group(s)"
+                in out
+            )
+
+
 class TestRunnerFlags:
     def test_trace_dir_and_metrics_json(self, tmp_path):
         from repro.experiments.runner import main as runner_main

@@ -1,0 +1,129 @@
+"""Per-graph window tables and the templates they share.
+
+A window table interns the structure key of each (start, size) window;
+it must equal :func:`~repro.sched.plan_memo.window_key` of the window's
+operators.  Templates are keyed by plan kind, so MAD and CROPHE
+searches never serve each other, and a second search over the same
+graph and hardware (CROPHE-p's other cluster counts) reuses every
+template it needs.  ``clear_cache`` empties all of it.
+"""
+
+import json
+
+import pytest
+
+from repro.baselines.mad import MadScheduler
+from repro.experiments.common import clear_cache
+from repro.hw.config import CROPHE_36
+from repro.sched import plan_memo
+from repro.sched.plan_memo import MEMO, window_key
+from repro.sched.scheduler import Scheduler, SchedulerConfig
+from repro.sched.serialize import schedule_to_doc
+from repro.workloads import build_bootstrapping
+from repro.workloads.resnet import build_resnet20
+
+from tests.sched.test_pinned_schedules import TINY_BOOT, TINY_DEEP, _graph
+
+
+@pytest.fixture(autouse=True)
+def _fresh(monkeypatch):
+    """Empty memo tiers and no disk root, before and after each test."""
+    from repro.dse.cache import CACHE
+
+    monkeypatch.delenv("REPRO_PLAN_MEMO", raising=False)
+    monkeypatch.delenv("REPRO_DSE_CACHE", raising=False)
+    MEMO.clear()
+    CACHE.clear_memory()
+    yield
+    MEMO.clear()
+    CACHE.clear_memory()
+
+
+def _doc(schedule):
+    return json.dumps(schedule_to_doc(schedule), sort_keys=True)
+
+
+def _segment_graphs(workload):
+    seen, graphs = set(), []
+    for seg in workload.segments:
+        if id(seg.graph) not in seen:
+            seen.add(id(seg.graph))
+            graphs.append(seg.graph)
+    return graphs
+
+
+def test_table_keys_equal_window_key():
+    """Every window up to the default size, in every segment graph of
+    both workloads: one structure id per distinct key, process-wide."""
+    span = SchedulerConfig().max_group_size
+    key_of, id_of = {}, {}
+    for graph in (
+        _segment_graphs(build_bootstrapping(TINY_BOOT))
+        + _segment_graphs(build_resnet20(TINY_DEEP))
+    ):
+        table = MEMO.table(graph)
+        n = len(table.order)
+        for start in range(n):
+            for size in range(1, min(span, n - start) + 1):
+                sid = MEMO.structure_id(graph, table, start, size)
+                key = window_key(graph, table.order[start:start + size])
+                assert key_of.setdefault(sid, key) == key
+                assert id_of.setdefault(key, sid) == sid
+    assert len(id_of) > 100
+
+
+def test_mad_and_crophe_never_share_templates():
+    """One graph, one hardware config, no split: each dataflow's search
+    gives the same document whether it runs first or second (MAD's
+    depth-1 skeletons differ from CROPHE's on this graph)."""
+    graph = _graph("resnet1")
+
+    def search(first, second):
+        MEMO.clear()
+        docs = {}
+        for dataflow in (first, second):
+            cls = MadScheduler if dataflow == "mad" else Scheduler
+            docs[dataflow] = _doc(cls(graph, CROPHE_36).schedule())
+        return docs
+
+    crophe_first = search("crophe", "mad")
+    mad_first = search("mad", "crophe")
+    assert crophe_first == mad_first
+    assert crophe_first["crophe"] != crophe_first["mad"]
+
+
+def test_second_cluster_count_builds_no_template(monkeypatch):
+    """A CROPHE-p re-search of the same graph and hardware reuses every
+    template of the first search, and equals a cold search."""
+    graph = _graph("boot1")
+    Scheduler(graph, CROPHE_36, SchedulerConfig()).schedule()
+    built = []
+    init = plan_memo.WindowTemplate.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(plan_memo.WindowTemplate, "__init__", counting)
+    shared = Scheduler(graph, CROPHE_36, SchedulerConfig(constant_share=4))
+    warm = shared.schedule()
+    assert not built
+    assert shared.stats["plan_memo_misses"] == 0
+    assert shared.stats["plan_memo_hits"] == shared.stats["plans_cached"]
+    MEMO.clear()
+    cold = Scheduler(graph, CROPHE_36, SchedulerConfig(constant_share=4))
+    assert _doc(cold.schedule()) == _doc(warm)
+    assert built
+    assert cold.stats["plan_memo_misses"] >= 1
+
+
+def test_clear_cache_clears_the_plan_memo():
+    """The bench harness measures search work from cold after
+    ``clear_cache()``: the next search misses and matches the first."""
+    graph = _graph("resnet0")
+    first = Scheduler(graph, CROPHE_36).schedule()
+    clear_cache()
+    again = Scheduler(graph, CROPHE_36)
+    assert _doc(again.schedule()) == _doc(first)
+    assert again.stats["plan_memo_misses"] >= 1
+    assert again.stats["plan_memo_misses"] == MEMO.stats["memo_miss"]
