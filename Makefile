@@ -1,6 +1,6 @@
 # Convenience targets for the CROPHE reproduction.
 
-.PHONY: install test bench bench-check bench-serve bench-serve-check bench-pytest bench-full trace experiments experiments-quick experiments-cached dse-stat serve serve-chaos examples lint verify-static verify-passes
+.PHONY: install test bench bench-check bench-serve bench-serve-check bench-pytest bench-full trace experiments experiments-quick experiments-cached dse-stat serve serve-chaos examples lint verify-static
 
 install:
 	pip install -e . || python setup.py develop
@@ -94,25 +94,6 @@ lint:
 	else \
 		echo "mypy not installed; skipping mypy (pip install mypy)"; \
 	fi
-
-# Lowering-pipeline oracle, two layers: (1) every shipped-workload
-# segment lowered through repro.passes must be structurally identical
-# to the legacy one-shot build, with clean inter-pass invariants
-# (exit 5 otherwise); (2) the quick experiment suite must produce
-# byte-identical artifact cells under REPRO_LOWERING=legacy and
-# REPRO_LOWERING=pipeline (fresh caches so nothing is shared).
-verify-passes:
-	PYTHONPATH=src python -m repro.passes verify
-	rm -rf .vp-legacy-cache .vp-pipeline-cache
-	REPRO_LOWERING=legacy PYTHONPATH=src python -m repro.experiments.runner all \
-		--quick --jobs 2 --cache-dir .vp-legacy-cache \
-		--artifact artifact_vp_legacy.json
-	REPRO_LOWERING=pipeline PYTHONPATH=src python -m repro.experiments.runner all \
-		--quick --jobs 2 --cache-dir .vp-pipeline-cache \
-		--artifact artifact_vp_pipeline.json
-	PYTHONPATH=src python -m repro.passes diff-artifacts \
-		artifact_vp_legacy.json artifact_vp_pipeline.json
-	rm -rf .vp-legacy-cache .vp-pipeline-cache
 
 # Static verification of the shipped workload graphs and schedules
 # (repro.analysis): graph invariants, CKKS semantics, schedule legality.

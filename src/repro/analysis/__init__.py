@@ -74,8 +74,9 @@ def verify_workloads(
 ):
     """Statically verify the shipped workloads end to end.
 
-    Builds each workload the way the evaluation does (four-step NTTs,
-    hybrid rotation), then runs every pass on every distinct segment:
+    Builds each workload the way the evaluation does (lowered through
+    :mod:`repro.passes`, four-step NTTs, hybrid rotation), then runs
+    every pass on every distinct segment:
     graph + semantics + whole-graph dataflow (F*) on the operator
     graph, and full schedule legality plus the cross-window F* rules on
     the schedule the CROPHE scheduler produces for it.  Returns one

@@ -157,10 +157,9 @@ RULES: Dict[str, Rule] = _catalog([
     # ---- lowering pipeline (P) ----------------------------------------
     Rule("P001", "pass left operators above its target level",
          Severity.ERROR,
-         "a registered rewrite declared a target level but its output "
-         "graph still contains coarse (KEY_SWITCH/ROT_BATCH) or, at the "
-         "decomposed level with a split configured, monolithic NTT "
-         "operators it should have expanded; the rewrite is incomplete"),
+         "a pass's output graph still contains coarse "
+         "(KEY_SWITCH/ROT_BATCH) operators its postcondition requires "
+         "it to expand; the rewrite is incomplete"),
     Rule("P002", "NTT split off the Section V-D candidate set",
          Severity.WARNING,
          "the configured four-step split is not among "

@@ -7,8 +7,8 @@ A :class:`DesignPoint` names (hardware, dataflow) — e.g. "ARK + MAD" or
    options (NTT decomposition and hybrid rotation are CROPHE-only);
 2. schedule each distinct segment once (CROPHE scheduler or MAD);
 3. simulate each segment and sum time and traffic over repeats;
-4. for data-parallel CROPHE-p, evaluate per-cluster hardware and share
-   the constant (evk) fetches across clusters.
+4. for data-parallel CROPHE-p, share the constant (evk) fetches across
+   clusters.
 
 Results and schedules are cached through the content-addressed
 :mod:`repro.dse` cache: fingerprints over (design, workload, params,
@@ -57,8 +57,7 @@ from repro.sched.serialize import (
 )
 from repro.sim.engine import SimulationEngine
 from repro.sim.stats import TrafficReport, UtilizationReport
-from repro.workloads import WORKLOAD_BUILDERS
-from repro.workloads.base import Workload, WorkloadOptions
+from repro.workloads.base import WorkloadOptions
 
 #: r_hyb values enumerated for hybrid rotation (Section V-D: one graph
 #: per candidate, scheduled separately, fastest kept).
@@ -212,49 +211,6 @@ def _workload_options(
     )
 
 
-#: Environment switch between the :mod:`repro.passes` lowering pipeline
-#: (``"pipeline"``, the default) and the legacy one-shot builders
-#: (``"legacy"``).  Both produce structurally identical graphs — CI's
-#: ``verify-passes`` job byte-compares the resulting artifacts.
-LOWERING_ENV = "REPRO_LOWERING"
-
-
-def _build_workload(
-    workload_name: str, params: CKKSParams, options: WorkloadOptions
-) -> Workload:
-    """Build one workload's segment graphs for evaluation.
-
-    Routes through :func:`repro.passes.lowering.lower_workload` (build
-    at the primitive level, lower through the verified pass pipeline)
-    unless ``REPRO_LOWERING=legacy`` selects the one-shot builders.
-    The pipeline path runs its inter-pass invariants in ``"error"``
-    mode, so an illegal lowering fails loudly instead of producing a
-    wrong schedule; lowered graphs are memoized per primitive-level
-    fingerprint, making the build cost per distinct structure, not per
-    sweep point.
-    """
-    mode = os.environ.get(LOWERING_ENV, "pipeline").strip().lower()
-    if mode == "legacy":
-        return WORKLOAD_BUILDERS[workload_name](params, options)
-    from repro.passes.lowering import lower_workload
-
-    return lower_workload(workload_name, params, options)
-
-
-def _cluster_hw(hw: HardwareConfig, clusters: int) -> HardwareConfig:
-    """Hardware view for data-parallel CROPHE-p.
-
-    The clusters process independent inputs interleaved on the chip; the
-    per-item compute and private-data traffic are unchanged, while the
-    expensive constants (evks, BConv matrices, plaintexts) are fetched
-    *once* and multicast to every cluster — modeled by the
-    ``constant_share`` divisor threaded through the scheduler and
-    simulator rather than by slicing the chip, so the amortized per-item
-    latency reflects exactly the sharing benefit Section VII-A claims.
-    """
-    return hw
-
-
 def _evaluate_once(
     point: DesignPoint,
     workload_name: str,
@@ -265,12 +221,20 @@ def _evaluate_once(
     base_config: SchedulerConfig,
 ) -> EvalResult:
     options = _workload_options(point, params, r_hyb, decompose_ntt)
-    workload = _build_workload(workload_name, params, options)
-    hw = _cluster_hw(point.hw, clusters)
+    # Emit, lower with the inter-pass invariants enforced, memoized per
+    # distinct structure; looked up on its module so wrappers see it.
+    from repro.passes import lowering
+
+    workload = lowering.lower_workload(workload_name, params, options)
+    # Data-parallel CROPHE-p: the clusters process independent inputs
+    # interleaved on the chip, fetching each constant (evk, BConv matrix,
+    # plaintext) once and multicasting it.  That is modeled by the
+    # constant_share divisor, not by slicing the chip, so the per-item
+    # latency reflects exactly the sharing benefit of Section VII-A.
     config = replace(base_config, constant_share=clusters)
     residency = base_config.keep_fraction
     engine = SimulationEngine(
-        hw,
+        point.hw,
         collect_trace=_EVENT_SINK.enabled,
         residency_fraction=residency,
         constant_share=clusters,
@@ -289,7 +253,8 @@ def _evaluate_once(
     with eval_span:
         for segment in workload.segments:
             cached = _schedule_segment(
-                segment.graph, hw, point.dataflow, config, options.ntt_split
+                segment.graph, point.hw, point.dataflow, config,
+                options.ntt_split,
             )
             degraded = degraded or cached.degraded
             # Shallow copy: segment repeat counts differ across workloads.

@@ -27,15 +27,24 @@ pipeline):
 * ``"primitive"`` — key switches emit a single coarse ``KEY_SWITCH``
   operator, hoisting/hybrid baby-rotation batches emit one coarse
   ``ROT_BATCH`` operator, and every (i)NTT stays monolithic; the
-  registered rewrites lower these later.
-* ``"coarse-ks"`` — like ``"full"`` except key switches stay coarse;
-  used by the rotation-lowering rewrite so its output still contains
-  ``KEY_SWITCH`` nodes for the next pass to expand *in place*.
+  :mod:`repro.passes` rewrites lower these later (this is what the
+  workload builders emit).
+* ``"coarse-ks"`` — like ``"full"`` except key switches stay coarse
+  and NTTs stay monolithic; the rewrites' emitters use it, so their
+  output still contains ``KEY_SWITCH`` nodes and unsplit NTTs for the
+  next passes to expand *in place*.
+
+Names are ``stem#index``, counting every name a builder hands out.  A
+deferred decomposition (coarse key switch or rotation batch, monolithic
+NTT awaiting its split) skips the indices its decomposed form takes; the
+rewrite that expands it numbers from its first output's index
+(:func:`name_index`, :meth:`GraphBuilder.name_at`), so lowered graphs
+carry the names of a one-pass ``"full"`` emission.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,6 +66,14 @@ from repro.ir.tensors import (
 
 #: Emission modes (see the module docstring).
 LOWERING_MODES = ("full", "primitive", "coarse-ks")
+
+#: Names a four-step (i)NTT takes: a tensor and an operator per phase.
+_FOUR_STEP_NAMES = 6
+
+
+def name_index(name: str) -> int:
+    """The emission index a builder-made name ends with (``stem#index``)."""
+    return int(name.rsplit("#", 1)[1])
 
 
 @dataclass
@@ -180,9 +197,9 @@ class GraphBuilder:
     Args:
         params: CKKS parameter set (spec or concrete — only shapes used).
         ntt_split: optional ``(n1, n2)`` four-step split applied to every
-            (i)NTT; ``None`` emits monolithic NTT operators.  Ignored at
-            emission time in ``"primitive"`` mode (the decompose-ntt
-            rewrite applies it later).
+            (i)NTT; ``None`` emits monolithic NTT operators.  Applied at
+            emission time only in ``"full"`` mode; the other modes emit
+            monolithic NTTs for the decompose-ntt rewrite to split.
         lowering: emission mode, one of :data:`LOWERING_MODES` (see the
             module docstring).
         graph: existing graph to emit into (the passes rewrites expand
@@ -215,14 +232,20 @@ class GraphBuilder:
         self.word_bytes = params.bytes_per_word()
         self.graph = OperatorGraph() if graph is None else graph
         self.pool = ConstantPool(params) if pool is None else pool
-        self._counter = itertools.count()
+        self._next = 0
 
     # ------------------------------------------------------------------
     # Naming and tensor helpers
     # ------------------------------------------------------------------
 
     def _name(self, stem: str) -> str:
-        return f"{stem}#{next(self._counter)}"
+        index = self._next
+        self._next += 1
+        return f"{stem}#{index}"
+
+    def name_at(self, index: int) -> None:
+        """Number the next emitted names from ``index`` (module docstring)."""
+        self._next = index
 
     def poly(self, stem: str, limbs: int) -> DataTensor:
         """Fresh intermediate polynomial tensor."""
@@ -263,11 +286,12 @@ class GraphBuilder:
     ) -> DataTensor:
         """Emit an (i)NTT over ``limbs`` limb rows of ``src``.
 
-        In ``"primitive"`` lowering mode the NTT is always monolithic —
-        the four-step split (when requested) is applied later by the
+        Outside ``"full"`` mode the NTT is always monolithic — the
+        four-step split (when requested) is applied later by the
         decompose-ntt rewrite, which replays :meth:`_four_step` in place.
         """
-        if self.ntt_split is None or self.lowering == "primitive":
+        if self.ntt_split is None or self.lowering != "full":
+            base = self._next
             out = self.poly(f"{tag}.{'intt' if inverse else 'ntt'}", limbs)
             self._add(
                 Operator(
@@ -280,6 +304,8 @@ class GraphBuilder:
                     tag=tag,
                 )
             )
+            if self.ntt_split is not None:
+                self._next = base + _FOUR_STEP_NAMES
             return out
         return self._four_step(src, limbs, inverse, tag)
 
@@ -480,11 +506,12 @@ class GraphBuilder:
         In ``"primitive"``/``"coarse-ks"`` lowering modes this emits a
         single coarse ``KEY_SWITCH`` operator carrying the digit count;
         the key-switch-lowering rewrite expands it in place into the
-        exact Decomp/ModUp/inner-product/ModDown chain below.
+        exact chain :meth:`expand_key_switch` emits.
         """
         beta = self.params.digits_at_level(level)
         if self.lowering != "full":
             limbs = level + 1
+            base = self._next
             ks_b = self.poly(f"{tag}.ksb", limbs)
             ks_a = self.poly(f"{tag}.ksa", limbs)
             self._add(
@@ -499,7 +526,23 @@ class GraphBuilder:
                     tag=tag,
                 )
             )
+            self._next = base + _full_names(self.params, self.ntt_split, level)
             return ks_b, ks_a
+        return self.expand_key_switch(d, level, evk, tag)
+
+    def expand_key_switch(
+        self,
+        d: DataTensor,
+        level: int,
+        evk: DataTensor,
+        tag: str,
+    ) -> Tuple[DataTensor, DataTensor]:
+        """The key switch's Decomp/ModUp/inner-product/ModDown chain.
+
+        Emitted in every mode (:meth:`key_switch` emits it in ``"full"``
+        mode); the key-switch-lowering rewrite calls it directly.
+        """
+        beta = self.params.digits_at_level(level)
         digits_ext = []
         for j in range(beta):
             alpha_j = min(
@@ -701,6 +744,7 @@ class GraphBuilder:
         limbs = level + 1
         amounts = rot_batch_amounts(n1, strategy, r_hyb)
         evks = [self.evk("rot", level, r) for r in amounts]
+        base = self._next
         outs: List[DataTensor] = []
         for i in range(1, n1):
             outs.append(self.poly(f"{tag}.rot{i}.b", limbs))
@@ -722,6 +766,9 @@ class GraphBuilder:
                     ("strategy", strategy),
                 ),
             )
+        )
+        self._next = base + _full_names(
+            self.params, self.ntt_split, level, (n1, strategy, r_hyb)
         )
         return [ct] + [
             CiphertextTensors(outs[2 * i], outs[2 * i + 1], level)
@@ -959,3 +1006,22 @@ class GraphBuilder:
                 "giant-step accumulation produced no partial sums",
             )
         return self.rescale(result, f"{tag}.rescale")
+
+
+@functools.lru_cache(maxsize=None)
+def _full_names(
+    params: CKKSParams,
+    split: Optional[Tuple[int, int]],
+    level: int,
+    batch: Optional[Tuple[int, str, int]] = None,
+) -> int:
+    """Names a key switch at ``level`` (or the ``(n1, strategy, r_hyb)``
+    baby-rotation ``batch``) takes fully decomposed, counted on a
+    throwaway builder after its two input names."""
+    scratch = GraphBuilder(params, ntt_split=split)
+    ct = scratch.input_ciphertext("ct", level)
+    if batch is None:
+        scratch.key_switch(ct.a, level, scratch.evk("ks", level), "ks")
+    else:
+        scratch.baby_rotations(ct, *batch, tag="baby")
+    return scratch._next - 2

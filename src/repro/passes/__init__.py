@@ -1,64 +1,42 @@
-"""repro.passes — a verified multi-level lowering pipeline over the IR.
+"""repro.passes — the verified lowering pipeline over the IR.
 
-HEIR-style explicit lowering for the CROPHE reproduction: workload
-builders emit graphs at the *FHE-primitive* level (coarse
-``KEY_SWITCH`` / ``ROT_BATCH`` operators, monolithic NTTs) and a
-:class:`~repro.passes.pipeline.PassPipeline` of registered, named
-graph-to-graph rewrites lowers them to the *decomposed* level the
-scheduler consumes — running the :mod:`repro.analysis` verifiers as
-invariants between every adjacent pass pair and snapshotting a
-structural fingerprint per level so plan and schedule caches can key
-work per lowering level.
+HEIR-style explicit lowering for the CROPHE reproduction: workloads are
+emitted at the *FHE-primitive* level (coarse ``KEY_SWITCH`` /
+``ROT_BATCH`` operators, monolithic NTTs) and a
+:class:`~repro.passes.pipeline.PassPipeline` applies the fixed
+:data:`~repro.passes.pipeline.PASSES` catalog of graph-to-graph
+rewrites to reach the *decomposed* level the schedulers consume,
+running the :mod:`repro.analysis` verifiers as invariants on the source
+graph and after every pass that rewrites.
 
-The pipeline is byte-compatible with the legacy one-shot builders: a
-graph lowered through the passes is structurally identical to the same
-workload built with ``lowering="full"``, so schedules, sweeps, and
-artifacts come out byte-for-byte the same (CI's ``verify-passes`` job
-pins this).
+:func:`~repro.passes.lowering.lower_workload` is the only way a
+workload graph gets built: the :data:`repro.workloads.WORKLOAD_BUILDERS`
+return its output, and the experiment runner calls it directly.
 
 Quickstart::
 
     python -m repro.passes ls                 # the pass catalog
     python -m repro.passes run bootstrapping  # lower + per-stage report
     python -m repro.passes dump bootstrapping --level primitive
-    python -m repro.passes verify             # pipeline-vs-legacy oracle
 """
 
-from repro.passes import rewrites as _rewrites  # noqa: F401  (registers the catalog)
-from repro.passes.context import LoweringContext
 from repro.passes.levels import Level, graph_level
 from repro.passes.lowering import (
-    LoweredSegment,
     clear_lowering_memo,
     lower_graph,
     lower_workload,
     lowering_key,
 )
-from repro.passes.pipeline import (
-    DEFAULT_PASSES,
-    INVARIANT_MODES,
-    PassPipeline,
-    PipelineResult,
-    StageResult,
-)
-from repro.passes.registry import Pass, get_pass, register_pass, registered_passes
+from repro.passes.pipeline import PASSES, Pass, PassPipeline
 
 __all__ = [
-    "DEFAULT_PASSES",
-    "INVARIANT_MODES",
+    "PASSES",
     "Level",
-    "LoweredSegment",
-    "LoweringContext",
     "Pass",
     "PassPipeline",
-    "PipelineResult",
-    "StageResult",
     "clear_lowering_memo",
-    "get_pass",
     "graph_level",
     "lower_graph",
     "lower_workload",
     "lowering_key",
-    "register_pass",
-    "registered_passes",
 ]

@@ -2,21 +2,20 @@
 
 Subcommands:
 
-* ``ls`` — print the registered pass catalog.
-* ``run [workload ...]`` — build each workload at the primitive level,
+* ``ls`` — print the pass catalog in application order.
+* ``run [workload ...]`` — emit each workload at the primitive level,
   lower every distinct segment through the pipeline, and print a
-  per-stage report (operator-count diff, level, fingerprint, wall
-  time, diagnostics).
+  per-stage report (operator-count diff, level, wall time,
+  diagnostics).
 * ``dump <workload> --level primitive|decomposed`` — print the
   operator listing of each distinct segment graph at a level.
-* ``verify [workload ...]`` — the pipeline-vs-legacy oracle: lower
-  through the passes, build the same workload with the legacy one-shot
-  builders, and require structural identity plus clean inter-pass
-  invariants.
+* ``diff-artifacts <baseline> <candidate>`` — compare two experiment
+  runner artifacts cell by cell (e.g. a parent commit's against a
+  change's).
 
 Exit code 0 on success,
 :data:`~repro.analysis.diagnostics.EXIT_VERIFY` (5) when any ERROR
-diagnostic, invariant failure, or structural mismatch is found.
+diagnostic or invariant failure is found, or when the artifacts differ.
 """
 
 from __future__ import annotations
@@ -28,20 +27,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import EXIT_VERIFY, reports_document
 from repro.fhe.params import CKKSParams, parameter_set
-from repro.ir.graph import OperatorGraph, structural_mismatch
+from repro.ir.graph import OperatorGraph
 from repro.passes.levels import Level
 from repro.passes.lowering import lower_graph
-from repro.passes.pipeline import PipelineResult
-from repro.passes.registry import registered_passes
+from repro.passes.pipeline import PASSES, PipelineResult
 from repro.resilience.errors import VerificationError
-from repro.workloads import WORKLOAD_BUILDERS
+from repro.workloads import WORKLOAD_EMITTERS
 from repro.workloads.base import WorkloadOptions
 
 _DEFAULT_WORKLOADS = ["bootstrapping", "helr", "resnet20"]
 
 
 def _options(args: argparse.Namespace, params: CKKSParams) -> WorkloadOptions:
-    """The legacy-level options a CLI invocation describes."""
+    """The build options a CLI invocation describes."""
     split: Optional[Tuple[int, int]] = None
     if not args.no_ntt_split:
         root = 1 << (params.log_n // 2)
@@ -59,13 +57,10 @@ def _distinct_segments(
     options: WorkloadOptions,
 ) -> List[Tuple[str, OperatorGraph]]:
     """(label, primitive graph) per distinct segment across workloads."""
-    from dataclasses import replace
-
     out: List[Tuple[str, OperatorGraph]] = []
     seen: Dict[int, bool] = {}
-    primitive_options = replace(options, lowering="primitive")
     for name in workload_names:
-        workload = WORKLOAD_BUILDERS[name](params, primitive_options)
+        workload = WORKLOAD_EMITTERS[name](params, options)
         for segment in workload.segments:
             if id(segment.graph) in seen:
                 continue
@@ -80,7 +75,7 @@ def _print_stages(label: str, result: PipelineResult) -> None:
     prev_ops = result.source.graph.num_operators
     print(
         f"  source               level={result.source.level} "
-        f"ops={prev_ops} fp={result.source.fingerprint[:12]}"
+        f"ops={prev_ops}"
     )
     for stage in result.stages:
         ops = stage.graph.num_operators
@@ -89,7 +84,7 @@ def _print_stages(label: str, result: PipelineResult) -> None:
         findings = sum(len(r.diagnostics) for r in stage.reports)
         print(
             f"  {stage.pass_name:<20} level={stage.level} "
-            f"ops={ops} ({delta:+d}) fp={stage.fingerprint[:12]} "
+            f"ops={ops} ({delta:+d}) "
             f"{marker} {stage.seconds * 1e3:.1f}ms "
             f"findings={findings}"
         )
@@ -98,11 +93,9 @@ def _print_stages(label: str, result: PipelineResult) -> None:
 
 def _cmd_ls() -> int:
     """The ``ls`` subcommand."""
-    for p in registered_passes():
-        print(
-            f"{p.name:<20} {p.source.value:>9} -> {p.target.value:<10} "
-            f"{p.description}"
-        )
+    print(f"{Level.PRIMITIVE} -> {Level.DECOMPOSED}, in order:")
+    for p in PASSES:
+        print(f"  {p.name:<16} {p.description}")
     return 0
 
 
@@ -116,7 +109,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             result = lower_graph(
                 graph, params, options, invariants=args.invariants
-            ).result
+            )
         except VerificationError as exc:
             print(f"{label}: INVARIANT FAILURE: {exc}")
             failed = True
@@ -148,7 +141,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
         if level is not Level.PRIMITIVE:
             shown = lower_graph(
                 graph, params, options, invariants="off"
-            ).result.graph
+            ).graph
         print(f"== {label} @ {level} ({shown.num_operators} ops) ==")
         for op in shown.operators_topological():
             ins = ", ".join(t.name for t in op.inputs)
@@ -158,11 +151,11 @@ def _cmd_dump(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff_artifacts(args: argparse.Namespace) -> int:
-    """The ``diff-artifacts`` subcommand (byte-identity across builds).
+    """The ``diff-artifacts`` subcommand (byte-identity across commits).
 
     Compares two experiment-runner artifact files cell by cell on the
-    deterministic ``(status, output)`` payload — the check CI runs on a
-    ``REPRO_LOWERING=legacy`` vs ``REPRO_LOWERING=pipeline`` pair.
+    deterministic ``(status, output)`` payload — how a change shows its
+    quick-suite artifact equals its parent commit's.
     """
     with open(args.baseline, encoding="utf-8") as fh:
         baseline = json.load(fh)["cells"]
@@ -186,47 +179,6 @@ def _cmd_diff_artifacts(args: argparse.Namespace) -> int:
     return EXIT_VERIFY if diverged else 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    """The ``verify`` subcommand (pipeline-vs-legacy oracle)."""
-    params = parameter_set(args.params)
-    options = _options(args, params)
-    reports = []
-    mismatches = 0
-    legacy_by_label: Dict[str, OperatorGraph] = {}
-    seen: Dict[int, bool] = {}
-    for name in args.workloads:
-        workload = WORKLOAD_BUILDERS[name](params, options)
-        for segment in workload.segments:
-            if id(segment.graph) in seen:
-                continue
-            seen[id(segment.graph)] = True
-            legacy_by_label[f"{name}/{segment.name}"] = segment.graph
-    for label, graph in _distinct_segments(args.workloads, params, options):
-        result = lower_graph(
-            graph, params, options, invariants="warn"
-        ).result
-        reports.extend(result.reports)
-        legacy = legacy_by_label.get(label)
-        if legacy is None:
-            print(f"{label}: no legacy counterpart segment")
-            mismatches += 1
-            continue
-        why = structural_mismatch(result.graph, legacy)
-        if why is None:
-            print(f"{label}: pipeline == legacy ({legacy.num_operators} ops)")
-        else:
-            print(f"{label}: MISMATCH: {why}")
-            mismatches += 1
-    document = reports_document(reports)
-    print(
-        f"verify: {mismatches} mismatch(es), {document['errors']} "
-        f"error finding(s), {document['warnings']} warning(s)"
-    )
-    if mismatches or document["errors"]:
-        return EXIT_VERIFY
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -235,7 +187,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("ls", help="print the registered pass catalog")
+    sub.add_parser("ls", help="print the pass catalog in order")
 
     def _common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -282,19 +234,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="which level snapshot to print",
     )
 
-    verify_p = sub.add_parser(
-        "verify",
-        help="require pipeline output structurally identical to the "
-        "legacy one-shot build",
-    )
-    _common(verify_p)
-
     diff_p = sub.add_parser(
         "diff-artifacts",
-        help="require two runner artifact files byte-identical per cell",
+        help="require two runner artifact files (e.g. a parent commit's "
+        "and a change's) byte-identical per cell",
     )
-    diff_p.add_argument("baseline", help="baseline artifact JSON")
-    diff_p.add_argument("candidate", help="candidate artifact JSON")
+    diff_p.add_argument("baseline", help="baseline (parent) artifact JSON")
+    diff_p.add_argument("candidate", help="candidate (change) artifact JSON")
 
     args = parser.parse_args(list(argv) if argv is not None else None)
     if args.command == "ls":
@@ -303,9 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_run(args)
     if args.command == "dump":
         return _cmd_dump(args)
-    if args.command == "diff-artifacts":
-        return _cmd_diff_artifacts(args)
-    return _cmd_verify(args)
+    return _cmd_diff_artifacts(args)
 
 
 if __name__ == "__main__":

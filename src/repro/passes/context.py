@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.fhe.params import CKKSParams
@@ -22,15 +21,14 @@ class LoweringContext:
     The context owns the :class:`~repro.ir.builders.ConstantPool` that
     every expansion emitter writes through, so constants (twiddle
     factors, evaluation keys, base-conversion matrices) stay shared
-    across passes exactly as the one-shot legacy builders share them
-    within a single build.
+    across passes exactly as one ``GraphBuilder`` shares them within a
+    single build.
 
     Attributes:
         params: CKKS parameter set of the graph being lowered.
         options: the workload build options; ``options.ntt_split``
             drives the decompose-ntt pass.
         pool: constant pool shared by all emitters in this run.
-        pass_log: ordered (pass name, rewrote anything) records.
         diagnostics: findings the rewrites themselves emit (e.g. the
             P002 off-catalog-split warning); the pipeline folds this
             into its inter-pass reports.
@@ -39,7 +37,6 @@ class LoweringContext:
     params: CKKSParams
     options: WorkloadOptions
     pool: ConstantPool = field(init=False)
-    pass_log: List[Tuple[str, bool]] = field(default_factory=list)
     diagnostics: DiagnosticReport = field(
         default_factory=lambda: DiagnosticReport(pass_name="passes.rewrites")
     )
@@ -52,27 +49,10 @@ class LoweringContext:
 
         Primitive-level graphs carry monolithic-NTT twiddle tensors;
         seeding them keeps the decompose-ntt rewrite from minting fresh
-        tensors for lengths the build already materialised, which in
-        turn keeps the lowered graph byte-identical to a legacy
-        ``lowering="full"`` build that resolved every twiddle through
-        one per-builder pool.
+        tensors for lengths the build already materialised, so every
+        twiddle length resolves to one tensor per lowered graph, as in
+        a single ``lowering="full"`` build.
         """
         for tensor in graph.constant_tensors():
             if tensor.kind is TensorKind.TWIDDLE:
                 self.pool.seed_twiddles(tensor)
-
-    def record_pass(self, name: str, rewritten: bool) -> None:
-        """Append one pass outcome to the log."""
-        self.pass_log.append((name, rewritten))
-
-    @property
-    def rewrites_applied(self) -> int:
-        """Number of passes that produced a new graph."""
-        return sum(1 for _, rewrote in self.pass_log if rewrote)
-
-    def summary(self) -> Dict[str, Optional[bool]]:
-        """Pass name -> whether it rewrote anything (last run wins)."""
-        out: Dict[str, Optional[bool]] = {}
-        for name, rewrote in self.pass_log:
-            out[name] = rewrote
-        return out

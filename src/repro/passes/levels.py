@@ -1,22 +1,18 @@
-"""The three lowering levels of the pass pipeline.
+"""The two graph levels of the lowering pipeline.
 
 The HEIR lesson (SNIPPETS.md) applied to this IR: instead of one
-monolithic builder that emits fully decomposed graphs, programs move
-through named *levels*, and every transition is a registered, verified
-rewrite:
+monolithic builder that emits fully decomposed graphs, programs are
+emitted at a coarse level and lowered by named, verified rewrites:
 
 * **primitive** — FHE-primitive granularity: key switches are single
   coarse ``KEY_SWITCH`` operators, hoisting/hybrid baby-rotation
   batches are single ``ROT_BATCH`` operators, and every (i)NTT is
-  monolithic.  This is what the workload builders emit with
-  ``WorkloadOptions(lowering="primitive")``.
-* **decomposed** — the historical fully lowered form: coarse operators
-  expanded into Decomp/ModUp/inner-product/ModDown chains and, when a
-  four-step split is configured, monolithic NTTs replaced by their
-  col/transpose/row phases.  This is the level the CROPHE scheduler
-  consumes.
-* **scheduled** — a :class:`~repro.sched.dataflow.Schedule` produced
-  from a decomposed graph; the terminal level.
+  monolithic.  This is what the workload builders emit before they
+  lower.
+* **decomposed** — coarse operators expanded into
+  Decomp/ModUp/inner-product/ModDown chains and, when a four-step split
+  is configured, monolithic NTTs replaced by their col/transpose/row
+  phases.  This is the level the schedulers consume.
 """
 
 from __future__ import annotations
@@ -29,26 +25,13 @@ __all__ = ["Level", "graph_level"]
 
 
 class Level(enum.Enum):
-    """One lowering level (ordered primitive < decomposed < scheduled)."""
+    """One graph level (primitive before decomposed)."""
 
     PRIMITIVE = "primitive"
     DECOMPOSED = "decomposed"
-    SCHEDULED = "scheduled"
-
-    @property
-    def rank(self) -> int:
-        """Position in the lowering order (0 = primitive)."""
-        return _RANKS[self]
 
     def __str__(self) -> str:
         return self.value
-
-
-_RANKS = {
-    Level.PRIMITIVE: 0,
-    Level.DECOMPOSED: 1,
-    Level.SCHEDULED: 2,
-}
 
 
 def graph_level(graph: OperatorGraph) -> Level:
@@ -56,8 +39,7 @@ def graph_level(graph: OperatorGraph) -> Level:
 
     A graph with no coarse (``KEY_SWITCH``/``ROT_BATCH``) operators is
     at the decomposed level — possibly with monolithic NTTs, which are
-    legal there when no four-step split is configured.  The scheduled
-    level is not a graph and never classifies as one.
+    legal there when no four-step split is configured.
     """
     for op in graph.operators:
         if op.kind.is_coarse:

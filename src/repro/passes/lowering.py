@@ -1,21 +1,19 @@
-"""Workload-level entry point: build primitive, lower through the pipeline.
+"""Workload-level entry point: emit primitive, lower through the pipeline.
 
-:func:`lower_workload` is what the experiment runner calls instead of
-invoking a workload builder directly: it builds the workload at the
-*primitive* level and lowers every distinct segment graph through the
-standard :class:`~repro.passes.pipeline.PassPipeline`, memoizing
-lowered graphs on a **per-level fingerprint** — the structural
-fingerprint of the primitive graph plus the lowering-relevant
-parameters.  Structurally identical segments therefore lower once per
-process *across workloads* (HELR and ResNet-20 reuse bootstrapping's
-segment graphs), and because the memo returns the same graph object,
-every downstream cache keyed on the decomposed graph's fingerprint
-(schedule cache, plan memo) shares hits the same way.
+:func:`lower_workload` is how every workload graph gets built: it emits
+the workload at the *primitive* level and lowers every distinct segment
+graph through the :class:`~repro.passes.pipeline.PassPipeline`,
+memoizing lowered graphs on the structural fingerprint of the
+primitive graph plus the lowering-relevant parameters.  Structurally
+identical segments therefore lower once per process *across workloads*
+(HELR and ResNet-20 reuse bootstrapping's segment graphs), and because
+the memo returns the same graph object, every downstream cache keyed on
+the decomposed graph's fingerprint (schedule cache, plan memo) shares
+hits the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.dse.fingerprint import (
@@ -28,30 +26,20 @@ from repro.fhe.params import CKKSParams
 from repro.ir.graph import OperatorGraph
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.passes.pipeline import PassPipeline, PipelineResult
-from repro.workloads import WORKLOAD_BUILDERS
+from repro.workloads import WORKLOAD_EMITTERS
 from repro.workloads.base import Workload, WorkloadOptions, WorkloadSegment
 
 __all__ = [
-    "LoweredSegment",
     "clear_lowering_memo",
     "lower_graph",
     "lower_workload",
     "lowering_key",
 ]
 
-
-@dataclass
-class LoweredSegment:
-    """One memoized lowering: the pipeline result plus its memo key."""
-
-    key: str
-    result: PipelineResult
-
-
-#: Process-wide memo: lowering key -> lowered segment.  Cleared by
-#: :func:`clear_lowering_memo` (hooked into the experiment runner's
-#: ``clear_cache``).
-_MEMO: Dict[str, LoweredSegment] = {}
+#: Process-wide memo: lowering key -> pipeline result of an
+#: ``"error"``-mode run.  Cleared by :func:`clear_lowering_memo`
+#: (hooked into the experiment runner's ``clear_cache``).
+_MEMO: Dict[str, PipelineResult] = {}
 
 
 def clear_lowering_memo() -> None:
@@ -64,7 +52,7 @@ def lowering_key(
     params: CKKSParams,
     ntt_split: Optional[Tuple[int, int]],
 ) -> str:
-    """The per-level memo key of one lowering.
+    """The memo key of one lowering.
 
     Keyed on the *primitive*-level structural fingerprint plus the
     parameters and the split the decompose-ntt pass will apply (the
@@ -73,12 +61,14 @@ def lowering_key(
     own: they are structural attributes of the primitive graph's
     ``ROT_BATCH`` operators and already shape its fingerprint.
 
-    The structural fingerprint is name/tag-free, but lowered operator
-    names derive from the source operators' tags — two structurally
-    identical segments with different tags (CoeffToSlot vs SlotToCoeff)
-    must lower to *differently named* graphs to stay byte-identical
-    with the legacy build — so the key also folds in the insertion-
-    order (name, tag) labels.
+    The structural fingerprint is name/tag-free, but a lowered graph's
+    names derive from the source graph's labels: carried operators keep
+    their names, and each expansion is named after its operator's tag
+    and numbered from its first output's index.  Names reach serialized
+    schedules, so two structurally identical segments with different
+    labels (CoeffToSlot vs SlotToCoeff) must lower to differently named
+    graphs: the key also folds in the insertion-order (name, tag)
+    labels.
     """
     return digest({
         "kind": "lowering",
@@ -96,8 +86,13 @@ def lower_graph(
     params: CKKSParams,
     options: WorkloadOptions,
     invariants: str = "error",
-) -> LoweredSegment:
-    """Lower one primitive-level graph, memoized per lowering key."""
+) -> PipelineResult:
+    """Lower one primitive-level graph, memoized per lowering key.
+
+    Only ``"error"``-mode runs enter the memo: a graph lowered with the
+    invariants off or only warning is never handed to a later caller
+    that asked for them enforced.  A memoized result serves every mode.
+    """
     key = lowering_key(graph, params, options.ntt_split)
     hit = _MEMO.get(key)
     if hit is not None:
@@ -106,45 +101,37 @@ def lower_graph(
         return hit
     if _METRICS.enabled:
         _METRICS.counter("passes.memo.misses").inc()
-    pipeline = PassPipeline(params, options, invariants=invariants)
-    lowered = LoweredSegment(key=key, result=pipeline.run(graph))
-    _MEMO[key] = lowered
-    return lowered
+    result = PassPipeline(params, options, invariants=invariants).run(graph)
+    if invariants == "error":
+        _MEMO[key] = result
+    return result
 
 
 def lower_workload(
     name: str,
     params: CKKSParams,
     options: WorkloadOptions,
-    invariants: str = "error",
 ) -> Workload:
-    """Build a workload at the primitive level and lower it.
+    """Emit a workload at the primitive level and lower it.
 
-    Drop-in replacement for ``WORKLOAD_BUILDERS[name](params, options)``
-    producing structurally identical (hence byte-identical downstream)
-    segment graphs through the verified pipeline.  Segments that share
-    one graph object at the primitive level share one lowered graph
-    object too.
+    Segments that share one graph object at the primitive level share
+    one lowered graph object too.  The inter-pass invariants run in
+    ``"error"`` mode, so an illegal lowering fails loudly instead of
+    producing a wrong schedule.
 
     Args:
-        name: workload name (a :data:`~repro.workloads.WORKLOAD_BUILDERS`
+        name: workload name (a :data:`~repro.workloads.WORKLOAD_EMITTERS`
             key).
-        options: the *legacy* options; the primitive build derives from
-            them with ``lowering="primitive"``.
-        invariants: inter-pass invariant mode (see
-            :data:`~repro.passes.pipeline.INVARIANT_MODES`).
+        options: the build options; the primitive emission records
+            ``ntt_split`` and the decompose-ntt pass applies it.
     """
-    primitive = WORKLOAD_BUILDERS[name](
-        params, replace(options, lowering="primitive")
-    )
+    primitive = WORKLOAD_EMITTERS[name](params, options)
     lowered_by_id: Dict[int, OperatorGraph] = {}
     segments: List[WorkloadSegment] = []
     for segment in primitive.segments:
         graph = lowered_by_id.get(id(segment.graph))
         if graph is None:
-            graph = lower_graph(
-                segment.graph, params, options, invariants=invariants
-            ).result.graph
+            graph = lower_graph(segment.graph, params, options).graph
             lowered_by_id[id(segment.graph)] = graph
         segments.append(
             WorkloadSegment(segment.name, graph, segment.repeat)

@@ -1,11 +1,10 @@
 """The verified pass-pipeline runner.
 
-A :class:`PassPipeline` executes registered rewrites in declared level
-order, runs the :mod:`repro.analysis` verifiers as *pass-pipeline
-invariants* between every adjacent pass pair (G* structural + C*
-semantic + F* whole-graph dataflow, plus the P001 per-pass
-postconditions), and snapshots a structural fingerprint per stage so
-downstream plan/schedule caches can key work per lowering level.
+A :class:`PassPipeline` applies the fixed, ordered :data:`PASSES`
+catalog of rewrites and runs the :mod:`repro.analysis` verifiers as
+*pass-pipeline invariants*: G* structural + C* semantic + F* whole-graph
+dataflow on the source graph and after every pass that rewrote
+anything, plus each pass's P001 postcondition.
 
 Telemetry (:mod:`repro.obs`, enabled via ``REPRO_OBS``): a
 ``passes.pipeline`` span wrapping per-pass ``passes.pass`` spans, the
@@ -17,49 +16,106 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis.flow import verify_flow_graph
 from repro.analysis.graph_verify import verify_graph
 from repro.analysis.semantics import verify_semantics
-from repro.dse.fingerprint import graph_fingerprint
 from repro.fhe.params import CKKSParams
 from repro.ir.graph import OperatorGraph
+from repro.ir.operators import OpKind
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.tracer import span as _span
 from repro.passes.context import LoweringContext
 from repro.passes.levels import Level, graph_level
-from repro.passes.registry import Pass, get_pass
+from repro.passes.rewrites import decompose_ntt, lower_keyswitch, lower_rotations
 from repro.resilience.errors import ConfigError, VerificationError
 from repro.workloads.base import WorkloadOptions
 
 __all__ = [
-    "DEFAULT_PASSES",
     "INVARIANT_MODES",
+    "PASSES",
+    "Pass",
     "PassPipeline",
     "PipelineResult",
     "StageResult",
 ]
 
-#: The standard primitive -> decomposed lowering sequence.
-DEFAULT_PASSES = ("lower-rotations", "lower-keyswitch", "decompose-ntt")
-
 #: What to do with inter-pass invariant findings: ``"error"`` raises
 #: :class:`~repro.resilience.errors.VerificationError` on any ERROR
 #: finding, ``"warn"`` records findings but continues, ``"off"`` skips
-#: verification entirely (fingerprints are still snapshotted).
+#: the G*/C*/F* battery entirely (P001/P002 findings are still recorded).
 INVARIANT_MODES = ("error", "warn", "off")
+
+#: A postcondition inspects a rewrite's output and returns a violation
+#: message (reported as a P001 diagnostic by the pipeline) or ``None``.
+Postcondition = Callable[[OperatorGraph, LoweringContext], Optional[str]]
+
+
+class Pass(NamedTuple):
+    """One lowering rewrite of the catalog.
+
+    ``rewrite`` returns its input graph object unchanged when it has
+    nothing to rewrite; a ``postcondition`` violation surfaces as a P001
+    diagnostic; ``python -m repro.passes ls`` prints the descriptions.
+    """
+
+    name: str
+    rewrite: Callable[[OperatorGraph, LoweringContext], OperatorGraph]
+    description: str
+    postcondition: Optional[Postcondition] = None
+
+
+def _no_kinds_survive(*kinds: OpKind) -> Postcondition:
+    """Postcondition factory: the named kinds must be fully expanded."""
+
+    def _check(
+        graph: OperatorGraph, ctx: LoweringContext
+    ) -> Optional[str]:
+        for op in graph.operators:
+            if op.kind in kinds:
+                return (
+                    f"operator {op.name} ({op.kind.value}) survived the "
+                    "rewrite"
+                )
+        return None
+
+    return _check
+
+
+#: The primitive -> decomposed lowering, in application order.
+PASSES = (
+    Pass(
+        "lower-rotations",
+        lower_rotations,
+        "expand coarse ROT_BATCH operators into their hoisting/hybrid "
+        "baby-step expansions (key switches stay coarse)",
+        _no_kinds_survive(OpKind.ROT_BATCH),
+    ),
+    Pass(
+        "lower-keyswitch",
+        lower_keyswitch,
+        "expand coarse KEY_SWITCH operators into Decomp/ModUp/"
+        "inner-product/ModDown chains (NTTs stay monolithic)",
+        _no_kinds_survive(OpKind.KEY_SWITCH, OpKind.ROT_BATCH),
+    ),
+    Pass(
+        "decompose-ntt",
+        decompose_ntt,
+        "apply the configured four-step split to every monolithic "
+        "(i)NTT (identity when no split is configured)",
+    ),
+)
 
 
 @dataclass
 class StageResult:
-    """One pass application: output graph, level, fingerprint, verdict."""
+    """One pass application: output graph, level, verdict."""
 
     pass_name: str
     graph: OperatorGraph = field(repr=False)
     level: Level
-    fingerprint: str
     rewrote: bool
     seconds: float
     reports: List[DiagnosticReport] = field(default_factory=list)
@@ -72,18 +128,10 @@ class StageResult:
 
 @dataclass
 class PipelineResult:
-    """Everything one pipeline run produced.
-
-    ``level_fingerprints`` maps each level name to the structural
-    fingerprint of the *last* graph observed at that level — the keys
-    the lowering memo, the schedule cache, and (through
-    ``schedule_fingerprint`` on the decomposed graph) the plan memo use
-    to share work per lowering level.
-    """
+    """Everything one pipeline run produced."""
 
     source: StageResult
     stages: List[StageResult] = field(default_factory=list)
-    context: Optional[LoweringContext] = field(default=None, repr=False)
 
     @property
     def graph(self) -> OperatorGraph:
@@ -94,14 +142,6 @@ class PipelineResult:
     def level(self) -> Level:
         """The final graph's level."""
         return self.stages[-1].level if self.stages else self.source.level
-
-    @property
-    def level_fingerprints(self) -> Dict[str, str]:
-        """Level name -> fingerprint of the last graph at that level."""
-        out = {self.source.level.value: self.source.fingerprint}
-        for stage in self.stages:
-            out[stage.level.value] = stage.fingerprint
-        return out
 
     @property
     def reports(self) -> List[DiagnosticReport]:
@@ -118,16 +158,12 @@ class PipelineResult:
 
 
 class PassPipeline:
-    """Runs a sequence of registered passes with inter-pass invariants.
+    """Runs the :data:`PASSES` catalog with inter-pass invariants.
 
     Args:
         params: CKKS parameter set of the graphs to lower.
         options: workload build options (the decompose-ntt pass reads
             ``options.ntt_split``).
-        passes: pass names to run, in order; the standard
-            :data:`DEFAULT_PASSES` sequence by default.  Level order is
-            enforced: a pass whose declared source level is *below* the
-            current graph's level is rejected.
         invariants: one of :data:`INVARIANT_MODES`.
     """
 
@@ -135,7 +171,6 @@ class PassPipeline:
         self,
         params: CKKSParams,
         options: Optional[WorkloadOptions] = None,
-        passes: Sequence[str] = DEFAULT_PASSES,
         invariants: str = "error",
     ):
         if invariants not in INVARIANT_MODES:
@@ -145,19 +180,7 @@ class PassPipeline:
             )
         self.params = params
         self.options = options or WorkloadOptions()
-        self.passes: Tuple[Pass, ...] = tuple(
-            get_pass(name) for name in passes
-        )
         self.invariants = invariants
-        rank = Level.PRIMITIVE.rank
-        for p in self.passes:
-            if p.source.rank < rank:
-                raise ConfigError(
-                    "passes", p.name,
-                    f"pass source level {p.source.value} is below the "
-                    "pipeline's current level; order passes by level",
-                )
-            rank = max(rank, p.target.rank)
 
     # ------------------------------------------------------------------
 
@@ -191,11 +214,10 @@ class PassPipeline:
             )
 
     def run(self, graph: OperatorGraph) -> PipelineResult:
-        """Lower one graph through every configured pass.
+        """Lower one graph through every pass of :data:`PASSES`.
 
         Returns the full :class:`PipelineResult`; ``result.graph`` is
-        the lowered graph and ``result.level_fingerprints`` the
-        per-level cache keys.
+        the lowered graph.
 
         Raises:
             VerificationError: in ``"error"`` mode, when any inter-pass
@@ -217,14 +239,13 @@ class PassPipeline:
                 pass_name="source",
                 graph=graph,
                 level=graph_level(graph),
-                fingerprint=graph_fingerprint(graph),
                 rewrote=False,
                 seconds=0.0,
                 reports=source_reports,
             )
-            result = PipelineResult(source=source, context=ctx)
+            result = PipelineResult(source=source)
             current = graph
-            for p in self.passes:
+            for p in PASSES:
                 current = self._run_pass(p, current, ctx, result)
             sp.set("stages", len(result.stages))
             sp.set(
@@ -240,10 +261,10 @@ class PassPipeline:
         ctx: LoweringContext,
         result: PipelineResult,
     ) -> OperatorGraph:
-        """Apply one pass, verify, fingerprint, and record the stage."""
+        """Apply one pass, verify, and record the stage."""
         with _span("passes.pass", kind=p.name, graph=graph.name) as sp:
             t0 = time.perf_counter()
-            out = p.apply(graph, ctx)
+            out = p.rewrite(graph, ctx)
             seconds = time.perf_counter() - t0
             rewrote = out is not graph
             sp.set("rewrote", rewrote)
@@ -275,14 +296,6 @@ class PassPipeline:
                 pass_name=p.name,
                 graph=out,
                 level=graph_level(out),
-                fingerprint=(
-                    result.stages[-1].fingerprint
-                    if not rewrote and result.stages
-                    else (
-                        result.source.fingerprint if not rewrote
-                        else graph_fingerprint(out)
-                    )
-                ),
                 rewrote=rewrote,
                 seconds=seconds,
                 reports=reports,

@@ -1,16 +1,21 @@
-"""The registered lowering rewrites.
+"""The three lowering rewrites (catalogued in :data:`repro.passes.pipeline.PASSES`).
 
 Each rewrite is an *expansion walk*: it visits the input graph's
 operators in insertion order and copies them into a fresh graph,
 expanding the operators it owns in place through a
 :class:`~repro.ir.builders.GraphBuilder` emitter bound to the output
 graph and the run's shared :class:`~repro.ir.builders.ConstantPool`.
-Because the legacy ``lowering="full"`` builders emit exactly the same
-sub-operators at exactly the same program points, the walk reproduces
-the legacy insertion order — and therefore the legacy topological
-order, windows, schedules, and numeric artifacts — byte for byte
-(:func:`repro.ir.graph.structural_mismatch` is the per-level oracle the
-golden tests pin this with).
+The emitter places exactly the sub-operators a ``lowering="full"``
+:class:`~repro.ir.builders.GraphBuilder` emits at the same program
+points, so a lowered graph is structurally identical to the same
+program emitted fully decomposed in one go
+(:func:`repro.ir.graph.structural_mismatch` is the oracle the strategy
+grid and the hypothesis property pin this with).
+
+Each expansion numbers its names from the index the expanded
+operator's first output carries — the indices the primitive emission
+skipped for it — so lowered graphs carry the names of a one-pass full
+emission too.
 
 Operators a pass does not own are carried over: as the *same object*
 when none of their inputs was substituted by an expansion, else
@@ -21,15 +26,13 @@ snapshots is legal and keeps the walk cheap).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, cast
+from typing import Dict, Tuple, cast
 
-from repro.ir.builders import CiphertextTensors, GraphBuilder
+from repro.ir.builders import CiphertextTensors, GraphBuilder, name_index
 from repro.ir.graph import OperatorGraph
 from repro.ir.operators import Operator, OpKind
 from repro.ir.tensors import DataTensor
 from repro.passes.context import LoweringContext
-from repro.passes.levels import Level
-from repro.passes.registry import Postcondition, register_pass
 from repro.resilience.errors import InvariantViolation
 from repro.sched.ntt_decomp import candidate_splits
 
@@ -77,37 +80,10 @@ def _has_kind(graph: OperatorGraph, *kinds: OpKind) -> bool:
     return any(op.kind in kinds for op in graph.operators)
 
 
-def _no_kinds_survive(*kinds: OpKind) -> Postcondition:
-    """Postcondition factory: the named kinds must be fully expanded."""
-
-    def _check(
-        graph: OperatorGraph, ctx: LoweringContext
-    ) -> Optional[str]:
-        for op in graph.operators:
-            if op.kind in kinds:
-                return (
-                    f"operator {op.name} ({op.kind.value}) survived the "
-                    "rewrite"
-                )
-        return None
-
-    return _check
-
-
 # ---------------------------------------------------------------------------
 # Pass 1: coarse baby-rotation batches -> full strategy expansions
 # ---------------------------------------------------------------------------
 
-@register_pass(
-    "lower-rotations",
-    source=Level.PRIMITIVE,
-    target=Level.PRIMITIVE,
-    description=(
-        "expand coarse ROT_BATCH operators into their hoisting/hybrid "
-        "baby-step expansions (key switches stay coarse)"
-    ),
-    postcondition=_no_kinds_survive(OpKind.ROT_BATCH),
-)
 def lower_rotations(
     graph: OperatorGraph, ctx: LoweringContext
 ) -> OperatorGraph:
@@ -119,13 +95,13 @@ def lower_rotations(
     evk tensors the primitive build already shared with other
     primitives — e.g. a BSGS giant step rotating by the hybrid coarse
     amount.  Emitted in ``"coarse-ks"`` mode: the expansion's own key
-    switches stay coarse for the next pass.
+    switches stay coarse and its NTTs monolithic for the next passes.
     """
     if not _has_kind(graph, OpKind.ROT_BATCH):
         return graph
     out = OperatorGraph(graph.name)
     em = GraphBuilder(
-        ctx.params, ntt_split=None, lowering="coarse-ks",
+        ctx.params, ntt_split=ctx.options.ntt_split, lowering="coarse-ks",
         graph=out, pool=ctx.pool,
     )
     sub: Substitution = {}
@@ -144,6 +120,7 @@ def lower_rotations(
         ct = CiphertextTensors(
             _sub(sub, op.inputs[0]), _sub(sub, op.inputs[1]), level
         )
+        em.name_at(name_index(op.outputs[0].name))
         rots = em.baby_rotations(ct, n1, strategy, r_hyb=r_hyb, tag=op.tag)
         if len(rots) != n1:
             raise InvariantViolation(
@@ -161,32 +138,22 @@ def lower_rotations(
 # Pass 2: coarse key switches -> Decomp/ModUp/inner-product/ModDown
 # ---------------------------------------------------------------------------
 
-@register_pass(
-    "lower-keyswitch",
-    source=Level.PRIMITIVE,
-    target=Level.DECOMPOSED,
-    description=(
-        "expand coarse KEY_SWITCH operators into Decomp/ModUp/"
-        "inner-product/ModDown chains (NTTs stay monolithic)"
-    ),
-    postcondition=_no_kinds_survive(OpKind.KEY_SWITCH, OpKind.ROT_BATCH),
-)
 def lower_keyswitch(
     graph: OperatorGraph, ctx: LoweringContext
 ) -> OperatorGraph:
-    """Replay :meth:`GraphBuilder.key_switch` for every coarse node.
+    """Replay :meth:`GraphBuilder.expand_key_switch` for every coarse node.
 
-    The emitter runs in ``"full"`` mode with no NTT split: the chain's
-    (i)NTTs come out monolithic and the decompose-ntt pass splits them
-    later, mirroring how the legacy builder interleaves them at the
-    same program points.  BConv matrices and twiddles resolve through
-    the shared pool, preserving legacy cross-key-switch sharing.
+    The emitter runs in ``"coarse-ks"`` mode: the chain's (i)NTTs come
+    out monolithic and the decompose-ntt pass splits them later, at the
+    program points a full-mode builder emits them.  BConv
+    matrices and twiddles resolve through the shared pool, so key
+    switches share them exactly as in a one-pass full-mode build.
     """
     if not _has_kind(graph, OpKind.KEY_SWITCH):
         return graph
     out = OperatorGraph(graph.name)
     em = GraphBuilder(
-        ctx.params, ntt_split=None, lowering="full",
+        ctx.params, ntt_split=ctx.options.ntt_split, lowering="coarse-ks",
         graph=out, pool=ctx.pool,
     )
     sub: Substitution = {}
@@ -196,7 +163,8 @@ def lower_keyswitch(
             continue
         d = _sub(sub, op.inputs[0])
         evk = _sub(sub, op.inputs[1])
-        ks_b, ks_a = em.key_switch(d, op.limbs - 1, evk, op.tag)
+        em.name_at(name_index(op.outputs[0].name))
+        ks_b, ks_a = em.expand_key_switch(d, op.limbs - 1, evk, op.tag)
         sub[op.outputs[0].uid] = ks_b
         sub[op.outputs[1].uid] = ks_a
     return out
@@ -206,16 +174,6 @@ def lower_keyswitch(
 # Pass 3: monolithic (i)NTTs -> four-step col/transpose/row phases
 # ---------------------------------------------------------------------------
 
-@register_pass(
-    "decompose-ntt",
-    source=Level.DECOMPOSED,
-    target=Level.DECOMPOSED,
-    description=(
-        "apply the configured four-step split to every monolithic "
-        "(i)NTT (identity when no split is configured)"
-    ),
-    postcondition=None,
-)
 def decompose_ntt(
     graph: OperatorGraph, ctx: LoweringContext
 ) -> OperatorGraph:
@@ -251,6 +209,7 @@ def decompose_ntt(
             _carry(out, op, sub)
             continue
         src = _sub(sub, op.inputs[0])
+        em.name_at(name_index(op.outputs[0].name))
         res = em.ntt(
             src, op.limbs, inverse=op.kind is OpKind.INTT, tag=op.tag
         )

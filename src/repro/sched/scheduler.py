@@ -39,10 +39,7 @@ reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
-
-if TYPE_CHECKING:  # CKKSParams is annotation-only here (no import cycle).
-    from repro.fhe.params import CKKSParams
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.hw.config import HardwareConfig
 from repro.ir.graph import OperatorGraph
@@ -272,41 +269,14 @@ class _DpState:
 class Scheduler:
     """Searches cross-operator dataflow schedules for one graph.
 
-    Accepts graphs at either lowering level: a *decomposed*-level graph
-    is scheduled directly, while a *primitive*-level graph (coarse
-    ``KEY_SWITCH``/``ROT_BATCH`` operators, see :mod:`repro.passes`) is
-    first lowered through the standard pass pipeline — which needs the
-    CKKS ``params`` the graph was built with; passing a coarse graph
-    without them is a typed error, since coarse operators answer no
-    cost queries.
+    Takes a *decomposed*-level graph (see :mod:`repro.passes`): coarse
+    primitive-level operators answer no cost queries, so a graph that
+    still holds one fails with a typed
+    :class:`~repro.resilience.errors.InvariantViolation`.
     """
 
     #: The plan class windows are built with (part of plan-memo keys).
     plan_kind = SpatialGroupPlan
-
-    @staticmethod
-    def _lowered(
-        graph: OperatorGraph,
-        n_split: Optional[Tuple[int, int]],
-        params: Optional["CKKSParams"],
-    ) -> OperatorGraph:
-        """Lower a primitive-level graph before scheduling it."""
-        if not any(op.kind.is_coarse for op in graph.operators):
-            return graph
-        if params is None:
-            raise InvariantViolation(
-                "repro.sched.scheduler.Scheduler",
-                f"graph {graph.name} contains coarse primitive-level "
-                "operators; pass params= so the scheduler can run the "
-                "repro.passes lowering pipeline (or lower it yourself)",
-            )
-        # Imported lazily: repro.passes reaches this module through
-        # repro.dse.fingerprint, so a top-level import would cycle.
-        from repro.passes.lowering import lower_graph
-        from repro.workloads.base import WorkloadOptions
-
-        options = WorkloadOptions(ntt_split=n_split)
-        return lower_graph(graph, params, options).result.graph
 
     def __init__(
         self,
@@ -314,9 +284,7 @@ class Scheduler:
         hw: HardwareConfig,
         config: Optional[SchedulerConfig] = None,
         n_split: Optional[Tuple[int, int]] = None,
-        params: Optional["CKKSParams"] = None,
     ):
-        graph = self._lowered(graph, n_split, params)
         self.graph = graph
         self.hw = hw
         self.config = config or SchedulerConfig()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.fhe.params import CKKSParams
 from repro.ir.graph import OperatorGraph
@@ -11,12 +11,6 @@ from repro.resilience.errors import ConfigError
 
 #: Baby-step strategies the graph builders implement.
 ROTATION_STRATEGIES = ("plain", "min-ks", "hoisting", "hybrid")
-
-#: Build-time lowering modes a workload can be emitted at: ``"full"``
-#: builds the historical fully decomposed graphs; ``"primitive"`` keeps
-#: key switches and baby-rotation batches as coarse operators for the
-#: :mod:`repro.passes` pipeline to lower.
-WORKLOAD_LOWERINGS = ("full", "primitive")
 
 
 @dataclass(frozen=True)
@@ -31,17 +25,11 @@ class WorkloadOptions:
         r_hyb: hybrid coarse-step distance (the Section V-C parameter;
             the experiment driver enumerates a few values and keeps the
             fastest, mirroring the per-graph enumeration of Section V-D).
-        lowering: emission level, one of :data:`WORKLOAD_LOWERINGS` —
-            ``"primitive"`` builds coarse graphs for the
-            :mod:`repro.passes` pipeline to lower (``ntt_split`` is then
-            recorded but applied by the decompose-ntt rewrite instead of
-            at build time).
     """
 
     ntt_split: Optional[Tuple[int, int]] = None
     rotation_strategy: str = "hybrid"
     r_hyb: int = 4
-    lowering: str = "full"
 
     def __post_init__(self) -> None:
         self.validate()
@@ -56,11 +44,6 @@ class WorkloadOptions:
             raise ConfigError(
                 "rotation_strategy", self.rotation_strategy,
                 f"choose from {ROTATION_STRATEGIES}",
-            )
-        if self.lowering not in WORKLOAD_LOWERINGS:
-            raise ConfigError(
-                "lowering", self.lowering,
-                f"choose from {WORKLOAD_LOWERINGS}",
             )
         if not isinstance(self.r_hyb, int) or self.r_hyb < 1:
             raise ConfigError(
@@ -117,3 +100,24 @@ class Workload:
             if s.name == name:
                 return s
         raise KeyError(f"no segment {name!r} in workload {self.name}")
+
+
+#: Builder memo: (workload name, params, options) -> lowered workload.
+_LOWERED: Dict[Tuple[str, CKKSParams, WorkloadOptions], Workload] = {}
+
+
+def lowered_workload(
+    name: str, params: CKKSParams, options: Optional[WorkloadOptions]
+) -> Workload:
+    """What every workload builder returns: its primitive emission lowered
+    by :func:`repro.passes.lowering.lower_workload`, memoized."""
+    options = options or WorkloadOptions()
+    key = (name, params, options)
+    workload = _LOWERED.get(key)
+    if workload is None:
+        # Imported at call time: repro.passes imports this package.
+        from repro.passes import lowering
+
+        workload = lowering.lower_workload(name, params, options)
+        _LOWERED[key] = workload
+    return workload

@@ -10,7 +10,10 @@ Structure mirrors ``repro.fhe.bootstrap``:
 * **SlotToCoeff** — three more BSGS stages.
 
 Repeated structures are emitted once as segments with repeat counts
-(pre-partitioning + redundant-subgraph merging, Section V-D).
+(pre-partitioning + redundant-subgraph merging, Section V-D).  The
+segments are emitted at the primitive level (:func:`emit_bootstrapping`)
+and :func:`build_bootstrapping` returns them lowered through
+:mod:`repro.passes`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ from typing import Optional
 from repro.fhe.params import CKKSParams
 from repro.ir.builders import GraphBuilder
 from repro.ir.operators import Operator, OpKind
-from repro.workloads.base import Workload, WorkloadOptions, WorkloadSegment
+from repro.workloads.base import (
+    Workload,
+    WorkloadOptions,
+    WorkloadSegment,
+    lowered_workload,
+)
 
 #: Radix decomposition of the homomorphic DFT: 3 stages per transform.
 C2S_STAGES = 3
@@ -41,7 +49,7 @@ def _mod_raise_segment(
     forward NTT over the new basis.
     """
     b = GraphBuilder(
-        params, ntt_split=options.ntt_split, lowering=options.lowering,
+        params, ntt_split=options.ntt_split, lowering="primitive",
     )
     limbs = params.max_level + 1
     src = b.input_ciphertext("boot.in", 0)
@@ -72,7 +80,7 @@ def _transform_segment(
 ) -> WorkloadSegment:
     """One CoeffToSlot/SlotToCoeff stage: a BSGS matmul at ``level``."""
     b = GraphBuilder(
-        params, ntt_split=options.ntt_split, lowering=options.lowering,
+        params, ntt_split=options.ntt_split, lowering="primitive",
     )
     ct = b.input_ciphertext(f"{name}.in", level)
     b.bsgs_matvec(
@@ -91,7 +99,7 @@ def _evalmod_step_segment(
 ) -> WorkloadSegment:
     """One EvalMod step: HMult + CMult + rescale at a mid level."""
     b = GraphBuilder(
-        params, ntt_split=options.ntt_split, lowering=options.lowering,
+        params, ntt_split=options.ntt_split, lowering="primitive",
     )
     x = b.input_ciphertext("em.x", level)
     y = b.input_ciphertext("em.y", level)
@@ -104,15 +112,16 @@ def _evalmod_step_segment(
 _BUILD_CACHE: dict = {}
 
 
-def build_bootstrapping(
+def emit_bootstrapping(
     params: CKKSParams, options: Optional[WorkloadOptions] = None
 ) -> Workload:
-    """Build the bootstrapping workload for a parameter set.
+    """Emit the bootstrapping workload at the primitive level.
 
-    Builds are memoized per (params, options): the graphs are immutable
-    once built, and HELR/ResNet reuse the bootstrap segments (with their
-    own repeat counts), so sharing them keeps scheduling costs down — the
-    cross-workload face of the paper's redundant-subgraph merging.
+    Emissions are memoized per (params, options): the graphs are
+    immutable once built, and HELR/ResNet reuse the bootstrap segments
+    (with their own repeat counts), so the lowering memo lowers each
+    segment once — the cross-workload face of the paper's
+    redundant-subgraph merging.
     """
     options = options or WorkloadOptions()
     cache_key = (params, options)
@@ -159,3 +168,10 @@ def build_bootstrapping(
     )
     _BUILD_CACHE[cache_key] = workload
     return workload
+
+
+def build_bootstrapping(
+    params: CKKSParams, options: Optional[WorkloadOptions] = None
+) -> Workload:
+    """Build the bootstrapping workload for a parameter set (lowered)."""
+    return lowered_workload("bootstrapping", params, options)

@@ -24,7 +24,12 @@ from typing import Optional
 from repro.fhe.params import CKKSParams
 from repro.ir.builders import GraphBuilder
 from repro.workloads import bootstrapping as boot_mod
-from repro.workloads.base import Workload, WorkloadOptions, WorkloadSegment
+from repro.workloads.base import (
+    Workload,
+    WorkloadOptions,
+    WorkloadSegment,
+    lowered_workload,
+)
 
 #: Features per sample (14 x 14 MNIST crops).
 FEATURES = 196
@@ -39,7 +44,7 @@ def _gradient_segment(
 ) -> WorkloadSegment:
     """Inner products + sigmoid + gradient update for one batch chunk."""
     b = GraphBuilder(
-        params, ntt_split=options.ntt_split, lowering=options.lowering,
+        params, ntt_split=options.ntt_split, lowering="primitive",
     )
     w = b.input_ciphertext("helr.w", level)
     x = b.input_ciphertext("helr.x", level)
@@ -67,17 +72,17 @@ def _gradient_segment(
     return WorkloadSegment("helr_gradient", b.graph, repeat=BATCH_CTS)
 
 
-def build_helr(
+def emit_helr(
     params: CKKSParams, options: Optional[WorkloadOptions] = None
 ) -> Workload:
-    """One HELR-1024 training iteration (gradient + bootstrap)."""
+    """One HELR-1024 training iteration, emitted at the primitive level."""
     options = options or WorkloadOptions()
     grad_level = max(params.max_level - params.boot_levels, SIGMOID_MULTS + 2)
     segments = [_gradient_segment(params, options, grad_level)]
     # Weight refresh: a full bootstrap per iteration.  The bootstrap
-    # segments come from the shared (memoized) build; wrap them in fresh
+    # segments come from the shared (memoized) emission; wrap them in fresh
     # WorkloadSegment objects so repeat counts never mutate shared state.
-    boot = boot_mod.build_bootstrapping(params, options)
+    boot = boot_mod.emit_bootstrapping(params, options)
     segments.extend(
         WorkloadSegment(s.name, s.graph, s.repeat) for s in boot.segments
     )
@@ -91,3 +96,10 @@ def build_helr(
             "degree-7 sigmoid) plus one bootstrap."
         ),
     )
+
+
+def build_helr(
+    params: CKKSParams, options: Optional[WorkloadOptions] = None
+) -> Workload:
+    """One HELR-1024 training iteration (gradient + bootstrap), lowered."""
+    return lowered_workload("helr", params, options)

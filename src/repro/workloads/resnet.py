@@ -21,7 +21,12 @@ from typing import Optional
 from repro.fhe.params import CKKSParams
 from repro.ir.builders import GraphBuilder
 from repro.workloads import bootstrapping as boot_mod
-from repro.workloads.base import Workload, WorkloadOptions, WorkloadSegment
+from repro.workloads.base import (
+    Workload,
+    WorkloadOptions,
+    WorkloadSegment,
+    lowered_workload,
+)
 
 #: BSGS split for the per-layer convolution matmuls.
 CONV_N1 = 8
@@ -35,7 +40,7 @@ def _conv_segment(
 ) -> WorkloadSegment:
     """One convolution kernel as a BSGS plaintext matmul."""
     b = GraphBuilder(
-        params, ntt_split=options.ntt_split, lowering=options.lowering,
+        params, ntt_split=options.ntt_split, lowering="primitive",
     )
     ct = b.input_ciphertext("conv.in", level)
     b.bsgs_matvec(
@@ -54,7 +59,7 @@ def _relu_segment(
 ) -> WorkloadSegment:
     """Degree-27 polynomial ReLU: HMult + CMult + rescale chain."""
     b = GraphBuilder(
-        params, ntt_split=options.ntt_split, lowering=options.lowering,
+        params, ntt_split=options.ntt_split, lowering="primitive",
     )
     x = b.input_ciphertext("relu.x", level)
     y = b.input_ciphertext("relu.y", level)
@@ -67,7 +72,7 @@ def _relu_segment(
 _SEGMENT_CACHE: dict = {}
 
 
-def _build_resnet(
+def _emit_resnet(
     params: CKKSParams,
     options: Optional[WorkloadOptions],
     layers: int,
@@ -93,9 +98,9 @@ def _build_resnet(
     relu = WorkloadSegment("relu_step", base_segs[1].graph, RELU_MULTS * layers)
     segments = [conv, relu]
     # ~one bootstrap per layer (the level budget covers one conv+ReLU).
-    # Bootstrap graphs come from the shared memoized build; fresh segment
-    # wrappers carry the per-network repeat counts.
-    boot = boot_mod.build_bootstrapping(params, options)
+    # Bootstrap graphs come from the shared memoized emission; fresh
+    # segment wrappers carry the per-network repeat counts.
+    boot = boot_mod.emit_bootstrapping(params, options)
     segments.extend(
         WorkloadSegment(s.name, s.graph, s.repeat * layers)
         for s in boot.segments
@@ -114,15 +119,29 @@ def _build_resnet(
     return workload
 
 
+def emit_resnet20(
+    params: CKKSParams, options: Optional[WorkloadOptions] = None
+) -> Workload:
+    """ResNet-20 inference, emitted at the primitive level."""
+    return _emit_resnet(params, options, layers=20, name="resnet20")
+
+
+def emit_resnet110(
+    params: CKKSParams, options: Optional[WorkloadOptions] = None
+) -> Workload:
+    """ResNet-110 inference, emitted at the primitive level."""
+    return _emit_resnet(params, options, layers=110, name="resnet110")
+
+
 def build_resnet20(
     params: CKKSParams, options: Optional[WorkloadOptions] = None
 ) -> Workload:
-    """ResNet-20 encrypted inference workload."""
-    return _build_resnet(params, options, layers=20, name="resnet20")
+    """ResNet-20 encrypted inference workload (lowered)."""
+    return lowered_workload("resnet20", params, options)
 
 
 def build_resnet110(
     params: CKKSParams, options: Optional[WorkloadOptions] = None
 ) -> Workload:
-    """ResNet-110 encrypted inference workload (scale test)."""
-    return _build_resnet(params, options, layers=110, name="resnet110")
+    """ResNet-110 encrypted inference workload (scale test, lowered)."""
+    return lowered_workload("resnet110", params, options)

@@ -59,15 +59,62 @@ class TestDump:
 
 
 class TestVerify:
-    def test_pipeline_matches_legacy(self, capsys):
-        assert main(_argv("verify")) == 0
-        out = capsys.readouterr().out
-        assert "pipeline == legacy" in out
-        assert "0 mismatch(es)" in out
-
     def test_unknown_params_still_fail_loudly(self):
         with pytest.raises(KeyError):
             main(["run", "bootstrapping", "--params", "NOPE"])
+
+
+class TestDiffArtifacts:
+    """``diff-artifacts``: the byte-identity check between two commits."""
+
+    CELLS = {
+        "fig9": {"status": "ok", "output": {"speedup": 2.03}, "seconds": 5.6},
+        "table1": {"status": "ok", "output": [["ARK", 1]], "seconds": 0.0},
+    }
+
+    def _write(self, tmp_path, name, cells):
+        path = tmp_path / name
+        path.write_text(json.dumps({"cells": cells}))
+        return str(path)
+
+    def _diff(self, tmp_path, candidate):
+        baseline = self._write(tmp_path, "parent.json", self.CELLS)
+        changed = self._write(tmp_path, "change.json", candidate)
+        return main(["diff-artifacts", baseline, changed])
+
+    def _copy(self):
+        return json.loads(json.dumps(self.CELLS))
+
+    def test_identical_artifacts_pass(self, tmp_path, capsys):
+        cells = self._copy()
+        cells["fig9"]["seconds"] = 7.1  # wall time is not compared
+        assert self._diff(tmp_path, cells) == 0
+        assert "2 cell(s), 0 divergence(s)" in capsys.readouterr().out
+
+    def test_output_difference_names_the_cell(self, tmp_path, capsys):
+        cells = self._copy()
+        cells["fig9"]["output"]["speedup"] = 2.04
+        assert self._diff(tmp_path, cells) == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "fig9: DIVERGED" in out
+        assert "table1" not in out
+        assert "1 divergence(s)" in out
+
+    def test_status_difference_fails(self, tmp_path, capsys):
+        cells = self._copy()
+        cells["table1"]["status"] = "failed"
+        assert self._diff(tmp_path, cells) == EXIT_VERIFY
+        assert "table1: DIVERGED" in capsys.readouterr().out
+
+    def test_different_cell_sets_fail(self, tmp_path, capsys):
+        cells = self._copy()
+        del cells["table1"]
+        cells["fig10"] = cells["fig9"]
+        assert self._diff(tmp_path, cells) == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "cell sets diverge" in out
+        assert "only-baseline=['table1']" in out
+        assert "only-candidate=['fig10']" in out
 
 
 def test_exit_verify_is_distinct():

@@ -2,17 +2,18 @@
 
 import pytest
 
+import repro.passes.pipeline as pipeline_mod
 from repro.dse.fingerprint import graph_fingerprint, schedule_fingerprint
 from repro.hw.config import CROPHE_64
 from repro.ir.builders import GraphBuilder
 from repro.passes import (
     Level,
+    Pass,
     PassPipeline,
     lower_graph,
     lower_workload,
     lowering_key,
 )
-from repro.passes.registry import _REGISTRY, Pass
 from repro.resilience.errors import VerificationError
 from repro.sched.plan_memo import MEMO
 from repro.sched.scheduler import Scheduler
@@ -48,57 +49,39 @@ class TestStages:
         assert result.ok
         for stage in result.stages:
             assert stage.seconds >= 0.0
-            assert stage.fingerprint
-
-    def test_level_fingerprints_key_each_level(self, small_params):
-        result = PassPipeline(small_params, _options()).run(
-            _primitive_graph(small_params)
-        )
-        fps = result.level_fingerprints
-        assert set(fps) == {"primitive", "decomposed"}
-        assert fps["primitive"] == result.source.fingerprint
-        assert fps["decomposed"] == graph_fingerprint(result.graph)
-        assert fps["primitive"] != fps["decomposed"]
 
 
 class TestInvariantModes:
     @pytest.fixture()
     def broken_pass(self, monkeypatch):
-        """A registered pass whose P001 postcondition always fires."""
-        monkeypatch.setitem(
-            _REGISTRY,
-            "broken-post",
-            Pass(
-                name="broken-post",
-                source=Level.PRIMITIVE,
-                target=Level.PRIMITIVE,
-                rewrite=lambda graph, ctx: graph.clone(),
-                description="test-only: clone and claim a violation",
-                postcondition=lambda graph, ctx: "deliberate violation",
+        """A catalog of one pass whose P001 postcondition always fires."""
+        monkeypatch.setattr(
+            pipeline_mod,
+            "PASSES",
+            (
+                Pass(
+                    name="broken-post",
+                    rewrite=lambda graph, ctx: graph.clone(),
+                    description="test-only: clone and claim a violation",
+                    postcondition=lambda graph, ctx: "deliberate violation",
+                ),
             ),
         )
-        return "broken-post"
 
     def test_error_mode_raises(self, small_params, broken_pass):
-        pipeline = PassPipeline(
-            small_params, passes=(broken_pass,), invariants="error"
-        )
+        pipeline = PassPipeline(small_params, invariants="error")
         with pytest.raises(VerificationError, match="P001"):
             pipeline.run(_primitive_graph(small_params))
 
     def test_warn_mode_records_and_continues(self, small_params, broken_pass):
-        pipeline = PassPipeline(
-            small_params, passes=(broken_pass,), invariants="warn"
-        )
+        pipeline = PassPipeline(small_params, invariants="warn")
         result = pipeline.run(_primitive_graph(small_params))
         assert not result.ok
         rules = [d.rule for r in result.reports for d in r.errors]
         assert "P001" in rules
 
     def test_off_mode_skips_graph_verifiers(self, small_params, broken_pass):
-        pipeline = PassPipeline(
-            small_params, passes=(broken_pass,), invariants="off"
-        )
+        pipeline = PassPipeline(small_params, invariants="off")
         result = pipeline.run(_primitive_graph(small_params))
         assert not result.source.reports  # source battery skipped
         # The P001 postcondition is structural to the pass and still runs.
@@ -159,6 +142,39 @@ class TestLoweringMemo:
         assert lowering_key(g, small_params, None) != lowering_key(
             g, small_params, SPLIT
         )
+
+    @pytest.mark.parametrize("first_mode", ["off", "warn"])
+    def test_unenforced_lowering_not_served_to_error_mode(
+        self, small_params, monkeypatch, first_mode
+    ):
+        # A lowering run with the invariants off (``passes dump``) or
+        # only warning must not satisfy a later caller that enforces
+        # them: that caller runs the verifier battery itself.
+        calls = []
+        real = pipeline_mod.verify_graph
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(pipeline_mod, "verify_graph", counting)
+        options = _options()
+        lower_graph(
+            _primitive_graph(small_params), small_params, options,
+            invariants=first_mode,
+        )
+        before = len(calls)
+        enforced = lower_graph(
+            _primitive_graph(small_params), small_params, options
+        )
+        assert len(calls) > before
+        assert enforced.ok
+        # The enforced lowering is memoized and serves every mode.
+        again = lower_graph(
+            _primitive_graph(small_params), small_params, options,
+            invariants=first_mode,
+        )
+        assert again is enforced
 
 
 class TestCrossWorkloadSharing:

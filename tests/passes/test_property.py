@@ -1,10 +1,13 @@
-"""Property: every registered pass preserves G*/F* cleanliness.
+"""Property: the pipeline preserves G*/F* cleanliness and structure.
 
 Random valid primitive-level DAGs (chains of HE primitives over a
 couple of live ciphertexts) must lower through the full pipeline in
 ``"error"`` invariant mode — i.e. with the G* structural, C* semantic,
 and F* dataflow batteries clean between every adjacent pass pair — and
-land at the decomposed level with no coarse operators surviving.
+land at the decomposed level with no coarse operators surviving.  The
+lowered graph must also be structurally identical to the same program
+emitted fully decomposed in one go by ``GraphBuilder(lowering="full")``,
+operator names included.
 """
 
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from repro.analysis.flow import verify_flow_graph
 from repro.analysis.graph_verify import verify_graph
 from repro.fhe.params import make_concrete_params
 from repro.ir.builders import GraphBuilder
+from repro.ir.graph import structural_mismatch
 from repro.passes import Level, PassPipeline
 from repro.workloads.base import WorkloadOptions
 
@@ -33,9 +37,9 @@ _STEP = st.one_of(
 )
 
 
-def _random_graph(steps):
-    """Replay a step list into a valid primitive-level graph."""
-    b = GraphBuilder(PARAMS, lowering="primitive")
+def _random_graph(steps, lowering="primitive", split=None):
+    """Replay a step list into a valid graph at one emission mode."""
+    b = GraphBuilder(PARAMS, ntt_split=split, lowering=lowering)
     ct = b.input_ciphertext("x", 5)
     other = b.input_ciphertext("y", 5)
     for i, step in enumerate(steps):
@@ -67,7 +71,9 @@ def _random_graph(steps):
 )
 @settings(max_examples=25, deadline=None)
 def test_pipeline_preserves_cleanliness(steps, split):
-    graph = _random_graph(steps)
+    # The split rides along at primitive emission, as in the workload
+    # builders: it fixes the names the deferred NTT phases will take.
+    graph = _random_graph(steps, split=split)
     options = WorkloadOptions(ntt_split=split)
     # "error" mode: any G*/C*/F* or P001 finding between passes raises.
     result = PassPipeline(PARAMS, options, invariants="error").run(graph)
@@ -77,3 +83,9 @@ def test_pipeline_preserves_cleanliness(steps, split):
     # The final graph re-verifies clean outside the pipeline too.
     assert verify_graph(result.graph).ok
     assert verify_flow_graph(result.graph).ok
+    # And it is the program a one-pass fully decomposed emission builds.
+    full = _random_graph(steps, lowering="full", split=split)
+    assert structural_mismatch(result.graph, full) is None
+    assert [op.name for op in result.graph.operators] == [
+        op.name for op in full.operators
+    ]

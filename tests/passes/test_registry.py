@@ -1,29 +1,22 @@
-"""Tests for the pass registry, levels, and pipeline construction."""
+"""Tests for the pass catalog, levels, and pipeline construction."""
 
 import pytest
 
 from repro.ir.builders import GraphBuilder
 from repro.passes import (
-    DEFAULT_PASSES,
+    PASSES,
     Level,
     PassPipeline,
-    get_pass,
     graph_level,
-    register_pass,
-    registered_passes,
 )
 from repro.resilience.errors import ConfigError
+from repro.workloads.base import WorkloadOptions
 
 
 class TestLevels:
-    def test_rank_order(self):
-        assert Level.PRIMITIVE.rank < Level.DECOMPOSED.rank
-        assert Level.DECOMPOSED.rank < Level.SCHEDULED.rank
-
     def test_str_is_value(self):
         assert str(Level.PRIMITIVE) == "primitive"
         assert str(Level.DECOMPOSED) == "decomposed"
-        assert str(Level.SCHEDULED) == "scheduled"
 
     def test_graph_level_primitive(self, small_params):
         b = GraphBuilder(small_params, lowering="primitive")
@@ -40,36 +33,13 @@ class TestLevels:
 
 class TestCatalog:
     def test_default_passes_registered(self):
-        names = [p.name for p in registered_passes()]
-        assert list(DEFAULT_PASSES) == names[: len(DEFAULT_PASSES)]
-
-    def test_declared_levels(self):
-        assert get_pass("lower-rotations").source is Level.PRIMITIVE
-        assert get_pass("lower-rotations").target is Level.PRIMITIVE
-        assert get_pass("lower-keyswitch").source is Level.PRIMITIVE
-        assert get_pass("lower-keyswitch").target is Level.DECOMPOSED
-        assert get_pass("decompose-ntt").source is Level.DECOMPOSED
-        assert get_pass("decompose-ntt").target is Level.DECOMPOSED
+        assert [p.name for p in PASSES] == [
+            "lower-rotations", "lower-keyswitch", "decompose-ntt"
+        ]
 
     def test_every_pass_described(self):
-        for p in registered_passes():
+        for p in PASSES:
             assert p.description
-
-    def test_unknown_pass_rejected(self):
-        with pytest.raises(ConfigError, match="registered"):
-            get_pass("no-such-pass")
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            register_pass(
-                "lower-rotations", Level.PRIMITIVE, Level.PRIMITIVE
-            )
-
-    def test_level_raising_pass_rejected(self):
-        with pytest.raises(ConfigError, match="raise the level"):
-            register_pass(
-                "raise-level", Level.DECOMPOSED, Level.PRIMITIVE
-            )
 
 
 class TestPipelineConstruction:
@@ -77,13 +47,13 @@ class TestPipelineConstruction:
         with pytest.raises(ConfigError, match="choose from"):
             PassPipeline(small_params, invariants="sometimes")
 
-    def test_out_of_level_order_rejected(self, small_params):
-        with pytest.raises(ConfigError, match="order passes by level"):
-            PassPipeline(
-                small_params,
-                passes=("decompose-ntt", "lower-rotations"),
-            )
-
     def test_default_sequence_accepted(self, small_params):
-        pipeline = PassPipeline(small_params)
-        assert [p.name for p in pipeline.passes] == list(DEFAULT_PASSES)
+        b = GraphBuilder(small_params, lowering="primitive")
+        ct = b.input_ciphertext("x", 3)
+        b.rescale(b.hmult(ct, ct, "m"), "rs")
+        result = PassPipeline(
+            small_params, WorkloadOptions(ntt_split=(8, 8))
+        ).run(b.graph)
+        assert [s.pass_name for s in result.stages] == [
+            p.name for p in PASSES
+        ]

@@ -1,10 +1,22 @@
-"""Per-pass golden tests: pipeline output is byte-identical to legacy.
+"""Per-pass golden tests, and lowered graphs against pinned references.
 
 The oracle is :func:`repro.ir.graph.structural_mismatch` (insertion
 order + signatures + tags + sharing pattern) plus fingerprint equality;
 every downstream artifact (windows, schedules, simulated counters) is a
 deterministic function of what these two pin down.
+
+Primitive programs are compared against the same program emitted fully
+decomposed by one ``GraphBuilder(lowering="full")``.  Whole workloads
+are compared against ``lowering_digests.json``, recorded while a
+one-shot fully decomposed workload build still existed and every
+pipeline-lowered segment matched it under ``structural_mismatch``: per
+segment, one sha256 over its structure and one over the one-shot
+build's operator and tensor names (names reach serialized schedules).
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +24,80 @@ from repro.dse.fingerprint import graph_fingerprint
 from repro.ir.builders import GraphBuilder
 from repro.ir.graph import structural_mismatch
 from repro.ir.operators import OpKind
-from repro.passes import Level, PassPipeline, lower_workload
+from repro.passes import Level, PassPipeline
 from repro.workloads import WORKLOAD_BUILDERS
 from repro.workloads.base import WorkloadOptions
 
-QUICK_WORKLOADS = ("bootstrapping", "helr", "resnet20")
+#: "structure" / "names" -> combination label -> segment -> digest.
+PINNED_DIGESTS = json.loads(
+    (Path(__file__).with_name("lowering_digests.json")).read_text()
+)
+
+WORKLOADS = ("bootstrapping", "helr", "resnet20", "resnet110")
+
+#: (strategy, r_hyb) pairs the experiments enumerate: hybrid over
+#: ``R_HYB_CANDIDATES``, the other strategies at r_hyb=1.
+COMBOS = (
+    [("hybrid", r) for r in (1, 4, 8)]
+    + [(s, 1) for s in ("plain", "min-ks", "hoisting")]
+)
+
+
+def structure_digest(graph):
+    """sha256 over exactly what ``structural_mismatch`` compares.
+
+    Insertion-order operator signatures and tags, each operand's
+    (kind, shape, word size), and the sharing pattern — every tensor is
+    named by the order of its first appearance, so uids and names drop
+    out.
+    """
+    index = {}
+    rows = []
+    for op in graph.operators:
+        tensors = []
+        for t in list(op.inputs) + list(op.outputs):
+            slot = index.setdefault(t.uid, len(index))
+            tensors.append([slot, t.kind.value, list(t.shape), t.word_bytes])
+        rows.append([repr(op.signature()), op.tag, tensors])
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def names_digest(graph):
+    """sha256 over the insertion-order operator and operand names."""
+    rows = [
+        [op.name, [t.name for t in op.inputs], [t.name for t in op.outputs]]
+        for op in graph.operators
+    ]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def lowered_digests(deep_params):
+    """(label, workload) -> [(segment, structure, names)], built once.
+
+    One module-wide build lets the lowering memo share each structure
+    across workloads and combinations, as a sweep does.
+    """
+    out = {}
+    for strategy, r_hyb in COMBOS:
+        for split in ((8, 8), None):
+            label = f"{strategy}-r{r_hyb}-{'split' if split else 'mono'}"
+            options = WorkloadOptions(
+                ntt_split=split, rotation_strategy=strategy, r_hyb=r_hyb
+            )
+            for workload in WORKLOADS:
+                built = WORKLOAD_BUILDERS[workload](deep_params, options)
+                out[label, workload] = [
+                    (
+                        segment.name,
+                        structure_digest(segment.graph),
+                        names_digest(segment.graph),
+                    )
+                    for segment in built.segments
+                ]
+    return out
 
 
 def _build(params, lowering, strategy, r_hyb, split):
@@ -40,24 +121,22 @@ class TestPerPassGoldens:
         assert any(
             op.kind is OpKind.ROT_BATCH for op in graph.operators
         )
-        result = PassPipeline(
-            small_params, passes=("lower-rotations",)
-        ).run(graph)
-        kinds = {op.kind for op in result.graph.operators}
+        stage = _lower(graph, small_params, None).stages[0]
+        assert stage.pass_name == "lower-rotations"
+        kinds = {op.kind for op in stage.graph.operators}
         assert OpKind.ROT_BATCH not in kinds
         # Key switches stay coarse: still a primitive-level graph.
         assert OpKind.KEY_SWITCH in kinds
-        assert result.level is Level.PRIMITIVE
+        assert stage.level is Level.PRIMITIVE
 
     def test_lower_keyswitch_reaches_decomposed(self, small_params):
         graph = _build(small_params, "primitive", "hybrid", 2, None)
-        result = PassPipeline(
-            small_params, passes=("lower-rotations", "lower-keyswitch")
-        ).run(graph)
+        stage = _lower(graph, small_params, None).stages[1]
+        assert stage.pass_name == "lower-keyswitch"
         assert not any(
-            op.kind.is_coarse for op in result.graph.operators
+            op.kind.is_coarse for op in stage.graph.operators
         )
-        assert result.level is Level.DECOMPOSED
+        assert stage.level is Level.DECOMPOSED
 
     def test_decompose_ntt_splits_monolithic_ntts(self, small_params):
         graph = _build(small_params, "primitive", "hybrid", 2, (8, 8))
@@ -77,12 +156,10 @@ class TestPerPassGoldens:
         b = GraphBuilder(small_params, lowering="primitive")
         ct = b.input_ciphertext("x", 3)
         b.hadd(ct, ct, "s")  # no rotations, no key switches
-        result = PassPipeline(
-            small_params, passes=("lower-rotations",)
-        ).run(b.graph)
+        result = _lower(b.graph, small_params, None)
         assert result.graph is b.graph
-        assert not result.stages[0].rewrote
-        assert result.stages[0].fingerprint == result.source.fingerprint
+        assert not any(stage.rewrote for stage in result.stages)
+        assert all(stage.graph is b.graph for stage in result.stages)
 
 
 class TestLegacyEquivalence:
@@ -106,25 +183,22 @@ class TestLegacyEquivalence:
         assert structural_mismatch(result.graph, legacy) is None
         assert graph_fingerprint(result.graph) == graph_fingerprint(legacy)
 
-    @pytest.mark.parametrize("workload", QUICK_WORKLOADS)
-    def test_quick_workloads_byte_identical(self, deep_params, workload):
-        options = WorkloadOptions(
-            ntt_split=(8, 8), rotation_strategy="hybrid", r_hyb=4
-        )
-        lowered = lower_workload(workload, deep_params, options)
-        legacy = WORKLOAD_BUILDERS[workload](deep_params, options)
-        assert [s.name for s in lowered.segments] == [
-            s.name for s in legacy.segments
-        ]
-        assert [s.repeat for s in lowered.segments] == [
-            s.repeat for s in legacy.segments
-        ]
-        for mine, theirs in zip(lowered.segments, legacy.segments):
-            why = structural_mismatch(mine.graph, theirs.graph)
-            assert why is None, f"{workload}/{mine.name}: {why}"
-            assert graph_fingerprint(mine.graph) == graph_fingerprint(
-                theirs.graph
-            )
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_quick_workloads_byte_identical(self, lowered_digests, workload):
+        """Every lowered segment matches its pinned digests.
+
+        Over every (strategy, r_hyb) the experiments enumerate, with
+        the four-step split on and off; segments a workload shares with
+        another (HELR's bootstrap, ResNet-110's layers) must match the
+        same digests.
+        """
+        structure = PINNED_DIGESTS["structure"]
+        names = PINNED_DIGESTS["names"]
+        for label in sorted(structure):
+            for segment, shape, named in lowered_digests[label, workload]:
+                where = f"{label}/{workload}/{segment}"
+                assert shape == structure[label][segment], where
+                assert named == names[label][segment], where
 
     def test_deterministic_fingerprints(self, small_params):
         split = (8, 8)
@@ -136,6 +210,8 @@ class TestLegacyEquivalence:
             )
             for _ in range(2)
         ]
-        assert (
-            results[0].level_fingerprints == results[1].level_fingerprints
+        first, second = (
+            [graph_fingerprint(r.source.graph), graph_fingerprint(r.graph)]
+            for r in results
         )
+        assert first == second

@@ -7,8 +7,10 @@ transition implementations (scalar over live plans, residency over
 window views, numpy block pricing) and a threaded frontier; the single
 transition path must reproduce them, with the plan memo on and with
 ``REPRO_PLAN_MEMO=0``.  The cases cover CROPHE searches on two
-hardware configs, the MAD baseline (whose ``_plan_for`` override
-bypasses the plan memo), and a budget-degraded greedy schedule.
+hardware configs, the MAD baseline (whose windows go through the plan
+memo under their own plan kind), and a budget-degraded greedy
+schedule.  They were recorded on one-shot fully decomposed workload
+builds and now run on the pipeline-lowered graphs the builders return.
 
 Replaying each cover must rebuild the same document: that is how the
 DSE cache rehydrates schedules across processes.
