@@ -1,6 +1,6 @@
 # Convenience targets for the CROPHE reproduction.
 
-.PHONY: install test bench bench-check bench-serve bench-serve-check bench-pytest bench-full trace experiments experiments-quick experiments-cached dse-stat serve serve-chaos examples lint verify-static
+.PHONY: install test bench-quick bench-serve bench-serve-check bench-pytest bench-full trace experiments experiments-quick experiments-cached dse-stat serve serve-chaos examples lint verify-static
 
 install:
 	pip install -e . || python setup.py develop
@@ -8,18 +8,22 @@ install:
 test:
 	pytest tests/
 
-# Telemetry baseline: run the quick experiment suite with repro.obs on
-# and write the committed BENCH_seed.json (wall times, scheduler search
-# counters, per-resource busy cycles).  Compare runs with
-# `python -m repro.obs diff BENCH_seed.json <new>`.
-bench:
-	PYTHONPATH=src python -m repro.obs bench --quick --out BENCH_seed.json
-
-# Re-run the bench to a scratch file and gate against the committed
-# baseline (fails on >10% regression of any deterministic counter).
-bench-check:
-	PYTHONPATH=src python -m repro.obs bench --quick --out bench_current.json
-	PYTHONPATH=src python -m repro.obs diff BENCH_seed.json bench_current.json
+# Quick-suite counter baseline: CI's quick-sweep cold pass, run in one
+# process (--no-isolation) so every cell's counters are deterministic,
+# on fresh cache and trace directories (.dse-cache/ and trace_cold/ are
+# deleted first).  Its per-cell metrics documents become the committed
+# BENCH_quick/ that CI gates the same pass against with
+# `python -m repro.obs diff BENCH_quick/<cell>.metrics.json
+# trace_cold/<cell>.metrics.json` (>10% drift of a deterministic counter
+# fails; wall-clock metrics are reported, never gated).
+bench-quick:
+	rm -rf .dse-cache trace_cold
+	PYTHONPATH=src python -m repro.experiments.runner all --quick \
+		--no-isolation --cache-dir .dse-cache --trace-dir trace_cold \
+		--artifact artifact_cold.json --metrics-json metrics_cold.json
+	rm -rf BENCH_quick
+	mkdir BENCH_quick
+	cp trace_cold/*.metrics.json BENCH_quick/
 
 # Serving-telemetry baseline: the quick aggressive-chaos scenario's
 # metrics snapshot (deterministic counters only — request/outcome/

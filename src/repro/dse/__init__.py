@@ -1,4 +1,4 @@
-"""Design-space exploration: persistent caching and parallel sweeps.
+"""Design-space exploration: persistent, content-addressed caching.
 
 CROPHE's results come from sweeping a large cross-operator dataflow
 space; the expensive inner step — the DP schedule search — recurs on
@@ -14,13 +14,11 @@ and machines.  This package eliminates the recomputation:
   renames, corrupt entries degrade to misses with a typed
   :class:`~repro.resilience.errors.CacheError` warning, hit/miss/
   corruption counters through :mod:`repro.obs`).
-* :mod:`repro.dse.sweep` — declarative sweep specs sharded
-  deterministically across crash-isolated workers
-  (:mod:`repro.resilience.isolation`), streaming into a resumable
-  artifact.  Imported lazily: it depends on :mod:`repro.experiments`,
-  which itself uses the cache layer.
 
-``python -m repro.dse`` exposes ``run`` / ``stat`` / ``ls`` / ``gc``.
+Sweeps run through the experiment runner
+(``python -m repro.experiments.runner all --jobs N --cache-dir DIR``),
+whose cells evaluate through this cache.  ``python -m repro.dse``
+exposes ``stat`` / ``ls`` / ``gc`` over a cache root.
 """
 
 from repro.dse.cache import ArtifactCache, CACHE, aggregate_stats

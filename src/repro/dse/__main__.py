@@ -1,15 +1,15 @@
-"""Command-line interface for the DSE layer.
+"""Command-line upkeep for the persistent DSE cache.
 
 ::
 
-    python -m repro.dse run  --pairings SHARP --workloads bootstrapping \\
-        --jobs 4 --cache-dir .dse-cache
     python -m repro.dse stat --cache-dir .dse-cache
     python -m repro.dse ls   --cache-dir .dse-cache
     python -m repro.dse gc   --cache-dir .dse-cache
 
-``stat``/``ls``/``gc`` default their root to the ``REPRO_DSE_CACHE``
-environment variable, matching the runner's ``--cache-dir``.
+Sweeps run through ``python -m repro.experiments.runner`` (``--jobs``,
+``--cache-dir``); these commands inspect and prune the cache it fills.
+They default their root to the ``REPRO_DSE_CACHE`` environment
+variable, matching the runner's ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -23,38 +23,11 @@ from repro.dse.cache import CACHE_ENV, aggregate_stats, gc_cache, scan_entries
 from repro.resilience.errors import ReproError
 
 EXIT_OK = 0
-EXIT_FAILED = 1
 EXIT_CONFIG = 2
 
 
 def _resolve_root(cache_dir: Optional[str]) -> Optional[str]:
     return cache_dir or os.environ.get(CACHE_ENV, "").strip() or None
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    # Imported here: the sweep layer pulls in the whole experiment
-    # pipeline, which stat/ls/gc invocations should not pay for.
-    from repro.dse.sweep import SweepSpec, run_sweep
-
-    spec = SweepSpec(
-        name=args.name,
-        pairings=tuple(args.pairings.split(",")),
-        workloads=tuple(args.workloads.split(",")),
-        param_set=args.param_set,
-    )
-    report = run_sweep(
-        spec,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        artifact_path=args.artifact,
-        resume=args.resume,
-        timeout=args.timeout,
-        retries=args.retries,
-        isolated=not args.no_isolation,
-    )
-    print(report.render())
-    print(f"artifact: {report.artifact.path}")
-    return EXIT_OK if report.ok else EXIT_FAILED
 
 
 def _cmd_stat(args: argparse.Namespace) -> int:
@@ -121,33 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro.dse`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.dse",
-        description="Design-space exploration: sweeps and cache upkeep.",
+        description="Design-space exploration: cache upkeep.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="execute a sweep")
-    run.add_argument("--name", default="sweep", help="sweep label")
-    run.add_argument("--pairings", default="SHARP",
-                     help="comma-separated baseline pairings")
-    run.add_argument("--workloads", default="bootstrapping",
-                     help="comma-separated workload names")
-    run.add_argument("--param-set", default=None,
-                     help="parameter-set name overriding pairing defaults")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers (deterministic sharding)")
-    run.add_argument("--cache-dir", default=None,
-                     help="persistent cache root (shared by workers)")
-    run.add_argument("--artifact", default="dse_sweep.json",
-                     help="sweep artifact path")
-    run.add_argument("--resume", action="store_true",
-                     help="skip tasks already ok in the artifact")
-    run.add_argument("--timeout", type=float, default=None,
-                     help="per-task wall-clock limit (seconds)")
-    run.add_argument("--retries", type=int, default=1,
-                     help="extra attempts for transient task failures")
-    run.add_argument("--no-isolation", action="store_true",
-                     help="run tasks in-process (debugging)")
-    run.set_defaults(func=_cmd_run)
 
     for name, func, help_text in (
         ("stat", _cmd_stat, "summarize a cache root"),

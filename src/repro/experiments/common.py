@@ -424,7 +424,7 @@ def clear_cache() -> None:
 
     Clears the live front maps, the lowering memo, the doc cache's
     memory tier, and the structural plan memo with its window tables
-    (tests, sweeps, and the bench harness, which must measure search
+    (tests and ``python -m repro.obs trace``, which must measure search
     work from cold).  On-disk entries survive — remove the cache
     directory to go fully cold.
     """

@@ -40,6 +40,11 @@ Design-space exploration (:mod:`repro.dse`):
 * ``--jobs N`` runs up to N cells concurrently — each still one forked,
   crash-isolated subprocess; output is buffered and printed in cell
   order so reports stay deterministic;
+* ``--no-isolation`` instead runs every cell in this process, serially
+  in sorted order, so later cells reuse the memos earlier ones filled
+  in the same way every run: per-cell counters under ``--trace-dir``
+  are deterministic, which is what CI's counter gate against the
+  committed ``BENCH_quick/`` baseline relies on;
 * ``--cache-dir DIR`` turns on the persistent content-addressed
   schedule/result cache (exported to cells as ``REPRO_DSE_CACHE``):
   a warm re-run serves every evaluation from the cache — zero DP
@@ -165,7 +170,8 @@ def run_table3(quick: bool = False) -> str:
 
 
 def run_table4(quick: bool = False) -> str:
-    """Regenerate Table IV (always full: it is cheap)."""
+    """Regenerate Table IV (``quick`` does not restrict it: it is the
+    quick suite's slowest cell)."""
     _maybe_force_fail("table4")
     from repro.experiments.table4 import format_table4, table4
 
@@ -358,8 +364,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--no-isolation", action="store_true",
-        help="run cells in-process (no subprocess, no timeout) — "
-             "mainly for debugging with pdb",
+        help="run cells in-process, one after another in sorted order "
+             "(no subprocess, no timeout): cells share memos the same "
+             "way every run, so --trace-dir counters are deterministic "
+             "(CI's gated cold pass); also for debugging with pdb",
     )
     parser.add_argument(
         "--search-seconds", type=float, default=None, metavar="SECONDS",

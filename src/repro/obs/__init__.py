@@ -17,10 +17,9 @@ The observability layer (DESIGN.md "Observability"):
   time-series rollups, SLO burn rates, and the flight recorder behind
   ``python -m repro.serve postmortem``;
 * :mod:`repro.obs.diffing` — snapshot diffs with threshold-based
-  regression verdicts;
-* :mod:`repro.obs.bench` — the benchmark harness behind ``make bench``
-  and the committed ``BENCH_seed.json`` baseline;
-* ``python -m repro.obs`` — summarize/diff/bench/trace CLI.
+  regression verdicts (CI's counter gates against the committed
+  ``BENCH_quick/`` and ``BENCH_serve.json`` baselines);
+* ``python -m repro.obs`` — summarize/diff/trace CLI.
 
 Everything is **off by default**: ``enable()`` (or ``REPRO_OBS=1``)
 turns the tracer and registry on; the event sink is enabled separately

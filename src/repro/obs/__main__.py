@@ -1,19 +1,18 @@
 """``python -m repro.obs``: the observability command line.
 
-Four subcommands::
+Three subcommands::
 
-    python -m repro.obs bench --quick --out BENCH_seed.json
-    python -m repro.obs diff BENCH_seed.json bench_new.json
-    python -m repro.obs summarize BENCH_seed.json
+    python -m repro.obs diff BENCH_quick/fig9.metrics.json trace_cold/fig9.metrics.json
+    python -m repro.obs summarize BENCH_quick/fig9.metrics.json
     python -m repro.obs trace --workload resnet20 --out-dir obs_trace
 
-* ``bench`` runs the experiment suite in-process with telemetry on and
-  writes a ``repro-bench`` document (``make bench`` wraps this).
-* ``diff`` compares two bench/metrics documents; exits 1 when any
-  gated metric regressed beyond ``--threshold`` (default 10%).
-  Wall-clock metrics are reported but not gated unless
-  ``--include-time``.
-* ``summarize`` pretty-prints a bench/metrics document, or — given a
+* ``diff`` compares two metrics documents; exits 1 when any gated
+  metric regressed beyond ``--threshold`` (default 10%).  Wall-clock
+  metrics are reported but not gated unless ``--include-time``.  CI
+  gates the quick suite's per-cell counters this way against the
+  committed ``BENCH_quick/`` baseline (``make bench-quick`` re-records
+  it) and the serving counters against ``BENCH_serve.json``.
+* ``summarize`` pretty-prints a metrics document, or — given a
   ``.jsonl`` simulator trace — the per-group bottleneck-attribution
   table.
 * ``trace`` runs one design/workload evaluation with event capture and
@@ -29,27 +28,28 @@ import sys
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.obs.bench import load_bench, run_bench, write_bench
 from repro.obs.diffing import DEFAULT_THRESHOLD, diff_documents
+from repro.resilience.errors import TraceError
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    document = run_bench(
-        quick=not args.full,
-        names=args.only or None,
-    )
-    write_bench(document, args.out)
-    experiments = document.get("experiments", {})
-    for name, payload in experiments.items():
-        print(f"{name:10s} {payload['wall_seconds']:8.2f}s  "
-              f"{len(payload['metrics'])} metric(s)")
-    print(f"wrote {args.out}")
-    return 0
+def _load_document(path: str) -> dict:
+    """Load a JSON observability document, with a typed parse failure."""
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+    except ValueError as exc:
+        raise TraceError(f"malformed JSON document: {exc}", path=path) from exc
+    if not isinstance(document, dict):
+        raise TraceError(
+            f"expected a JSON object, got {type(document).__name__}",
+            path=path,
+        )
+    return document
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    old = load_bench(args.old)
-    new = load_bench(args.new)
+    old = _load_document(args.old)
+    new = _load_document(args.new)
     report = diff_documents(
         old, new, threshold=args.threshold, include_time=args.include_time
     )
@@ -67,22 +67,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if not args.json:
         print("OK: no gated regressions")
     return 0
-
-
-def _summarize_bench(document: dict) -> None:
-    experiments = document.get("experiments", {})
-    if isinstance(experiments, dict):
-        print(f"{'experiment':12s}{'wall s':>9s}{'metrics':>9s}")
-        for name in sorted(experiments):
-            payload = experiments[name] or {}
-            wall = payload.get("wall_seconds", float("nan"))
-            metrics = payload.get("metrics", {})
-            print(f"{name:12s}{wall:9.2f}{len(metrics):9d}")
-    totals = document.get("totals", {})
-    if isinstance(totals, dict) and totals:
-        print("-- suite counter totals --")
-        for name in sorted(totals):
-            print(f"  {name:<44s} {totals[name]:>14g}")
 
 
 def _summarize_metrics(metrics: dict) -> None:
@@ -168,10 +152,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         rows = attribute_events(load_trace(args.document))
         print(format_attribution(rows))
         return 0
-    document = load_bench(args.document)
-    if document.get("kind") == "repro-bench":
-        _summarize_bench(document)
-        return 0
+    document = _load_document(args.document)
     if document.get("kind") == "repro-postmortem":
         _summarize_postmortem(document)
         return 0
@@ -251,35 +232,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Summarize, diff, benchmark, and trace telemetry.",
+        description="Summarize, diff, and trace telemetry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bench = sub.add_parser(
-        "bench", help="run the experiment suite with telemetry on"
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true", default=True,
-        help="quick experiment variants (the default)",
-    )
-    p_bench.add_argument(
-        "--full", action="store_true",
-        help="full (slow) experiment variants",
-    )
-    p_bench.add_argument(
-        "--out", default="BENCH.json", metavar="PATH",
-        help="output document path (default BENCH.json)",
-    )
-    p_bench.add_argument(
-        "--only", nargs="+", metavar="CELL",
-        help="restrict to the named experiment cells",
-    )
-    p_bench.set_defaults(fn=_cmd_bench)
-
     p_diff = sub.add_parser(
-        "diff", help="compare two bench/metrics documents"
+        "diff", help="compare two metrics documents"
     )
-    p_diff.add_argument("old", help="baseline document (e.g. BENCH_seed.json)")
+    p_diff.add_argument(
+        "old", help="baseline document (e.g. BENCH_quick/fig9.metrics.json)"
+    )
     p_diff.add_argument("new", help="candidate document")
     p_diff.add_argument(
         "--threshold", type=float, default=DEFAULT_THRESHOLD,
@@ -297,11 +259,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_sum = sub.add_parser(
         "summarize",
-        help="pretty-print a bench/metrics document or a .jsonl trace",
+        help="pretty-print a metrics document or a .jsonl trace",
     )
     p_sum.add_argument(
         "document",
-        help="a bench/metrics JSON document, or a simulator trace "
+        help="a metrics JSON document, or a simulator trace "
              "(.jsonl) for a bottleneck-attribution table",
     )
     p_sum.set_defaults(fn=_cmd_summarize)

@@ -1,8 +1,8 @@
 """Metric-snapshot diffing with threshold-based regression verdicts.
 
-Compares two snapshots — plain registry snapshots or the per-experiment
-``BENCH_*.json`` documents :mod:`repro.obs.bench` writes — and issues a
-verdict per metric:
+Compares two snapshots — plain registry snapshots or ``repro-metrics``
+documents such as the committed ``BENCH_quick/<cell>.metrics.json`` and
+``BENCH_serve.json`` baselines — and issues a verdict per metric:
 
 * ``regressed`` — the new value is worse by more than the threshold;
 * ``improved`` — better by more than the threshold;
@@ -11,10 +11,11 @@ verdict per metric:
 
 All gated catalog metrics are *higher-is-worse* (busy cycles, windows
 explored, degraded fallbacks): a reproducibility baseline should only
-shrink.  Wall-clock metrics (names ending ``_seconds``, plus the bench
-``wall_seconds`` field) are noisy across machines, so they are reported
-but **never gated** unless ``include_time=True`` — this is what lets CI
-diff against a committed baseline without flaking on runner speed.
+shrink.  Wall-clock metrics (a dotted name segment ending ``_seconds``,
+see :func:`repro.obs.metrics.is_time_metric`) are noisy across machines,
+so they are reported but **never gated** unless ``include_time=True`` —
+this is what lets CI diff against a committed baseline without flaking
+on runner speed.
 """
 
 from __future__ import annotations
@@ -145,12 +146,10 @@ def diff_snapshots(
     new: Dict[str, object],
     threshold: float = DEFAULT_THRESHOLD,
     include_time: bool = False,
-    prefix: str = "",
 ) -> DiffReport:
     """Diff two registry snapshots (``{name: rendered metric}``)."""
     report = DiffReport(threshold=threshold)
     for name in sorted(set(old) | set(new)):
-        shown = prefix + name
         gated = include_time or not is_time_metric(name)
         old_value = _comparable_value(name, old.get(name)) if name in old else None
         new_value = _comparable_value(name, new.get(name)) if name in new else None
@@ -158,19 +157,17 @@ def diff_snapshots(
             continue
         if old_value is None:
             report.deltas.append(MetricDelta(
-                shown, None, new_value, "added", gated=False
+                name, None, new_value, "added", gated=False
             ))
             continue
         if new_value is None:
             report.deltas.append(MetricDelta(
-                shown, old_value, None, "removed", gated=False
+                name, old_value, None, "removed", gated=False
             ))
             continue
         verdict, rel = _verdict(old_value, new_value, threshold)
-        if not gated and verdict == "regressed":
-            verdict = "regressed"  # still reported; gating skips it
         report.deltas.append(MetricDelta(
-            shown, old_value, new_value, verdict,
+            name, old_value, new_value, verdict,
             rel_change=rel, gated=gated,
         ))
     return report
@@ -182,40 +179,7 @@ def diff_documents(
     threshold: float = DEFAULT_THRESHOLD,
     include_time: bool = False,
 ) -> DiffReport:
-    """Diff two observability JSON documents of matching ``kind``.
-
-    Accepts bench documents (``kind="repro-bench"``: per-experiment
-    ``wall_seconds`` + metric snapshots) and plain metric documents
-    (``kind="repro-metrics"`` or a bare snapshot mapping).
-    """
-    if old.get("kind") == "repro-bench" or new.get("kind") == "repro-bench":
-        report = DiffReport(threshold=threshold)
-        old_exps = old.get("experiments", {})
-        new_exps = new.get("experiments", {})
-        if not isinstance(old_exps, dict) or not isinstance(new_exps, dict):
-            old_exps, new_exps = {}, {}
-        for exp in sorted(set(old_exps) | set(new_exps)):
-            o = old_exps.get(exp, {}) or {}
-            n = new_exps.get(exp, {}) or {}
-            wall_old = o.get("wall_seconds")
-            wall_new = n.get("wall_seconds")
-            if wall_old is not None and wall_new is not None:
-                verdict, rel = _verdict(
-                    float(wall_old), float(wall_new), threshold
-                )
-                report.deltas.append(MetricDelta(
-                    f"{exp}.wall_seconds", float(wall_old), float(wall_new),
-                    verdict, rel_change=rel, gated=include_time,
-                ))
-            sub = diff_snapshots(
-                o.get("metrics", {}) or {},
-                n.get("metrics", {}) or {},
-                threshold=threshold,
-                include_time=include_time,
-                prefix=f"{exp}.",
-            )
-            report.deltas.extend(sub.deltas)
-        return report
+    """Diff two ``repro-metrics`` documents (or bare snapshot mappings)."""
     old_metrics = old.get("metrics", old)
     new_metrics = new.get("metrics", new)
     return diff_snapshots(

@@ -8,9 +8,10 @@ enabled` so telemetry-off runs pay one attribute read.
 
 Metric names form a **closed catalog** (DESIGN.md "Observability"):
 dotted, lowercase, ``<layer>.<what>`` with an optional trailing
-``.<dimension>`` (e.g. ``sim.busy_cycles.dram``).  Names ending in
-``_seconds`` are wall-clock measurements and are treated as *noisy* by
-the regression differ (reported, never gated, unless asked).
+``.<dimension>`` (e.g. ``sim.busy_cycles.dram``).  Names with a dotted
+segment ending in ``_seconds`` are wall-clock measurements and are
+treated as *noisy* by the regression differ (reported, never gated,
+unless asked).
 
 A metric may additionally carry a small frozen **label tuple**
 (``labels=(("tenant", "batch"),)``); label keys come from the closed
@@ -61,9 +62,14 @@ LABEL_CATALOG = frozenset(
 
 
 def is_time_metric(name: str) -> bool:
-    """Whether a metric carries wall-clock time (noisy across runs)."""
+    """Whether a metric carries wall-clock time (noisy across runs).
+
+    True when any dotted segment of the base name ends in ``_seconds``:
+    ``sched.search_seconds`` as well as ``runner.cell_seconds.fig9``,
+    whose trailing ``.<dimension>`` follows the ``_seconds`` part.
+    """
     base = name.split("{", 1)[0]
-    return base.endswith("_seconds") or base.endswith("wall_seconds")
+    return any(part.endswith("_seconds") for part in base.split("."))
 
 
 # ---------------------------------------------------------------------------

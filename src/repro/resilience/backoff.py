@@ -1,10 +1,10 @@
 """Shared retry-delay and deadline primitives.
 
-Every retry loop in the stack — the crash-isolated cell runner, the
-DSE sweep workers, and the serving simulator's per-request retries —
-prices its delays through one :class:`BackoffPolicy`: exponential
-growth from ``base`` by ``multiplier``, capped at ``max_delay``, with
-**deterministic seeded jitter**.  Jitter is derived from a caller
+Every retry loop in the stack — the crash-isolated cell runner and
+the serving simulator's per-request retries — prices its delays
+through one :class:`BackoffPolicy`: exponential growth from ``base``
+by ``multiplier``, capped at ``max_delay``, with **deterministic
+seeded jitter**.  Jitter is derived from a caller
 token (a cell name, a request id) rather than a live RNG, so the same
 failure sequence always produces the same delay sequence — retries
 are replayable, which is what makes chaos runs assertable in CI.

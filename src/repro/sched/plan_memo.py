@@ -548,9 +548,9 @@ class PlanMemo:
     :data:`~repro.dse.cache.CACHE` (kind ``"plan"``), so it follows the
     same root resolution (``REPRO_DSE_CACHE`` / ``--cache-dir``),
     atomic-write discipline, and corrupt-degrades-to-miss contract.
-    Counters are accumulated under the lock (in-process sweep workers
-    share the memo across threads); the scheduler stamps per-search
-    deltas into the metric registry once per search.
+    Counters are accumulated under the lock, so threads may share the
+    memo; the scheduler stamps per-search deltas into the metric
+    registry once per search.
     """
 
     def __init__(self) -> None:

@@ -147,8 +147,8 @@ class CacheOracle(ScheduleOracle):
         """Build the fingerprint map for one design point.
 
         Uses the same ``result_fingerprint`` addresses the evaluation
-        pipeline writes, so a cache warmed by ``repro.dse run`` or the
-        experiment runner serves this oracle directly.
+        pipeline writes, so a cache warmed by the experiment runner's
+        ``--cache-dir`` serves this oracle directly.
         """
         from repro.dse.cache import CACHE
         from repro.dse.fingerprint import result_fingerprint

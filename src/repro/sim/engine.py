@@ -11,6 +11,12 @@ For each scheduled step the engine derives per-resource busy times:
 * **SRAM / DRAM / transpose** — queue the step's effective byte counts
   on the respective bandwidths.
 
+PE, DRAM, SRAM and transpose seconds come from the DP's cost model
+(:meth:`repro.sched.dataflow.GroupPricing.terms`), so the engine and the
+search price a step the same way except for the NoC term (mapped hops
+here, a fixed serialization factor in the DP), the barrier, and the
+warm-repeat constant residency.
+
 The step's duration is the slowest resource (operators stream in a fine
 -grained pipeline, so resources overlap within a step), plus a
 synchronous group-switch barrier (Section IV-A).  Utilization =
@@ -26,14 +32,12 @@ from typing import Dict, List, Optional
 from repro.resilience.errors import ConfigError, SimulationError
 
 from repro.hw.config import HardwareConfig
-from repro.hw.memory import HbmMemory, SramBuffer
 from repro.hw.noc import MeshNoc
 from repro.hw.pe import operator_cycles
-from repro.hw.transpose import TransposeUnit
 from repro.ir.operators import OpKind
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.tracer import span as _span
-from repro.sched.dataflow import Schedule, ScheduledStep
+from repro.sched.dataflow import GroupPricing, Schedule, ScheduledStep
 from repro.sched.mapper import GroupMapping, map_group
 from repro.sim.stats import (
     TrafficReport,
@@ -95,9 +99,7 @@ class SimulationEngine:
         self.constant_share = constant_share
         self.verify = verify
         self._noc = MeshNoc.for_config(config)
-        self._hbm = HbmMemory.for_config(config)
-        self._sram = SramBuffer.for_config(config)
-        self._tpu = TransposeUnit.for_config(config)
+        self._pricing = GroupPricing.for_config(config)
 
     def run(self, schedule: Schedule) -> SimResult:
         """Simulate a schedule and return time/utilization/traffic.
@@ -273,7 +275,6 @@ class SimulationEngine:
         # utilization directly reflects idle logic — specialized units on
         # baselines and under-allocated PEs on CROPHE alike.
         useful_lane_cycles = 0
-        worst_stage = step.metrics.compute_cycles
         for op in plan.ops:
             if op.kind is OpKind.TRANSPOSE:
                 continue
@@ -290,9 +291,17 @@ class SimulationEngine:
                         start_cycle=start_cycle,
                     )
                 )
-        compute_seconds = worst_stage / freq
+        # Compute, DRAM, SRAM and transpose seconds are the DP's own
+        # prices (GroupPricing.terms); only the NoC term below differs.
+        compute_seconds, dram_seconds, sram_seconds, _, tpu_seconds = (
+            self._pricing.terms(
+                step.metrics.compute_cycles, m.dram_bytes, m.sram_bytes, 0,
+                m.transpose_bytes,
+            )
+        )
 
-        # NoC: bytes x hops over aggregate link capacity.  Baselines get
+        # NoC: bytes x mapped hops over aggregate link capacity, where
+        # the DP charges a fixed serialization factor.  Baselines get
         # an idealized NoC, exactly as the paper does when reproducing
         # them ("for simplicity we assume idealized NoC performance").
         if cfg.fu_mix is not None:
@@ -301,27 +310,24 @@ class SimulationEngine:
             avg_hops = max(mapping.average_hops(), 1.0)
             link_bytes_per_s = self._noc.aggregate_bytes_per_cycle() * freq
             noc_seconds = m.noc_bytes * avg_hops / link_bytes_per_s
-        # Memory queues.
-        dram_seconds = self._hbm.access_seconds(m.dram_bytes)
-        sram_seconds = self._sram.access_seconds(m.sram_bytes)
-        tpu_seconds = self._tpu.transpose_seconds(m.transpose_bytes)
 
         duration = max(
             compute_seconds, noc_seconds, dram_seconds, sram_seconds,
             tpu_seconds,
         )
+        # DRAM busy time is at peak bandwidth (no latency, no derating).
         busy = {
             "pe": useful_lane_cycles / (cfg.total_lanes * freq),
             "noc": noc_seconds,
-            "sram": m.sram_bytes / cfg.sram_bytes_per_second,
+            "sram": sram_seconds,
             "dram": m.dram_bytes / cfg.dram_bytes_per_second,
-            "tpu": m.transpose_bytes / self._tpu.bytes_per_second,
+            "tpu": tpu_seconds,
         }
         if self.collect_trace:
             self._emit_resource_events(
                 group_index, events, m, start_cycle, freq,
-                noc_seconds=noc_seconds, sram_seconds=sram_seconds,
-                tpu_seconds=tpu_seconds,
+                noc_seconds=noc_seconds, dram_seconds=dram_seconds,
+                sram_seconds=sram_seconds, tpu_seconds=tpu_seconds,
             )
         if _METRICS.enabled:
             seconds_by_resource = {
@@ -352,6 +358,7 @@ class SimulationEngine:
         start_cycle: int,
         freq: float,
         noc_seconds: float,
+        dram_seconds: float,
         sram_seconds: float,
         tpu_seconds: float,
     ) -> None:
@@ -363,9 +370,7 @@ class SimulationEngine:
         does (the slowest slice is the limiter).
         """
         dram_total = m.dram_bytes
-        dram_cycles = (
-            self._hbm.access_seconds(dram_total) * freq if dram_total else 0.0
-        )
+        dram_cycles = dram_seconds * freq
         for kind, name, nbytes, cycles in (
             (EventKind.NOC_TRANSFER, "noc", m.noc_bytes,
              noc_seconds * freq),

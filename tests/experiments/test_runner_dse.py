@@ -1,16 +1,41 @@
 """Runner integration with the DSE layer: --jobs and --cache-dir.
 
 The cheap table cells exercise the plumbing end-to-end (parallel cell
-execution, cache-root export, metrics counters); the actual warm-cache
-behaviour of evaluations is covered by ``tests/dse/test_sweep.py``.
+execution, cache-root export, metrics counters); ``TestWarmCache``
+evaluates one design on tiny parameters in two isolated cell processes
+over one cache root, the warm-cache contract the runner's ``--jobs`` and
+``--cache-dir`` cells rely on.
 """
 
 import json
 import os
 
-from repro.dse.cache import CACHE_ENV
+from repro.dse.cache import CACHE_ENV, aggregate_stats
 from repro.experiments import runner
-from repro.resilience.isolation import RunArtifact
+from repro.fhe.params import CKKSParams
+from repro.resilience.isolation import RunArtifact, run_isolated
+
+TINY = CKKSParams(
+    log_n=12, max_level=7, boot_levels=5, dnum=2, alpha=4, word_bits=36,
+    name="tiny",
+)
+
+
+def _evaluate_tiny() -> str:
+    """Cell body: one CROPHE-36 bootstrapping evaluation, as a document."""
+    from repro.experiments.common import (
+        DesignPoint,
+        default_scheduler_config,
+        evaluate_workload,
+    )
+    from repro.hw.config import CROPHE_36
+    from repro.sched.serialize import eval_result_to_doc
+
+    result = evaluate_workload(
+        DesignPoint("CROPHE-36", CROPHE_36), "bootstrapping", TINY,
+        scheduler_config=default_scheduler_config(),
+    )
+    return json.dumps(eval_result_to_doc(result), sort_keys=True)
 
 
 class TestJobs:
@@ -69,3 +94,28 @@ class TestCacheDir:
         assert not any(
             key.startswith("dse.cache.") for key in doc["metrics"]
         )
+
+
+class TestWarmCache:
+    def test_second_process_over_warm_cache_has_zero_misses(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.common import clear_cache
+
+        # Forked cells inherit this process's memory tiers: start them
+        # cold so only the disk tier can serve the second cell.
+        clear_cache()
+        cache = str(tmp_path / "cache")
+        monkeypatch.setenv(CACHE_ENV, cache)
+
+        cold = run_isolated("cold", _evaluate_tiny, retries=0)
+        assert cold.ok, cold.error
+        after_cold = aggregate_stats(cache)
+        assert after_cold["misses"] > 0
+
+        warm = run_isolated("warm", _evaluate_tiny, retries=0)
+        assert warm.ok, warm.error
+        after_warm = aggregate_stats(cache)
+        assert after_warm["misses"] == after_cold["misses"]
+        assert after_warm["hits"] > after_cold["hits"]
+        assert json.loads(warm.output) == json.loads(cold.output)

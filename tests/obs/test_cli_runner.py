@@ -6,40 +6,38 @@ import os
 import pytest
 
 from repro.obs.__main__ import main as obs_main
-from repro.obs.bench import load_bench, write_bench
 from repro.resilience.errors import TraceError
 
 
-def _bench_doc(wall, windows):
+def _metrics_doc(wall, windows):
+    """A metrics document: one wall-clock gauge and one counter."""
     return {
         "version": 1,
-        "kind": "repro-bench",
-        "quick": True,
-        "experiments": {
-            "table1": {
-                "wall_seconds": wall,
-                "metrics": {
-                    "sched.windows_explored": {
-                        "type": "counter", "value": windows,
-                    },
-                },
-            },
+        "kind": "repro-metrics",
+        "metrics": {
+            "runner.cell_seconds.table1": {"type": "gauge", "value": wall},
+            "sched.windows_explored": {"type": "counter", "value": windows},
         },
     }
+
+
+def _write_doc(document, path):
+    with open(path, "w") as handle:
+        json.dump(document, handle)
 
 
 class TestDiffCommand:
     def test_self_diff_exits_zero(self, tmp_path, capsys):
         path = os.path.join(tmp_path, "b.json")
-        write_bench(_bench_doc(1.0, 100), path)
+        _write_doc(_metrics_doc(1.0, 100), path)
         assert obs_main(["diff", path, path]) == 0
         assert "no gated regressions" in capsys.readouterr().out
 
     def test_regression_exits_nonzero(self, tmp_path, capsys):
         old = os.path.join(tmp_path, "old.json")
         new = os.path.join(tmp_path, "new.json")
-        write_bench(_bench_doc(1.0, 100), old)
-        write_bench(_bench_doc(1.0, 200), new)
+        _write_doc(_metrics_doc(1.0, 100), old)
+        _write_doc(_metrics_doc(1.0, 200), new)
         assert obs_main(["diff", old, new]) == 1
         captured = capsys.readouterr()
         assert "regressed" in captured.out
@@ -50,14 +48,14 @@ class TestDiffCommand:
     ):
         old = os.path.join(tmp_path, "old.json")
         new = os.path.join(tmp_path, "new.json")
-        write_bench(_bench_doc(1.0, 100), old)
-        write_bench(_bench_doc(50.0, 100), new)
+        _write_doc(_metrics_doc(1.0, 100), old)
+        _write_doc(_metrics_doc(50.0, 100), new)
         assert obs_main(["diff", old, new]) == 0
         assert obs_main(["diff", old, new, "--include-time"]) == 1
 
     def test_json_output(self, tmp_path, capsys):
         path = os.path.join(tmp_path, "b.json")
-        write_bench(_bench_doc(1.0, 100), path)
+        _write_doc(_metrics_doc(1.0, 100), path)
         assert obs_main(["diff", path, path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
@@ -73,10 +71,11 @@ class TestDiffCommand:
 class TestSummarize:
     def test_bench_document(self, tmp_path, capsys):
         path = os.path.join(tmp_path, "b.json")
-        write_bench(_bench_doc(2.5, 100), path)
+        _write_doc(_metrics_doc(2.5, 100), path)
         assert obs_main(["summarize", path]) == 0
         out = capsys.readouterr().out
-        assert "table1" in out
+        assert "runner.cell_seconds.table1" in out
+        assert "sched.windows_explored" in out
 
     def test_jsonl_trace_gives_attribution(self, tmp_path, capsys):
         from repro.sim.trace import EventKind, TraceEvent, dump_trace
@@ -87,26 +86,6 @@ class TestSummarize:
         )
         assert obs_main(["summarize", path]) == 0
         assert "limiter" in capsys.readouterr().out
-
-
-class TestBenchCommand:
-    def test_bench_single_cheap_cell(self, tmp_path, capsys):
-        out = os.path.join(tmp_path, "bench.json")
-        assert obs_main(["bench", "--out", out, "--only", "table1"]) == 0
-        doc = load_bench(out)
-        assert doc["kind"] == "repro-bench"
-        assert doc["quick"] is True
-        assert "table1" in doc["experiments"]
-        assert "wall_seconds" in doc["experiments"]["table1"]
-
-    def test_unknown_cell_rejected(self, tmp_path):
-        from repro.resilience.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            obs_main([
-                "bench", "--out", os.path.join(tmp_path, "x.json"),
-                "--only", "fig99",
-            ])
 
 
 class TestTraceCommand:

@@ -1,5 +1,8 @@
 """Metrics registry semantics and snapshot-diff regression verdicts."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.obs.diffing import diff_documents, diff_snapshots
@@ -47,6 +50,7 @@ class TestRegistry:
     def test_time_metric_detection(self):
         assert is_time_metric("sched.search_seconds")
         assert is_time_metric("fig9.wall_seconds")
+        assert is_time_metric("runner.cell_seconds.fig9")
         assert not is_time_metric("sim.busy_cycles.dram")
 
 
@@ -109,16 +113,10 @@ class TestDiffVerdicts:
 
 class TestDiffDocuments:
     def _bench(self, wall, windows):
-        return {
-            "version": 1,
-            "kind": "repro-bench",
-            "experiments": {
-                "fig9": {
-                    "wall_seconds": wall,
-                    "metrics": _snap(**{"sched.windows_explored": windows}),
-                }
-            },
-        }
+        """A runner metrics document: a cell's wall time and a counter."""
+        metrics = _snap(**{"sched.windows_explored": windows})
+        metrics["runner.cell_seconds.fig9"] = {"type": "gauge", "value": wall}
+        return {"version": 1, "kind": "repro-metrics", "metrics": metrics}
 
     def test_bench_self_diff_is_clean(self):
         doc = self._bench(10.0, 500)
@@ -130,12 +128,14 @@ class TestDiffDocuments:
         report = diff_documents(self._bench(10.0, 500), self._bench(10.0, 700))
         assert not report.ok
         (bad,) = report.regressions
-        assert bad.name == "fig9.sched.windows_explored"
+        assert bad.name == "sched.windows_explored"
 
     def test_bench_wall_time_not_gated(self):
         report = diff_documents(self._bench(10.0, 500), self._bench(30.0, 500))
         assert report.ok
-        wall = next(d for d in report.deltas if d.name == "fig9.wall_seconds")
+        wall = next(
+            d for d in report.deltas if d.name == "runner.cell_seconds.fig9"
+        )
         assert wall.verdict == "regressed" and not wall.gated
 
     def test_metrics_document_kind(self):
@@ -144,9 +144,23 @@ class TestDiffDocuments:
         assert not diff_documents(old, new).ok
 
     def test_report_to_dict_round_trips_json(self):
-        import json
-
         report = diff_documents(self._bench(1.0, 10), self._bench(1.0, 100))
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] is False
         assert payload["regressions"] == 1
+
+
+class TestQuickBaseline:
+    """The committed per-cell counter baseline CI gates the cold pass on."""
+
+    BASELINE = pathlib.Path(__file__).resolve().parents[2] / "BENCH_quick"
+
+    def test_one_metrics_document_per_cell(self):
+        from repro.experiments.runner import EXPERIMENTS
+
+        files = sorted(p.name for p in self.BASELINE.iterdir())
+        assert files == sorted(f"{cell}.metrics.json" for cell in EXPERIMENTS)
+        for name in files:
+            doc = json.loads((self.BASELINE / name).read_text())
+            assert doc["kind"] == "repro-metrics", name
+            assert isinstance(doc["metrics"], dict), name
