@@ -107,8 +107,8 @@ verify-static:
 	PYTHONPATH=src python -m repro.analysis.lint src
 
 examples:
-	python examples/quickstart.py
-	python examples/private_inference.py
-	python examples/encrypted_logreg.py
-	python examples/schedule_explorer.py
-	python examples/secure_cloud_pipeline.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/private_inference.py
+	PYTHONPATH=src python examples/encrypted_logreg.py
+	PYTHONPATH=src python examples/schedule_explorer.py
+	PYTHONPATH=src python examples/secure_cloud_pipeline.py

@@ -9,8 +9,8 @@ predecessor chain actually materialized its extended digit basis.  This
 module adds the F* rule family for exactly those properties, built on a
 small abstract-interpretation framework:
 
-* :class:`Lattice` implementations (interval, powerset, boolean-or)
-  with ``join``/``widen``/``leq``;
+* :class:`Lattice` implementations (interval, boolean-or) with
+  ``join``/``widen``/``leq``;
 * :class:`DataflowAnalysis`, a forward/backward worklist fixpoint
   engine over :class:`~repro.ir.graph.OperatorGraph` whose worklist is
   a heap of topological indices — the visit order (and therefore every
@@ -22,9 +22,9 @@ small abstract-interpretation framework:
   digits for every key-switch window), and :func:`verify_sharing`
   (F004, cross-window recompute / dead sibling outputs).
 
-ROADMAP item 5's pass pipeline reuses :class:`DataflowAnalysis` as the
-engine for inter-pass invariants; keep the framework free of any
-schedule-specific state.
+The lowering pipeline (:mod:`repro.passes.pipeline`) checks its
+inter-pass invariants with :func:`verify_flow_graph`, the same
+graph-level F* checks the analysis CLI runs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Generic,
     List,
     Mapping,
@@ -135,22 +134,6 @@ class IntervalLattice(Lattice[Interval]):
         lo = old[0] if old[0] <= new[0] else self.floor
         hi = old[1] if new[1] <= old[1] else self.ceiling
         return (lo, hi)
-
-
-class PowersetLattice(Lattice[FrozenSet[Any]]):
-    """Finite powerset: bottom is the empty set, join is union."""
-
-    def bottom(self) -> FrozenSet[Any]:
-        """The empty set."""
-        return frozenset()
-
-    def join(self, a: FrozenSet[Any], b: FrozenSet[Any]) -> FrozenSet[Any]:
-        """Set union."""
-        return a | b
-
-    def leq(self, a: FrozenSet[Any], b: FrozenSet[Any]) -> bool:
-        """Subset order."""
-        return a <= b
 
 
 class BoolOrLattice(Lattice[bool]):

@@ -9,9 +9,9 @@ and machines.  This package eliminates the recomputation:
   (graph structural hash, FHE params, hardware, scheduler knobs,
   dataflow variant, format-version salt).  Fingerprints never embed
   process-dependent state (operator uids, object ids, clock values).
-* :mod:`repro.dse.cache` — two-tier artifact cache: a per-process
-  in-memory tier in front of an optional on-disk JSON store (atomic
-  renames, corrupt entries degrade to misses with a typed
+* :mod:`repro.dse.cache` — the on-disk JSON artifact store behind the
+  pipeline's in-memory live maps (atomic renames, corrupt entries
+  degrade to misses with a typed
   :class:`~repro.resilience.errors.CacheError` warning, hit/miss/
   corruption counters through :mod:`repro.obs`).
 

@@ -1,12 +1,13 @@
 """The persistent content-addressed artifact cache.
 
-Two tiers behind one interface:
-
-* an **in-memory tier** (per process, always on) — the replacement for
-  the ad-hoc module dicts the experiment pipeline used to keep;
-* an optional **on-disk tier** — a content-addressed JSON store laid
-  out as ``<root>/<kind>/<fp[:2]>/<fp>.json``, written via temp-file +
-  atomic rename so readers never observe a half-written entry.
+:class:`ArtifactCache` is the disk store: a content-addressed JSON store
+laid out as ``<root>/<kind>/<fp[:2]>/<fp>.json``, written via temp-file +
+atomic rename so readers never observe a half-written entry.  The
+in-memory tier sits in front of it, in the evaluation pipeline's live
+maps (:mod:`repro.experiments.common`) and the plan memo's entries
+(:mod:`repro.sched.plan_memo`), which answer every in-process repeat
+before the store is asked.  With no root configured every lookup
+misses and a write is only counted.
 
 Robustness contract (tested): a truncated file, garbage JSON, a stale
 :data:`~repro.dse.fingerprint.FORMAT_VERSION`, or a kind/fingerprint
@@ -17,12 +18,6 @@ offending file is **quarantined** to ``<root>/quarantine/`` on the
 first failed read, so later runs see a clean miss instead of
 re-parsing and re-warning about the same bad bytes; the recompute's
 ``put`` repairs the entry in place.
-
-For chaos drills, :meth:`ArtifactCache.inject_read_fault` arms
-deterministic read faults: the next matching lookup is treated
-exactly like an on-disk corruption (warned, counted, quarantined,
-degraded to a miss) — this is the hook the serving simulator's fault
-plane (``repro.serve.faults``) drives.
 
 Because evaluations run in crash-isolated child processes (which never
 run ``atexit`` handlers — they exit via ``os._exit``), per-process hit/
@@ -36,10 +31,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import uuid
 import warnings
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 from repro.dse.fingerprint import FORMAT_VERSION
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -92,12 +86,12 @@ class CacheEntry:
 
 
 class ArtifactCache:
-    """Content-addressed artifact store with an in-memory front tier.
+    """Content-addressed on-disk artifact store.
 
     Args:
-        root: on-disk root directory; ``None`` for a memory-only cache.
-            The module-level :data:`CACHE` instead resolves its root
-            from :data:`CACHE_ENV` on every call.
+        root: on-disk root directory; ``None`` for no store (every
+            lookup misses).  The module-level :data:`CACHE` instead
+            resolves its root from :data:`CACHE_ENV` on every call.
         salt: format-version stamp for envelopes (tests inject stale
             values; production code leaves the default).
     """
@@ -105,24 +99,21 @@ class ArtifactCache:
     def __init__(self, root: Optional[str] = None, salt: int = FORMAT_VERSION):
         self._root = root
         self.salt = salt
-        self._memory: Dict[Tuple[str, str], Any] = {}
-        self._lock = threading.Lock()
         self._pid = os.getpid()
         self._stats_token: Optional[str] = None
-        self._armed_faults: List[Dict[str, Any]] = []
         self.stats: Dict[str, int] = {k: 0 for k in _STAT_KEYS}
 
-    # -- tier plumbing -------------------------------------------------
+    # -- store plumbing ------------------------------------------------
 
     @property
     def root(self) -> Optional[str]:
-        """The disk-tier root, or ``None`` when memory-only."""
+        """The store's root, or ``None`` when no store is configured."""
         if self._root is _ENV:
             return os.environ.get(CACHE_ENV, "").strip() or None
         return self._root
 
     def entry_path(self, kind: str, fingerprint: str) -> Optional[str]:
-        """Where the disk tier stores one entry (``None`` if no disk)."""
+        """Where the store keeps one entry (``None`` if no store)."""
         root = self.root
         if root is None:
             return None
@@ -158,76 +149,19 @@ class ArtifactCache:
             )
         self._bump(stat, amount)
 
-    # -- fault injection -----------------------------------------------
-
-    def inject_read_fault(
-        self,
-        kind: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-        reason: str = "injected-corruption",
-        count: int = 1,
-    ) -> None:
-        """Arm ``count`` deterministic read faults.
-
-        The next ``count`` :meth:`get` calls matching ``kind`` /
-        ``fingerprint`` (``None`` matches anything) behave exactly
-        like a corrupt on-disk entry: the lookup degrades to a miss
-        with a :class:`CacheError` warning, ``dse.cache.corrupt`` is
-        counted, the memory-tier entry is dropped, and any disk file
-        is quarantined.  This is the chaos hook the serving fault
-        plane uses; because arming is explicit and consumption is
-        in-order, injected corruption is fully replayable.
-        """
-        with self._lock:
-            self._armed_faults.append(
-                {"kind": kind, "fingerprint": fingerprint,
-                 "reason": reason, "count": int(count)}
-            )
-
-    def _consume_fault(self, kind: str, fingerprint: str) -> Optional[str]:
-        """Pop one matching armed fault; its reason, or ``None``."""
-        with self._lock:
-            for fault in self._armed_faults:
-                if fault["kind"] not in (None, kind):
-                    continue
-                if fault["fingerprint"] not in (None, fingerprint):
-                    continue
-                fault["count"] -= 1
-                if fault["count"] <= 0:
-                    self._armed_faults.remove(fault)
-                return str(fault["reason"])
-        return None
-
     # -- read/write ----------------------------------------------------
 
     def get(self, kind: str, fingerprint: str) -> Optional[Any]:
         """Look up one artifact payload; ``None`` on a miss.
 
-        Memory tier first, then disk.  Any unreadable or untrustworthy
-        disk entry is treated as a miss after a :class:`CacheError`
-        warning and a ``dse.cache.corrupt`` count — never an exception.
+        Any unreadable or untrustworthy entry is treated as a miss after
+        a :class:`CacheError` warning and a ``dse.cache.corrupt`` count
+        — never an exception.
         """
-        if self._armed_faults:
-            reason = self._consume_fault(kind, fingerprint)
-            if reason is not None:
-                with self._lock:
-                    self._memory.pop((kind, fingerprint), None)
-                path = self.entry_path(kind, fingerprint)
-                self._corrupt(path or f"<memory:{kind}/{fingerprint}>",
-                              reason)
-                self._bump("misses")
-                return None
-        with self._lock:
-            payload = self._memory.get((kind, fingerprint))
-        if payload is not None:
-            self._bump("hits")
-            return payload
         path = self.entry_path(kind, fingerprint)
         if path is not None and os.path.exists(path):
             payload = self._read_entry(kind, fingerprint, path)
             if payload is not None:
-                with self._lock:
-                    self._memory[(kind, fingerprint)] = payload
                 self._bump("hits")
                 return payload
         self._bump("misses")
@@ -297,9 +231,7 @@ class ArtifactCache:
         payload: Any,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Store one artifact in both tiers (disk tier best-effort)."""
-        with self._lock:
-            self._memory[(kind, fingerprint)] = payload
+        """Store one artifact (best-effort; counted even with no store)."""
         self._bump("writes")
         path = self.entry_path(kind, fingerprint)
         if path is None:
@@ -317,17 +249,12 @@ class ArtifactCache:
             # A full or read-only disk degrades persistence, not runs.
             warnings.warn(
                 CacheError(
-                    "cache write failed (entry kept in memory only)",
+                    "cache write failed (entry not persisted)",
                     path=path,
                     reason=str(exc),
                 ),
                 stacklevel=3,
             )
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory tier (disk entries survive)."""
-        with self._lock:
-            self._memory.clear()
 
     # -- stats ---------------------------------------------------------
 
@@ -386,8 +313,8 @@ def _atomic_write_json(path: str, document: Any) -> None:
         raise
 
 
-#: The process-wide cache the evaluation pipeline talks to.  Memory tier
-#: always on; the disk tier follows :data:`CACHE_ENV` dynamically.
+#: The process-wide cache the evaluation pipeline talks to; its root
+#: follows :data:`CACHE_ENV` dynamically.
 CACHE = ArtifactCache(root=_ENV)  # type: ignore[arg-type]
 
 

@@ -4,11 +4,19 @@ A :class:`DesignPoint` names (hardware, dataflow) — e.g. "ARK + MAD" or
 "CROPHE-64 full" — and :func:`evaluate_workload` runs the pipeline:
 
 1. build the workload's segment graphs with the design's dataflow
-   options (NTT decomposition and hybrid rotation are CROPHE-only);
-2. schedule each distinct segment once (CROPHE scheduler or MAD);
+   options (NTT decomposition and hybrid rotation are CROPHE-only); the
+   emitters' segments stand in for the paper's pre-partitioning;
+2. schedule each distinct segment once (CROPHE scheduler or MAD):
+   structural twins share one schedule through its fingerprint and
+   identical windows share one plan through the plan memo, the paper's
+   redundant-subgraph merging;
 3. simulate each segment and sum time and traffic over repeats;
 4. for data-parallel CROPHE-p, share the constant (evk) fetches across
    clusters.
+
+Section V-D's enumeration runs here and nowhere else: each r_hyb in
+:data:`R_HYB_CANDIDATES`, the four-step NTT split (at sqrt(N)) on and
+off, and the cluster counts, keeping the fastest.
 
 Results and schedules are cached through the content-addressed
 :mod:`repro.dse` cache: fingerprints over (design, workload, params,
@@ -18,7 +26,7 @@ modules revisit the same points within a run, and with a cache
 directory configured (``REPRO_DSE_CACHE`` / the runner's
 ``--cache-dir``) across runs and processes too.  Live objects sit in
 module-level front maps (documents cannot hold live plan objects);
-the doc tiers live in :data:`repro.dse.cache.CACHE`.
+the documents live on disk in :data:`repro.dse.cache.CACHE`.
 """
 
 from __future__ import annotations
@@ -315,8 +323,8 @@ def evaluate_workload(
     """Evaluate one design on one workload (best r_hyb kept for hybrid).
 
     Results flow through the content-addressed cache: a warm hit (live
-    map, memory doc, or disk) returns without building graphs or
-    running the scheduler/simulator at all — zero DP searches.
+    map or disk) returns without building graphs or running the
+    scheduler/simulator at all — zero DP searches.
     """
     base_config = scheduler_config or default_scheduler_config()
     fp = result_fingerprint(
@@ -422,18 +430,16 @@ def _restore_result(doc: Any) -> Optional[EvalResult]:
 def clear_cache() -> None:
     """Drop all in-memory cached results, schedules and plans.
 
-    Clears the live front maps, the lowering memo, the doc cache's
-    memory tier, and the structural plan memo with its window tables
-    (tests and ``python -m repro.obs trace``, which must measure search
-    work from cold).  On-disk entries survive — remove the cache
-    directory to go fully cold.
+    Clears the live front maps, the lowering memo, and the structural
+    plan memo with its window tables (tests and ``python -m repro.obs
+    trace``, which must measure search work from cold).  On-disk
+    entries survive — remove the cache directory to go fully cold.
     """
     from repro.passes.lowering import clear_lowering_memo
 
     _RESULT_LIVE.clear()
     _SCHED_LIVE.clear()
     clear_lowering_memo()
-    CACHE.clear_memory()
     PLAN_MEMO.clear()
 
 

@@ -73,10 +73,6 @@ requested, still records ``runner.verify_seconds``). Once cells run,
 the exit code reports the worst cell failure class in branch-priority
 order — config (2) over budget (3) over simulation (4) over other (1);
 0 means every cell succeeded.
-
-``REPRO_FORCE_FAIL`` (comma-separated cell names) makes the named cells
-raise a :class:`~repro.resilience.errors.SimulationError` — a test hook
-for exercising the failure paths end-to-end.
 """
 
 from __future__ import annotations
@@ -90,7 +86,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.dse.cache import CACHE_ENV, aggregate_stats
-from repro.resilience.errors import SimulationError
 from repro.resilience.isolation import (
     CellStatus,
     RunArtifact,
@@ -116,38 +111,8 @@ _KIND_TO_EXIT = {
 }
 
 
-def _maybe_force_fail(name: str) -> None:
-    """Test hook: fail the named cell when REPRO_FORCE_FAIL asks for it."""
-    forced = os.environ.get("REPRO_FORCE_FAIL", "")
-    if name in {c.strip() for c in forced.split(",") if c.strip()}:
-        raise SimulationError(
-            f"cell {name!r} forced to fail via REPRO_FORCE_FAIL"
-        )
-    _maybe_force_sleep(name)
-
-
-def _maybe_force_sleep(name: str) -> None:
-    """Test hook: ``REPRO_FORCE_SLEEP="cell:seconds"`` stalls a cell.
-
-    The stall happens *inside an open span*, which is exactly the state
-    a real runaway search is in when ``--timeout`` kills it — used to
-    exercise the kill-path telemetry flush end-to-end.
-    """
-    spec = os.environ.get("REPRO_FORCE_SLEEP", "")
-    if not spec:
-        return
-    cell, _, seconds = spec.partition(":")
-    if cell.strip() != name:
-        return
-    from repro import obs
-
-    with obs.span("runner.force_sleep", cell=name):
-        time.sleep(float(seconds or 30.0))
-
-
 def run_table1(quick: bool = False) -> str:
     """Regenerate Table I."""
-    _maybe_force_fail("table1")
     from repro.experiments.table1 import format_table1
 
     return format_table1()
@@ -155,7 +120,6 @@ def run_table1(quick: bool = False) -> str:
 
 def run_table2(quick: bool = False) -> str:
     """Regenerate Table II."""
-    _maybe_force_fail("table2")
     from repro.experiments.table2 import format_table2
 
     return format_table2()
@@ -163,7 +127,6 @@ def run_table2(quick: bool = False) -> str:
 
 def run_table3(quick: bool = False) -> str:
     """Regenerate Table III."""
-    _maybe_force_fail("table3")
     from repro.experiments.table3 import format_table3
 
     return format_table3()
@@ -172,7 +135,6 @@ def run_table3(quick: bool = False) -> str:
 def run_table4(quick: bool = False) -> str:
     """Regenerate Table IV (``quick`` does not restrict it: it is the
     quick suite's slowest cell)."""
-    _maybe_force_fail("table4")
     from repro.experiments.table4 import format_table4, table4
 
     return format_table4(table4())
@@ -180,7 +142,6 @@ def run_table4(quick: bool = False) -> str:
 
 def run_fig9(quick: bool = False) -> str:
     """Regenerate Figure 9 (``quick`` restricts the sweep)."""
-    _maybe_force_fail("fig9")
     from repro.experiments.fig9 import fig9, format_fig9
 
     if quick:
@@ -192,7 +153,6 @@ def run_fig9(quick: bool = False) -> str:
 
 def run_fig10(quick: bool = False) -> str:
     """Regenerate Figure 10 (``quick`` restricts the sweep)."""
-    _maybe_force_fail("fig10")
     from repro.experiments.fig10 import fig10, format_fig10
 
     if quick:
@@ -204,13 +164,13 @@ def run_fig10(quick: bool = False) -> str:
 
 def run_fig11(quick: bool = False) -> str:
     """Regenerate Figure 11 (``quick`` restricts the pairings)."""
-    _maybe_force_fail("fig11")
     from repro.experiments.fig11 import fig11, format_fig11
 
     pairings = ("SHARP",) if quick else ("ARK", "SHARP")
     return format_fig11(fig11(pairings=pairings))
 
 
+#: The cells by name; :func:`main` looks each one up at call time.
 EXPERIMENTS = {
     "table1": run_table1,
     "table2": run_table2,

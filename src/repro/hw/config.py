@@ -146,11 +146,6 @@ class HardwareConfig:
         return self.lanes_per_pe * self.num_pes
 
     @property
-    def muls_per_second(self) -> float:
-        """Peak modular multiplications per second across all lanes."""
-        return self.total_lanes * self.frequency_ghz * 1e9
-
-    @property
     def sram_capacity_bytes(self) -> int:
         return int(self.sram_capacity_mb * MB)
 

@@ -29,10 +29,6 @@ class SramBuffer:
         """Whether a working set fits the buffer capacity."""
         return nbytes <= self.capacity_bytes
 
-    def access_seconds(self, nbytes: int) -> float:
-        """Time to move ``nbytes`` through the buffer ports."""
-        return nbytes / self.bytes_per_second
-
 
 @dataclass(frozen=True)
 class HbmMemory:
@@ -54,9 +50,3 @@ class HbmMemory:
     @property
     def bytes_per_second(self) -> float:
         return self.bytes_per_second_peak * self.efficiency
-
-    def access_seconds(self, nbytes: int) -> float:
-        """Base latency plus streaming time for ``nbytes``."""
-        if nbytes <= 0:
-            return 0.0
-        return self.base_latency_s + nbytes / self.bytes_per_second

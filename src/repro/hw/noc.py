@@ -17,8 +17,8 @@ from repro.hw.config import HardwareConfig
 #: average X-Y route crosses ~1/4 of the mesh links concurrently, so the
 #: usable group-level bandwidth is the aggregate divided by this factor.
 #: The group cost model (``repro.sched.dataflow.GroupPricing``) applies
-#: it; the DP's prices, ``SpatialGroupPlan.execution_seconds``, and the
-#: standalone ``group_time_breakdown`` all price through that model.
+#: it; the DP's prices and ``SpatialGroupPlan.execution_seconds`` both
+#: price through that model.
 NOC_SERIALIZATION_FACTOR = 4.0
 
 

@@ -33,7 +33,7 @@ __all__ = [
 
 #: Resource columns in display order (ties break leftward), derived
 #: from the canonical :data:`~repro.sim.stats.BOTTLENECK_PRECEDENCE`
-#: so this table can never disagree with the engine or cost model.
+#: so this table can never disagree with the engine.
 RESOURCES = bottleneck_order(("pe", "noc", "dram", "sram", "transpose"))
 
 _KIND_TO_RESOURCE = {

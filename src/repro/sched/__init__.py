@@ -4,7 +4,9 @@ Builds cross-operator dataflow schedules for FHE operator graphs on the
 homogeneous PE array: spatial pipelining/sharing groups at the bottom,
 temporal pipelining/sharing in the middle, sequential execution at the
 top, searched bottom-up with an analytical cost model and dynamic
-programming (Section V-D).
+programming (Section V-D).  The section's r_hyb and NTT-split
+enumeration over whole workloads lives in
+:func:`repro.experiments.common.evaluate_workload`.
 """
 
 from repro.sched.dataflow import (
@@ -13,16 +15,8 @@ from repro.sched.dataflow import (
     Schedule,
     ScheduledStep,
 )
-from repro.sched.scheduler import (
-    Scheduler,
-    SchedulerConfig,
-    schedule_graph,
-    schedule_partitioned,
-)
-from repro.sched.cost_model import group_time_breakdown, schedule_roofline
-from repro.sched.partition import partition_graph, merge_redundant
-from repro.sched.hybrid_rotation import estimate_tradeoff, r_hyb_candidates
-from repro.sched.ntt_decomp import candidate_splits, orientation_switch_report
+from repro.sched.scheduler import Scheduler, SchedulerConfig
+from repro.sched.ntt_decomp import candidate_splits
 from repro.sched.serialize import (
     eval_result_from_doc,
     eval_result_to_doc,
@@ -36,17 +30,8 @@ __all__ = [
     "ScheduledStep",
     "Scheduler",
     "SchedulerConfig",
-    "schedule_graph",
-    "schedule_partitioned",
     "GroupPricing",
-    "group_time_breakdown",
-    "schedule_roofline",
-    "partition_graph",
-    "merge_redundant",
-    "estimate_tradeoff",
-    "r_hyb_candidates",
     "candidate_splits",
-    "orientation_switch_report",
     "schedule_to_doc",
     "schedule_from_doc",
     "eval_result_to_doc",

@@ -61,8 +61,7 @@ class GroupPricing:
     integer resource demand over a per-config rate.  The rates are
     computed once here with the same float expressions as the
     ``for_config`` hardware models; every price in the repo (the DP's
-    objective, scheduled steps, the standalone breakdown) comes from
-    :meth:`terms`.
+    objective and scheduled steps) comes from :meth:`terms`.
     """
 
     freq_hz: float
@@ -553,14 +552,3 @@ class Schedule:
     @property
     def num_groups(self) -> int:
         return self.repeat * len(self.steps)
-
-    def extend(self, other: "Schedule") -> None:
-        """Append another schedule, expanding its repeat count."""
-        if self.repeat != 1:
-            raise ValueError("cannot extend a repeated schedule in place")
-        factor = other.repeat
-        for _ in range(factor):
-            self.steps.extend(other.steps)
-        if other.degraded and not self.degraded:
-            self.degraded = True
-            self.degraded_reason = other.degraded_reason

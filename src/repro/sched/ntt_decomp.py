@@ -3,27 +3,18 @@
 The four-step decomposition turns each monolithic (i)NTT into column and
 row phases with a transpose between them, exposing independent ``N1`` /
 ``N2`` loops that the scheduler matches against neighbouring operators.
-This module provides the scheduler-side analysis:
-
-* :func:`candidate_splits` — the ``N = N1 x N2`` combinations worth
-  enumerating (tiles must fill the PE lanes, so few survive);
-* :func:`orientation_switch_report` — counts costly orientation switches
-  of a graph under a given split (the Figure 7 "2x fewer" claim is a
-  testable property of this report);
-* :func:`decomposition_overhead` — extra operators/tensors the
-  decomposition introduces, which the cost model weighs against the
-  pipelining benefit.
+:func:`candidate_splits` gives the ``N = N1 x N2`` combinations worth
+enumerating (tiles must fill the PE lanes, so few survive); the lowering
+pipeline checks the workload's split against it.  The Figure 7 "2x
+fewer orientation switches" claim is a testable property of
+:func:`repro.sched.tiling.count_orientation_switches`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.ir.graph import OperatorGraph
 from repro.ir.loops import power_of_two_splits
-from repro.ir.operators import OpKind
-from repro.sched.tiling import assign_loop_nests, count_orientation_switches
 
 
 def candidate_splits(
@@ -44,59 +35,3 @@ def candidate_splits(
             out.append((n1, n2))
     return out
 
-
-@dataclass
-class OrientationReport:
-    """Costly orientation switches of a graph under one nest assignment."""
-
-    total_edges: int
-    switches: int
-    ntt_instances: float
-
-    @property
-    def switches_per_ntt(self) -> float:
-        if self.ntt_instances == 0:
-            return 0.0
-        return self.switches / self.ntt_instances
-
-
-def orientation_switch_report(
-    graph: OperatorGraph, n_split: Optional[Tuple[int, int]] = None
-) -> OrientationReport:
-    """Count costly orientation switches under greedy nest assignment."""
-    ops = graph.operators_topological()
-    assignment = assign_loop_nests(graph, ops, n_split)
-    switches = count_orientation_switches(graph, ops, assignment)
-    edges = sum(len(graph.successors(op)) for op in ops)
-    monolithic = sum(1 for op in ops if op.kind.is_monolithic_ntt)
-    phases = sum(1 for op in ops if op.kind.is_ntt_phase)
-    return OrientationReport(
-        total_edges=edges,
-        switches=switches,
-        ntt_instances=monolithic + phases / 2.0,
-    )
-
-
-@dataclass
-class DecompositionOverhead:
-    """Structural cost of decomposing every (i)NTT in a graph."""
-
-    extra_operators: int
-    transpose_operators: int
-    extra_tensor_bytes: int
-
-
-def decomposition_overhead(
-    mono_graph: OperatorGraph, dec_graph: OperatorGraph
-) -> DecompositionOverhead:
-    """Compare a graph built monolithically vs. four-step."""
-    transposes = sum(
-        1 for op in dec_graph.operators if op.kind is OpKind.TRANSPOSE
-    )
-    mono_bytes = sum(t.bytes for t in mono_graph.tensors)
-    dec_bytes = sum(t.bytes for t in dec_graph.tensors)
-    return DecompositionOverhead(
-        extra_operators=dec_graph.num_operators - mono_graph.num_operators,
-        transpose_operators=transposes,
-        extra_tensor_bytes=max(dec_bytes - mono_bytes, 0),
-    )

@@ -25,8 +25,11 @@ winning cover.
 
 The paper searches all subgraphs of a pre-partitioned graph exhaustively
 (100 CPU-hours for ResNet-20); contiguous-window DP with memoization is
-the tractable restriction we ship, with the window size and split
-candidates exposed as knobs.
+the tractable restriction we ship, with the window size and NTT split
+exposed as knobs.  The DP is linear in graph size, so the workload
+emitters' segments need no further pre-partitioning, and the r_hyb and
+split enumeration lives in
+:func:`repro.experiments.common.evaluate_workload`.
 
 Resilience (see :mod:`repro.resilience`): knobs are validated at
 construction time, the DP runs under optional wall-clock/node budgets,
@@ -43,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.hw.config import HardwareConfig
 from repro.ir.graph import OperatorGraph
-from repro.ir.loops import power_of_two_splits
 from repro.ir.operators import Operator
 from repro.ir.tensors import TensorKind
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -616,9 +618,9 @@ class Scheduler:
             )
             steps = list(schedule.steps)
             if steps:
-                # The gate may be handed a partition segment rather than
-                # a complete program graph (schedule_partitioned runs one
-                # Scheduler per segment), so the graph-level F003/F004
+                # The gate may be handed a workload segment rather than
+                # a complete program graph (segments take their inputs
+                # from earlier segments), so the graph-level F003/F004
                 # halves run in their boundary-tolerant modes: ModUp may
                 # live in an upstream segment and siblings may be
                 # consumed by a downstream one.  The full-strength graph
@@ -837,90 +839,3 @@ class Scheduler:
             resident_inputs=resident_inputs, kept=kept,
         )
 
-
-def schedule_graph(
-    graph: OperatorGraph,
-    hw: HardwareConfig,
-    config: Optional[SchedulerConfig] = None,
-    candidate_splits: Optional[Sequence[Optional[Tuple[int, int]]]] = None,
-) -> Schedule:
-    """Schedule a graph, trying each candidate NTT split and keeping the
-    fastest result (the scheduler-level half of Section V-B).
-
-    A split whose search proves infeasible is skipped as long as some
-    other candidate succeeds; only when every candidate fails does the
-    last :class:`InfeasibleScheduleError` propagate.
-    """
-    if candidate_splits is None:
-        candidate_splits = [None]
-    best: Optional[Schedule] = None
-    last_error: Optional[InfeasibleScheduleError] = None
-    for split in candidate_splits:
-        try:
-            sched = Scheduler(graph, hw, config, n_split=split).schedule()
-        except InfeasibleScheduleError as exc:
-            last_error = exc
-            continue
-        if best is None or sched.total_seconds < best.total_seconds:
-            best = sched
-    if best is None:
-        if last_error is not None:
-            raise last_error
-        raise InfeasibleScheduleError(
-            "no candidate NTT split produced a schedule",
-            detail=f"candidates tried: {list(candidate_splits)!r}",
-        )
-    return best
-
-
-def schedule_partitioned(
-    graph: OperatorGraph,
-    hw: HardwareConfig,
-    config: Optional[SchedulerConfig] = None,
-    n_split: Optional[Tuple[int, int]] = None,
-    segment_limit: int = 25,
-) -> Schedule:
-    """Schedule a large graph via pre-partitioning with merging.
-
-    The paper's path for ResNet-scale graphs (Section V-D): partition
-    into acyclic segments of at most ``segment_limit`` operators, search
-    each *distinct* segment structure once, and reuse the result for its
-    structural twins — the twins share the representative's scheduled
-    steps, whose costs are identical by construction of the signature.
-    A degraded segment schedule (budget fallback) marks the combined
-    schedule degraded.
-    """
-    from repro.sched.partition import partition_graph
-
-    partitions = partition_graph(graph, limit=segment_limit)
-    searched: Dict[Tuple, Schedule] = {}
-    combined = Schedule(steps=[])
-    for part in partitions:
-        cached = searched.get(part.signature)
-        if cached is None:
-            sub = OperatorGraph(f"{graph.name}.part{part.index}")
-            for op in part.ops:
-                sub.add_operator(op)
-            cached = Scheduler(sub, hw, config, n_split=n_split).schedule()
-            searched[part.signature] = cached
-        combined.steps.extend(cached.steps)
-        if cached.degraded and not combined.degraded:
-            combined.degraded = True
-            combined.degraded_reason = (
-                f"segment {part.index}: {cached.degraded_reason}"
-            )
-    return combined
-
-
-def default_ntt_splits(
-    n: int, min_tile: int = 64
-) -> List[Tuple[int, int]]:
-    """Candidate four-step splits near sqrt(N) (tiles must fill lanes)."""
-    out = []
-    for n1, n2 in power_of_two_splits(n, min_tile=min_tile):
-        if n2 < min_tile:
-            continue
-        # Stay within 4x of square to bound the candidate count.
-        if max(n1, n2) // min(n1, n2) <= 4:
-            out.append((n1, n2))
-    return out

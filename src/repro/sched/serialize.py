@@ -49,8 +49,7 @@ def schedule_to_doc(
 
     Valid only for schedules whose steps tile one graph's topological
     order contiguously (everything :class:`~repro.sched.scheduler.
-    Scheduler` and the MAD baseline produce; *not* the concatenated
-    output of ``schedule_partitioned``).
+    Scheduler` and the MAD baseline produce).
     """
     steps = []
     for step in schedule.steps:

@@ -35,7 +35,6 @@ from repro.serve.faults import (
 )
 from repro.serve.fleet import (
     AcceleratorNode,
-    CacheOracle,
     DEFAULT_SERVICE_SECONDS,
     Fleet,
     FleetSpec,
@@ -72,7 +71,6 @@ __all__ = [
     "AdmissionQueue",
     "Batch",
     "BatchingPolicy",
-    "CacheOracle",
     "DEFAULT_SERVICE_SECONDS",
     "DEFAULT_TENANTS",
     "FAULT_KINDS",

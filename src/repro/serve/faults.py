@@ -19,10 +19,8 @@ signal and recovery action):
   (a replay error, a checksum mismatch); per-request retry with
   backoff absorbs it.
 * ``cache_corrupt`` — the next schedule-oracle read for ``workload``
-  is corrupt (driven through
-  :meth:`repro.dse.cache.ArtifactCache.inject_read_fault` when the
-  oracle is cache-backed); the oracle degrades to its fallback
-  latency table.
+  is corrupt (armed through the oracle's ``inject_fault``); the oracle
+  answers with its degraded fallback latency.
 """
 
 from __future__ import annotations

@@ -6,33 +6,22 @@ state driven by the fault plane, and a ``busy_until`` cursor — work
 queues on the node, which is what makes placement a real decision.
 
 The **schedule oracle** answers "how long does one request of this
-workload take on a reference node?".  Serving never runs a cold DP
-search online: :class:`CacheOracle` reads evaluation results straight
-from the content-addressed :mod:`repro.dse` cache (the offline sweep
-populated it; ``Scheduler.replay`` made those numbers), and degrades
-to the :class:`TableOracle` fallback — measured CROPHE-64-class
-latencies — when an entry is missing or corrupt.  The fault plane's
-``cache_corrupt`` events drive the cache's injected-read-fault hook,
-so corruption, quarantine, and fallback are exercised end to end.
+workload take on a reference node?".  Serving never runs a DP search
+online: :class:`TableOracle` answers from measured CROPHE-64-class
+latencies, and the fault plane's ``cache_corrupt`` events arm its
+degraded-lookup mode, so every serve run exercises the fallback path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.resilience.errors import ConfigError
 
-if TYPE_CHECKING:  # runtime imports stay lazy (repro.dse is optional here)
-    from repro.dse.cache import ArtifactCache
-    from repro.experiments.common import DesignPoint
-    from repro.fhe.params import CKKSParams
-    from repro.sched.scheduler import SchedulerConfig
-
 __all__ = [
     "AcceleratorNode",
-    "CacheOracle",
     "DEFAULT_SERVICE_SECONDS",
     "Fleet",
     "FleetSpec",
@@ -112,95 +101,6 @@ class TableOracle(ScheduleOracle):
         self.fallbacks += 1
         if _METRICS.enabled:
             _METRICS.counter("serve.oracle_fallbacks").inc()
-
-
-class CacheOracle(ScheduleOracle):
-    """Service times served from the content-addressed DSE cache.
-
-    ``fingerprints`` maps workload name → result fingerprint (the
-    offline sweep's addresses).  A cache miss — including one injected
-    or quarantined by the fault plane — degrades to the fallback
-    table; the serving loop keeps answering, just with an estimate
-    instead of a measured number (graceful degradation, counted).
-    """
-
-    name = "cache"
-
-    def __init__(
-        self,
-        cache: "ArtifactCache",
-        fingerprints: Dict[str, str],
-        fallback: Optional[TableOracle] = None,
-    ):
-        self.cache = cache
-        self.fingerprints = dict(fingerprints)
-        self.fallback = fallback or TableOracle()
-
-    @staticmethod
-    def for_design(
-        point: "DesignPoint",
-        params: "CKKSParams",
-        workloads: Iterable[str],
-        config: Optional["SchedulerConfig"] = None,
-        cache: Optional["ArtifactCache"] = None,
-    ) -> "CacheOracle":
-        """Build the fingerprint map for one design point.
-
-        Uses the same ``result_fingerprint`` addresses the evaluation
-        pipeline writes, so a cache warmed by the experiment runner's
-        ``--cache-dir`` serves this oracle directly.
-        """
-        from repro.dse.cache import CACHE
-        from repro.dse.fingerprint import result_fingerprint
-        from repro.experiments.common import (
-            _design_payload,
-            default_scheduler_config,
-        )
-
-        config = config or default_scheduler_config()
-        payload = _design_payload(point)
-        fingerprints = {
-            w: result_fingerprint(payload, w, params, config)
-            for w in workloads
-        }
-        return CacheOracle(cache if cache is not None else CACHE,
-                           fingerprints)
-
-    def seconds(self, workload: str) -> float:
-        fp = self.fingerprints.get(workload)
-        if fp is not None:
-            import warnings
-
-            from repro.resilience.errors import CacheError
-
-            with warnings.catch_warnings():
-                # Corruption is the fault plane's doing; the oracle's
-                # contract is to degrade quietly and count.
-                warnings.simplefilter("ignore", CacheError)
-                doc = self.cache.get("result", fp)
-            if isinstance(doc, dict) and "seconds" in doc:
-                try:
-                    return float(doc["seconds"])
-                except (TypeError, ValueError):
-                    pass
-        self.fallback._note_fallback()
-        return self.fallback.table.get(
-            workload, DEFAULT_SERVICE_SECONDS.get(workload, 0.05)
-        )
-
-    def inject_fault(self, workload: str) -> None:
-        fp = self.fingerprints.get(workload)
-        if fp is not None:
-            self.cache.inject_read_fault(
-                kind="result", fingerprint=fp,
-                reason=f"chaos:{workload}",
-            )
-        else:
-            self.fallback.inject_fault(workload)
-
-    @property
-    def fallbacks(self) -> int:
-        return self.fallback.fallbacks
 
 
 @dataclass

@@ -2,12 +2,10 @@
 
 This module also owns the **canonical bottleneck tie-break**: every
 place that names "the limiting resource" — the simulation engine's
-per-step winners, :mod:`repro.obs.attribution`, the cost model's
-:class:`~repro.sched.cost_model.TimeBreakdown`, and the report
-renderers — resolves ties through :data:`BOTTLENECK_PRECEDENCE` (via
-:func:`bottleneck_order` / :func:`dominant_bottleneck`), so Table IV,
-``schedule_bottleneck_profile``, and the obs tables can never disagree
-on a tied group.
+per-step winners, :mod:`repro.obs.attribution`, and the utilization
+reports — resolves ties through :data:`BOTTLENECK_PRECEDENCE` (via
+:func:`bottleneck_order`), so Table IV and the obs tables can never
+disagree on a tied group.
 """
 
 from __future__ import annotations
@@ -21,10 +19,9 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 BOTTLENECK_PRECEDENCE = ("pe", "noc", "dram", "sram", "transpose")
 
 #: Domain-specific spellings of the canonical resource names.  The
-#: engine says ``tpu``, the cost model says ``compute``, utilization
-#: reports say ``dram_bw``/``sram_bw`` — all one precedence.
+#: engine says ``tpu``, utilization reports say ``dram_bw``/``sram_bw``
+#: — all one precedence.
 RESOURCE_ALIASES = {
-    "compute": "pe",
     "tpu": "transpose",
     "dram_bw": "dram",
     "sram_bw": "sram",
@@ -49,11 +46,6 @@ def bottleneck_order(names: Sequence[str]) -> Tuple[str, ...]:
         names,
         key=lambda n: known.get(canonical_resource(n), len(known)),
     ))
-
-
-def dominant_bottleneck(values: Mapping[str, float]) -> str:
-    """:func:`dominant` under the canonical bottleneck precedence."""
-    return dominant(values, order=bottleneck_order(tuple(values)))
 
 
 def dominant(

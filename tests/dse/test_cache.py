@@ -29,12 +29,6 @@ def cache(tmp_path):
     return ArtifactCache(root=str(tmp_path))
 
 
-def _disk_only(cache):
-    """Force the next get() to take the disk path, not the memory tier."""
-    cache.clear_memory()
-    return cache
-
-
 class TestHitMissWrite:
     def test_miss_then_hit(self, cache):
         assert cache.get("result", FP) is None
@@ -46,7 +40,6 @@ class TestHitMissWrite:
 
     def test_disk_round_trip(self, cache):
         cache.put("result", FP, {"value": 42}, meta={"label": "x"})
-        _disk_only(cache)
         assert cache.get("result", FP) == {"value": 42}
         path = cache.entry_path("result", FP)
         with open(path, encoding="utf-8") as fp:
@@ -56,11 +49,13 @@ class TestHitMissWrite:
         assert envelope["fingerprint"] == FP
         assert envelope["meta"] == {"label": "x"}
 
-    def test_memory_only_cache(self):
+    def test_no_root_misses_and_counts_writes(self):
         cache = ArtifactCache(root=None)
         cache.put("result", FP, {"value": 1})
         assert cache.entry_path("result", FP) is None
-        assert cache.get("result", FP) == {"value": 1}
+        assert cache.get("result", FP) is None
+        assert cache.stats["writes"] == 1
+        assert cache.stats["misses"] == 1
 
     def test_kinds_do_not_collide(self, cache):
         cache.put("result", FP, {"value": 1})
@@ -100,7 +95,7 @@ class TestCorruptionIsAMiss:
         with open(path, encoding="utf-8") as fp:
             text = fp.read()
         self._poison(cache, text[: len(text) // 2])
-        _expect_corrupt_miss(_disk_only(cache), "garbage-json")
+        _expect_corrupt_miss(cache, "garbage-json")
 
     def test_garbage_json(self, cache):
         self._poison(cache, "{not json at all")
@@ -134,7 +129,6 @@ class TestCorruptionIsAMiss:
             warnings.simplefilter("ignore", CacheError)
             assert cache.get("result", FP) is None
         cache.put("result", FP, {"value": 42})
-        _disk_only(cache)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning now fails the test
             assert cache.get("result", FP) == {"value": 42}

@@ -1,4 +1,4 @@
-"""Quarantine of corrupt entries and the injected-read-fault hook."""
+"""Quarantine of corrupt cache entries."""
 
 import os
 import warnings
@@ -61,7 +61,6 @@ class TestQuarantine:
             warnings.simplefilter("ignore", CacheError)
             assert cache.get("result", FP) is None
         cache.put("result", FP, {"value": 42})
-        cache.clear_memory()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cache.get("result", FP) == {"value": 42}
@@ -74,64 +73,6 @@ class TestQuarantine:
         qpath = os.path.join(cache.root, "quarantine", f"{FP}.json")
         with open(qpath, encoding="utf-8") as fp:
             assert fp.read() == '{"evidence": true'
-
-
-class TestInjectedReadFaults:
-    def test_armed_fault_forces_miss_and_quarantine(self, cache):
-        cache.put("result", FP, {"value": 42})
-        path = cache.entry_path("result", FP)
-        cache.inject_read_fault(kind="result", fingerprint=FP)
-        with pytest.warns(CacheError, match="injected-corruption"):
-            assert cache.get("result", FP) is None
-        assert not os.path.exists(path)
-        assert cache.stats["corrupt"] >= 1
-
-    def test_fault_fires_once(self, cache):
-        cache.put("result", FP, {"value": 42})
-        cache.inject_read_fault(kind="result", fingerprint=FP)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CacheError)
-            assert cache.get("result", FP) is None
-        cache.put("result", FP, {"value": 42})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cache.get("result", FP) == {"value": 42}
-
-    def test_wildcard_fault_hits_next_read(self, cache):
-        cache.put("result", FP, {"value": 1})
-        cache.inject_read_fault()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CacheError)
-            assert cache.get("result", FP) is None
-
-    def test_mismatched_fault_does_not_fire(self, cache):
-        cache.put("result", FP, {"value": 1})
-        cache.inject_read_fault(kind="schedule")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cache.get("result", FP) == {"value": 1}
-
-    def test_counted_fault_fires_n_times(self, cache):
-        cache.inject_read_fault(kind="result", fingerprint=FP, count=2)
-        for _ in range(2):
-            cache.put("result", FP, {"value": 1})
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CacheError)
-                assert cache.get("result", FP) is None
-        cache.put("result", FP, {"value": 1})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cache.get("result", FP) == {"value": 1}
-
-    def test_memory_only_cache_tolerates_injection(self):
-        cache = ArtifactCache(root=None)
-        cache.put("result", FP, {"value": 1})
-        cache.inject_read_fault(kind="result", fingerprint=FP)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CacheError)
-            assert cache.get("result", FP) is None
-        cache.put("result", FP, {"value": 2})
-        assert cache.get("result", FP) == {"value": 2}
 
 
 def test_quarantine_dir_excluded_from_scan(cache):

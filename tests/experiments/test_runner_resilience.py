@@ -40,6 +40,19 @@ def _raising_cell():
     raise SimulationError("deliberate failure", group_index=2)
 
 
+def _failing_table1(quick=False):
+    raise SimulationError("cell 'table1' forced to fail")
+
+
+def _stalled_table1(quick=False):
+    # Stalls inside an open span, the state a runaway search is in when
+    # --timeout kills it.
+    from repro import obs
+
+    with obs.span("test.stalled_cell", cell="table1"):
+        time.sleep(30.0)
+
+
 def _flaky_cell(marker):
     # Fails on the first attempt, succeeds once the marker file exists.
     if not os.path.exists(marker):
@@ -159,7 +172,7 @@ class TestMain:
     def test_forced_failure_yields_simulation_exit(
         self, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setenv("REPRO_FORCE_FAIL", "table1")
+        monkeypatch.setitem(runner.EXPERIMENTS, "table1", _failing_table1)
         path = str(tmp_path / "art.json")
         code = runner.main(["table1", "--artifact", path])
         assert code == runner.EXIT_SIMULATION
@@ -175,9 +188,9 @@ class TestMain:
         self, tmp_path, monkeypatch, capsys
     ):
         path = str(tmp_path / "art.json")
-        monkeypatch.setenv("REPRO_FORCE_FAIL", "table1")
+        monkeypatch.setitem(runner.EXPERIMENTS, "table1", _failing_table1)
         assert runner.main(["table1", "--artifact", path]) != 0
-        monkeypatch.delenv("REPRO_FORCE_FAIL")
+        monkeypatch.undo()
         # Failed cells are re-run under --resume...
         assert runner.main(
             ["table1", "--artifact", path, "--resume"]
@@ -188,7 +201,7 @@ class TestMain:
         assert "skipped" in capsys.readouterr().out
 
     def test_no_isolation_path(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_FORCE_FAIL", "table1")
+        monkeypatch.setitem(runner.EXPERIMENTS, "table1", _failing_table1)
         path = str(tmp_path / "art.json")
         code = runner.main(
             ["table1", "--artifact", path, "--no-isolation"]
@@ -216,7 +229,7 @@ class TestTimeoutTelemetryFlush:
     def test_timed_out_cell_flushes_spans(
         self, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setenv("REPRO_FORCE_SLEEP", "table1:30")
+        monkeypatch.setitem(runner.EXPERIMENTS, "table1", _stalled_table1)
         trace_dir = str(tmp_path / "traces")
         code = runner.main([
             "table1", "--artifact", str(tmp_path / "art.json"),
@@ -229,7 +242,7 @@ class TestTimeoutTelemetryFlush:
         rendered = json.dumps(doc)
         # The stalled span was open when SIGTERM arrived: it must be
         # present, closed, and tagged as interrupted.
-        assert "runner.force_sleep" in rendered
+        assert "test.stalled_cell" in rendered
         assert '"interrupted": true' in rendered
 
         # The Perfetto export from the dying cell parses too.

@@ -10,6 +10,7 @@ from repro.hw.noc import MeshNoc
 from repro.hw.pe import operator_cycles, seconds
 from repro.hw.transpose import TransposeUnit
 from repro.ir.operators import Operator, OpKind
+from repro.sched.dataflow import GroupPricing
 
 N = 65536
 
@@ -93,17 +94,20 @@ class TestMemories:
         assert not sram.fits(1025)
 
     def test_sram_access_time(self):
-        sram = SramBuffer(capacity_bytes=1024, bytes_per_second=1e9)
-        assert sram.access_seconds(1e9) == pytest.approx(1.0)
+        # One second's worth of bytes through the buffer ports.
+        nbytes = int(SramBuffer.for_config(CROPHE_64).bytes_per_second)
+        pricing = GroupPricing.for_config(CROPHE_64)
+        assert pricing.terms(0, 0, nbytes, 0, 0)[2] == pytest.approx(1.0)
 
     def test_hbm_derated_bandwidth(self):
         hbm = HbmMemory(bytes_per_second_peak=1e12, efficiency=0.85)
         assert hbm.bytes_per_second == pytest.approx(0.85e12)
 
     def test_hbm_base_latency(self):
-        hbm = HbmMemory(bytes_per_second_peak=1e12)
-        assert hbm.access_seconds(0) == 0.0
-        assert hbm.access_seconds(1) >= hbm.base_latency_s
+        hbm = HbmMemory.for_config(CROPHE_64)
+        pricing = GroupPricing.for_config(CROPHE_64)
+        assert pricing.terms(0, 0, 0, 0, 0)[1] == 0.0
+        assert pricing.terms(0, 1, 0, 0, 0)[1] >= hbm.base_latency_s
 
     def test_hbm_for_config(self):
         hbm = HbmMemory.for_config(CROPHE_64)

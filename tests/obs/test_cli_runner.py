@@ -144,9 +144,14 @@ class TestRunnerFlags:
         assert doc["metrics"]["runner.exit.ok"]["value"] == 1
 
     def test_trace_dir_written_for_failing_cell(self, tmp_path, monkeypatch):
+        from repro.experiments import runner
         from repro.experiments.runner import main as runner_main
+        from repro.resilience.errors import SimulationError
 
-        monkeypatch.setenv("REPRO_FORCE_FAIL", "table3")
+        def failing_table3(quick=False):
+            raise SimulationError("cell 'table3' forced to fail")
+
+        monkeypatch.setitem(runner.EXPERIMENTS, "table3", failing_table3)
         trace_dir = os.path.join(tmp_path, "traces")
         metrics = os.path.join(tmp_path, "m.json")
         code = runner_main([

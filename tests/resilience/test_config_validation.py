@@ -8,7 +8,6 @@ from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_64, FunctionalUnitMix, HardwareConfig
 from repro.ir.builders import GraphBuilder
 from repro.resilience.errors import ConfigError
-from repro.sched.partition import partition_graph
 from repro.sched.scheduler import Scheduler, SchedulerConfig
 from repro.sim.engine import SimulationEngine
 from repro.workloads.base import WorkloadOptions
@@ -133,12 +132,6 @@ def test_simulation_engine_rejects_bad_share():
     with pytest.raises(ConfigError) as exc:
         SimulationEngine(CROPHE_64, constant_share=0)
     assert exc.value.field == "constant_share"
-
-
-def test_partition_rejects_bad_limit():
-    with pytest.raises(ConfigError) as exc:
-        partition_graph(_graph(), limit=0)
-    assert exc.value.field == "limit"
 
 
 def test_min_ntt_tile_must_fill_pe_lanes():

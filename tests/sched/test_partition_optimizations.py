@@ -1,69 +1,6 @@
-"""Tests for graph partitioning and the two optimization analyses."""
+"""Tests for the NTT-split candidate analysis (Sections V-B and V-D)."""
 
-import pytest
-
-from repro.fhe.params import parameter_set
-from repro.ir.builders import GraphBuilder
-from repro.sched.hybrid_rotation import (
-    best_r_hyb_estimate,
-    estimate_tradeoff,
-    r_hyb_candidates,
-)
-from repro.sched.ntt_decomp import (
-    candidate_splits,
-    decomposition_overhead,
-    orientation_switch_report,
-)
-from repro.sched.partition import (
-    merge_redundant,
-    partition_graph,
-    redundancy_factor,
-)
-
-PARAMS = parameter_set("ARK")
-
-
-def _bsgs_graph(split=None):
-    b = GraphBuilder(PARAMS, ntt_split=split)
-    ct = b.input_ciphertext("x", 10)
-    b.bsgs_matvec(ct, 4, 4)
-    return b.graph
-
-
-class TestPartition:
-    def test_segments_cover_graph(self):
-        g = _bsgs_graph()
-        parts = partition_graph(g, limit=25)
-        total = sum(p.size for p in parts)
-        assert total == g.num_operators
-
-    def test_segment_size_limit(self):
-        g = _bsgs_graph()
-        for p in partition_graph(g, limit=25):
-            assert p.size <= 25
-
-    def test_indices_sequential(self):
-        parts = partition_graph(_bsgs_graph(), limit=10)
-        assert [p.index for p in parts] == list(range(len(parts)))
-
-    def test_invalid_limit(self):
-        with pytest.raises(ValueError):
-            partition_graph(_bsgs_graph(), limit=0)
-
-    def test_redundant_segments_merge(self):
-        """BSGS repeats the same key-switch structure many times."""
-        g = _bsgs_graph()
-        parts = partition_graph(g, limit=15)
-        assert redundancy_factor(parts) > 1.0
-
-    def test_merge_groups_have_same_signature(self):
-        parts = partition_graph(_bsgs_graph(), limit=15)
-        for sig, group in merge_redundant(parts).items():
-            for p in group:
-                assert p.signature == sig
-
-    def test_empty_graph_redundancy(self):
-        assert redundancy_factor([]) == 1.0
+from repro.sched.ntt_decomp import candidate_splits
 
 
 class TestNttDecompAnalysis:
@@ -74,68 +11,3 @@ class TestNttDecompAnalysis:
 
     def test_candidate_splits_bounded(self):
         assert 1 <= len(candidate_splits(1 << 16)) <= 4
-
-    def test_decomposition_reduces_switches_per_ntt(self):
-        mono = orientation_switch_report(_bsgs_graph())
-        dec = orientation_switch_report(
-            _bsgs_graph(split=(256, 256)), n_split=(256, 256)
-        )
-        assert dec.switches_per_ntt <= mono.switches_per_ntt
-
-    def test_overhead_report(self):
-        mono = _bsgs_graph()
-        dec = _bsgs_graph(split=(256, 256))
-        overhead = decomposition_overhead(mono, dec)
-        assert overhead.extra_operators > 0
-        assert overhead.transpose_operators > 0
-
-
-class TestHybridRotationAnalysis:
-    def test_candidates_cover_endpoints(self):
-        c = r_hyb_candidates(8)
-        assert c[0] == 1
-        assert 8 in c
-
-    def test_candidates_for_one(self):
-        assert r_hyb_candidates(1) == [1]
-
-    def test_invalid_n1(self):
-        with pytest.raises(ValueError):
-            r_hyb_candidates(0)
-
-    def test_tradeoff_endpoints(self):
-        minks = estimate_tradeoff(PARAMS, 10, 8, 1)
-        hoist = estimate_tradeoff(PARAMS, 10, 8, 8)
-        assert minks.distinct_evks == 1
-        assert hoist.distinct_evks == 7
-        assert hoist.mod_ups < minks.mod_ups
-
-    def test_evk_bytes_formula(self):
-        t = estimate_tradeoff(PARAMS, 10, 8, 4, prng_halved=True)
-        beta = PARAMS.digits_at_level(10)
-        limbs = PARAMS.evk_limbs(10)
-        assert t.evk_bytes == beta * limbs * PARAMS.n * 8
-
-    def test_resident_vs_stream_bytes(self):
-        t = estimate_tradeoff(PARAMS, 10, 8, 4)
-        assert t.resident_evk_bytes == t.distinct_evks * t.evk_bytes
-        assert t.total_evk_stream_bytes == t.mod_downs * t.evk_bytes
-
-    def test_best_r_small_sram_prefers_hoisting_side(self):
-        """With no room to cache evks, compute savings dominate."""
-        best = best_r_hyb_estimate(
-            PARAMS, 10, 16,
-            sram_budget_bytes=1 << 20,            # 1 MB: nothing fits
-            muls_per_second=2e13,
-            dram_bytes_per_second=1e12,
-        )
-        assert best > 1
-
-    def test_best_r_huge_sram_any_endpoint_ok(self):
-        best = best_r_hyb_estimate(
-            PARAMS, 10, 16,
-            sram_budget_bytes=1 << 40,
-            muls_per_second=2e13,
-            dram_bytes_per_second=1e12,
-        )
-        assert best in r_hyb_candidates(16)

@@ -151,15 +151,11 @@ def _sha(schedule):
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch):
     """Empty memo tiers and no disk root, before and after each case."""
-    from repro.dse.cache import CACHE
-
     monkeypatch.delenv("REPRO_PLAN_MEMO", raising=False)
     monkeypatch.delenv("REPRO_DSE_CACHE", raising=False)
     MEMO.clear()
-    CACHE.clear_memory()
     yield
     MEMO.clear()
-    CACHE.clear_memory()
 
 
 def test_every_case_is_pinned():

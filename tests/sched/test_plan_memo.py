@@ -51,19 +51,14 @@ TINY_BOOT = CKKSParams(
 def _fresh_memo(monkeypatch):
     """Each test starts memo-enabled with empty tiers and no disk root.
 
-    The DSE cache's in-memory front also gets dropped: structural plan
-    fingerprints are intentionally identical across same-shaped graphs,
-    so entries would otherwise leak between tests.
+    Structural plan fingerprints are intentionally identical across
+    same-shaped graphs, so entries would otherwise leak between tests.
     """
-    from repro.dse.cache import CACHE
-
     monkeypatch.delenv("REPRO_PLAN_MEMO", raising=False)
     monkeypatch.delenv("REPRO_DSE_CACHE", raising=False)
     MEMO.clear()
-    CACHE.clear_memory()
     yield
     MEMO.clear()
-    CACHE.clear_memory()
 
 
 def _hmult_graph():
@@ -295,14 +290,11 @@ class TestDiskTier:
         """Clearing the in-memory tiers simulates a fresh process: the
         second search is served from disk (disk hits, zero construction
         misses) and is byte-identical."""
-        from repro.dse.cache import CACHE
-
         monkeypatch.setenv("REPRO_DSE_CACHE", str(tmp_path))
         graph = _hmult_graph()
         first = Scheduler(graph, CROPHE_64, SchedulerConfig()).schedule()
         assert MEMO.stats["memo_miss"] >= 1
         MEMO.clear()
-        CACHE.clear_memory()  # disk entries survive
         cold = Scheduler(graph, CROPHE_64, SchedulerConfig())
         second = cold.schedule()
         assert MEMO.stats["disk_hit"] >= 1
@@ -312,8 +304,6 @@ class TestDiskTier:
     def test_corrupt_disk_entry_falls_back_to_construction(
         self, tmp_path, monkeypatch
     ):
-        from repro.dse.cache import CACHE
-
         monkeypatch.setenv("REPRO_DSE_CACHE", str(tmp_path))
         graph = _hmult_graph()
         first = Scheduler(graph, CROPHE_64, SchedulerConfig()).schedule()
@@ -328,7 +318,6 @@ class TestDiskTier:
             doc["payload"] = {"nests": "gone"}
             path.write_text(json.dumps(doc))
         MEMO.clear()
-        CACHE.clear_memory()
         second = Scheduler(graph, CROPHE_64, SchedulerConfig()).schedule()
         assert MEMO.stats["memo_miss"] >= 1
         assert _doc(second) == _doc(first)

@@ -8,12 +8,7 @@ from repro.hw.config import CROPHE_64
 from repro.ir.builders import GraphBuilder
 from repro.ir.operators import OpKind
 from repro.sched.mapper import map_group
-from repro.sched.scheduler import (
-    Scheduler,
-    SchedulerConfig,
-    default_ntt_splits,
-    schedule_graph,
-)
+from repro.sched.scheduler import Scheduler, SchedulerConfig
 
 PARAMS = parameter_set("ARK")
 
@@ -73,18 +68,6 @@ class TestScheduler:
         small_hw = CROPHE_64.with_sram_mb(16.0)
         small = Scheduler(_hmult_graph(), small_hw).schedule()
         assert small.total_seconds >= big.total_seconds * 0.99
-
-    def test_schedule_graph_picks_best_split(self):
-        sched = schedule_graph(
-            _hmult_graph(), CROPHE_64, candidate_splits=[None]
-        )
-        assert sched.total_seconds > 0
-
-    def test_default_ntt_splits_near_square(self):
-        splits = default_ntt_splits(1 << 16)
-        for n1, n2 in splits:
-            assert n1 * n2 == 1 << 16
-            assert max(n1, n2) / min(n1, n2) <= 4
 
     def test_search_stats_recorded(self):
         s = Scheduler(_hmult_graph(), CROPHE_64)
@@ -150,31 +133,6 @@ class TestMapper:
         )
         mapping = map_group(multi.plan)
         assert mapping.average_hops() >= 0
-
-
-class TestPartitionedScheduling:
-    def test_covers_and_matches_direct(self):
-        from repro.sched.scheduler import schedule_partitioned
-
-        g = _hmult_graph()
-        part = schedule_partitioned(g, CROPHE_64, segment_limit=12)
-        covered = sum(len(s.plan.ops) for s in part.steps)
-        assert covered == g.num_operators
-        direct = Scheduler(_hmult_graph(), CROPHE_64).schedule()
-        # Partitioning restricts the search; it may be somewhat slower
-        # but must stay in the same regime.
-        assert part.total_seconds <= direct.total_seconds * 3.0
-
-    def test_redundant_structures_searched_once(self):
-        from repro.fhe.params import parameter_set
-        from repro.sched.scheduler import schedule_partitioned
-
-        b = GraphBuilder(PARAMS)
-        ct = b.input_ciphertext("x", 10)
-        b.bsgs_matvec(ct, 4, 4)
-        sched = schedule_partitioned(b.graph, CROPHE_64, segment_limit=15)
-        covered = sum(len(s.plan.ops) for s in sched.steps)
-        assert covered >= b.graph.num_operators  # twins share step objects
 
 
 class TestStreamWindow:

@@ -21,6 +21,12 @@ def _hmult_graph(split=None):
     return b.graph
 
 
+def _bsgs_graph(split=None):
+    b = GraphBuilder(PARAMS, ntt_split=split)
+    b.bsgs_matvec(b.input_ciphertext("x", 10), 4, 4)
+    return b.graph
+
+
 class TestNestAssignment:
     def test_elementwise_chain_fully_matches(self):
         b = GraphBuilder(PARAMS)
@@ -63,20 +69,25 @@ class TestNestAssignment:
                     matched += assignment.match_of(pred, op)
         assert matched > 0
 
+    @staticmethod
+    def _switches_per_ntt(g, n_split=None):
+        ops = g.operators_topological()
+        assignment = assign_loop_nests(g, ops, n_split=n_split)
+        switches = count_orientation_switches(g, ops, assignment)
+        ntts = sum(1 for op in ops if op.kind.is_monolithic_ntt) + sum(
+            1 for op in ops if op.kind.is_ntt_phase
+        ) / 2
+        return switches / ntts
+
     def test_orientation_switch_count_drops_with_decomposition(self):
-        g_mono = _hmult_graph()
-        ops_m = g_mono.operators_topological()
-        a_m = assign_loop_nests(g_mono, ops_m)
-        g_dec = _hmult_graph(split=(256, 256))
-        ops_d = g_dec.operators_topological()
-        a_d = assign_loop_nests(g_dec, ops_d, n_split=(256, 256))
         # Normalize per (i)NTT instance: decomposition should reduce
         # unmatched edges per NTT despite the larger op count.
-        sw_m = count_orientation_switches(g_mono, ops_m, a_m)
-        sw_d = count_orientation_switches(g_dec, ops_d, a_d)
-        ntts_m = sum(1 for op in ops_m if op.kind.is_monolithic_ntt)
-        ntts_d = sum(1 for op in ops_d if op.kind.is_ntt_phase) / 2
-        assert sw_d / ntts_d <= sw_m / ntts_m
+        for build in (_hmult_graph, _bsgs_graph):
+            mono = self._switches_per_ntt(build())
+            dec = self._switches_per_ntt(
+                build(split=(256, 256)), n_split=(256, 256)
+            )
+            assert dec <= mono, build.__name__
 
 
 class TestSpatialGroupPlan:

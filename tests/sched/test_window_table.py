@@ -28,15 +28,11 @@ from tests.sched.test_pinned_schedules import TINY_BOOT, TINY_DEEP, _graph
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch):
     """Empty memo tiers and no disk root, before and after each test."""
-    from repro.dse.cache import CACHE
-
     monkeypatch.delenv("REPRO_PLAN_MEMO", raising=False)
     monkeypatch.delenv("REPRO_DSE_CACHE", raising=False)
     MEMO.clear()
-    CACHE.clear_memory()
     yield
     MEMO.clear()
-    CACHE.clear_memory()
 
 
 def _doc(schedule):

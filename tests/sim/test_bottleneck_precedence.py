@@ -1,10 +1,8 @@
 """Regression tests for the canonical bottleneck tie-break.
 
-Before the fix, :class:`~repro.sched.cost_model.TimeBreakdown` resolved
-ties by its own dict insertion order (compute, dram, sram, noc,
-transpose) while :mod:`repro.obs.attribution` used its column order —
-so a noc/dram tie was reported as "dram" by the cost model and "noc"
-by the attribution table.  Both now defer to
+A noc/dram tie once resolved differently depending on which module
+named the winner.  The engine's per-step winner and
+:mod:`repro.obs.attribution` now both defer to
 :data:`repro.sim.stats.BOTTLENECK_PRECEDENCE`.
 """
 
@@ -15,46 +13,13 @@ import itertools
 import pytest
 
 from repro.obs.attribution import RESOURCES, GroupAttribution
-from repro.sched.cost_model import TimeBreakdown
 from repro.sim.engine import BOTTLENECK_ORDER
 from repro.sim.stats import (
     BOTTLENECK_PRECEDENCE,
+    bottleneck_order,
     canonical_resource,
     dominant,
-    dominant_bottleneck,
 )
-
-
-def _breakdown(**seconds: float) -> TimeBreakdown:
-    values = {
-        "compute": 0.0, "dram": 0.0, "sram": 0.0, "noc": 0.0,
-        "transpose": 0.0,
-    }
-    values.update(seconds)
-    return TimeBreakdown(**values)
-
-
-class TestTimeBreakdownTies:
-    def test_all_equal_tie_goes_to_compute(self):
-        # Canonical precedence puts the PEs first; the cost model spells
-        # that resource "compute".
-        bd = _breakdown(compute=1.0, dram=1.0, sram=1.0, noc=1.0,
-                        transpose=1.0)
-        assert bd.bottleneck == "compute"
-
-    def test_noc_dram_tie_goes_to_noc(self):
-        # Pre-fix, TimeBreakdown's field order (dram before noc) made
-        # this come out "dram"; the canonical precedence says noc wins.
-        bd = _breakdown(dram=5.0, noc=5.0)
-        assert bd.bottleneck == "noc"
-
-    def test_strict_maximum_still_wins(self):
-        bd = _breakdown(dram=5.0, noc=4.9, compute=1.0)
-        assert bd.bottleneck == "dram"
-
-    def test_sram_transpose_tie_goes_to_sram(self):
-        bd = _breakdown(sram=2.0, transpose=2.0)
-        assert bd.bottleneck == "sram"
 
 
 class TestAttributionTies:
@@ -73,17 +38,13 @@ class TestAttributionTies:
 
 
 class TestCrossModuleAgreement:
-    """Every tie pattern must resolve identically in the cost model,
-    the attribution table, and the engine's per-step winner."""
+    """Every tie pattern must resolve identically in the attribution
+    table and the engine's per-step winner."""
 
     @pytest.mark.parametrize(
         "tied", list(itertools.combinations(range(5), 2))
     )
     def test_two_way_ties_agree_everywhere(self, tied):
-        spellings = {
-            "pe": "compute", "noc": "noc", "dram": "dram",
-            "sram": "sram", "transpose": "transpose",
-        }
         engine_spellings = {
             "pe": "pe", "noc": "noc", "dram": "dram", "sram": "sram",
             "transpose": "tpu",
@@ -92,11 +53,6 @@ class TestCrossModuleAgreement:
         values = {r: 0.0 for r in canon}
         for idx in tied:
             values[canon[idx]] = 3.0
-
-        bd = _breakdown(**{
-            spellings[r]: v for r, v in values.items()
-        })
-        cost_winner = canonical_resource(bd.bottleneck)
 
         attr = GroupAttribution(group=0)
         attr.cycles.update(values)
@@ -110,10 +66,9 @@ class TestCrossModuleAgreement:
         )
 
         expected = canon[min(tied)]
-        assert cost_winner == expected
         assert attribution_winner == expected
         assert engine_winner == expected
 
-    def test_dominant_bottleneck_canonicalizes_aliases(self):
+    def test_order_canonicalizes_aliases(self):
         # tpu/dram_bw spellings participate under their canonical rank.
-        assert dominant_bottleneck({"tpu": 1.0, "dram_bw": 1.0}) == "dram_bw"
+        assert bottleneck_order(("tpu", "dram_bw")) == ("dram_bw", "tpu")
