@@ -100,10 +100,10 @@ lint:
 	fi
 
 # Static verification of the shipped workload graphs and schedules
-# (repro.analysis): graph invariants, CKKS semantics, schedule legality.
+# (repro.analysis): graph invariants, CKKS semantics, whole-program
+# dataflow, schedule legality; then the repo lint ratchet.
 verify-static:
 	PYTHONPATH=src python -m repro.analysis
-	PYTHONPATH=src python -m repro.analysis flow
 	PYTHONPATH=src python -m repro.analysis.lint src
 
 examples:

@@ -12,15 +12,14 @@ Everything in this package runs *before* (and without) the simulator:
 * :mod:`repro.analysis.schedule_verify` — schedule legality against a
   hardware configuration (S001-S009).
 * :mod:`repro.analysis.flow` — whole-program dataflow verification
-  (F001-F004) on a worklist/fixpoint abstract-interpretation framework.
+  (F001-F004) by direct passes over the SSA operator graph.
 * :mod:`repro.analysis.lint` — the repo lint pass (L001-L002) and the
   determinism lint (D001-D005).
 
 Entry points: the scheduler's post-``schedule()`` gate
-(``SchedulerConfig.verify``), the simulator's pre-run check, the
-experiment runner's ``--verify`` flag, and ``python -m repro.analysis``
-which verifies the shipped workloads end to end (``python -m
-repro.analysis flow <workload>`` runs just the F* dataflow passes).
+(``SchedulerConfig.verify``), the simulator's pre-run check, and
+:func:`verify_workloads` — the one workload verifier, behind both the
+experiment runner's ``--verify`` flag and ``python -m repro.analysis``.
 """
 
 from repro.analysis.diagnostics import (
@@ -63,7 +62,6 @@ __all__ = [
     "verify_key_reach",
     "verify_sharing",
     "verify_workloads",
-    "flow_workloads",
 ]
 
 
@@ -78,9 +76,11 @@ def verify_workloads(
     :mod:`repro.passes`, four-step NTTs, hybrid rotation), then runs
     every pass on every distinct segment:
     graph + semantics + whole-graph dataflow (F*) on the operator
-    graph, and full schedule legality plus the cross-window F* rules on
-    the schedule the CROPHE scheduler produces for it.  Returns one
-    list of :class:`DiagnosticReport` (one per pass per segment).
+    graph, and full schedule legality plus the scheduler gate's F*
+    checks (:func:`verify_flow_schedule`) on the schedule the CROPHE
+    scheduler produces for it.  Returns one list of
+    :class:`DiagnosticReport` (one per pass per segment).  The backend
+    of ``python -m repro.analysis`` and ``runner --verify``.
     """
     from repro.fhe.params import parameter_set
     from repro.hw.config import CROPHE_64
@@ -126,53 +126,4 @@ def verify_workloads(
             ):
                 report.pass_name = f"{name}/{segment.name} {report.pass_name}"
                 reports.append(report)
-    return reports
-
-
-def flow_workloads(
-    workload_names=("bootstrapping", "helr", "resnet20"),
-    params_name: str = "ARK",
-    hw=None,
-):
-    """Run only the F* dataflow passes over the named workloads.
-
-    The backend of ``python -m repro.analysis flow <workload>``: builds
-    each workload like :func:`verify_workloads`, runs the whole-graph
-    analyses (F001/F003/F004) on every distinct segment and the
-    cross-window analyses (F002/F003/F004) on its schedule.
-    """
-    from repro.fhe.params import parameter_set
-    from repro.hw.config import CROPHE_64
-    from repro.sched.scheduler import Scheduler, SchedulerConfig
-    from repro.workloads import WORKLOAD_BUILDERS
-    from repro.workloads.base import WorkloadOptions
-
-    params = parameter_set(params_name)
-    hw = hw or CROPHE_64
-    root = 1 << (params.log_n // 2)
-    options = WorkloadOptions(
-        ntt_split=(root, params.n // root),
-        rotation_strategy="hybrid",
-        r_hyb=4,
-    )
-    config = SchedulerConfig(verify="off")
-
-    reports = []
-    seen = set()
-    for name in workload_names:
-        workload = WORKLOAD_BUILDERS[name](params, options)
-        for segment in workload.segments:
-            graph = segment.graph
-            if id(graph) in seen:
-                continue
-            seen.add(id(graph))
-            report = verify_flow_graph(graph)
-            report.pass_name = f"{name}/{segment.name} {report.pass_name}"
-            reports.append(report)
-            schedule = Scheduler(
-                graph, hw, config, n_split=options.ntt_split
-            ).schedule()
-            report = verify_flow_schedule(schedule, hw, graph=graph)
-            report.pass_name = f"{name}/{segment.name} {report.pass_name}"
-            reports.append(report)
     return reports

@@ -2,13 +2,13 @@
 
 Builds the evaluation workloads, runs every static pass on every
 distinct segment (graph, CKKS semantics, whole-program dataflow,
-schedule legality), and prints the combined report.  ``python -m
-repro.analysis flow [workload ...]`` runs only the F* dataflow passes.
+schedule legality), and prints the combined report.
 
 Exit code 0 when no ERROR diagnostics were found,
 :data:`~repro.analysis.diagnostics.EXIT_VERIFY` (5, shared with the
 experiment runner's ``--verify``) otherwise.  ``--json`` emits the same
-document shape as ``runner --verify-json``.
+document shape as ``runner --verify-json``.  An unknown workload or
+parameter set is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -18,43 +18,27 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis import (
-    EXIT_VERIFY,
-    flow_workloads,
-    reports_document,
-    verify_workloads,
-)
+from repro.analysis import EXIT_VERIFY, reports_document, verify_workloads
+from repro.fhe.params import PARAMETER_SETS
+from repro.workloads import WORKLOAD_BUILDERS
 
 _DEFAULT_WORKLOADS = ["bootstrapping", "helr", "resnet20"]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    flow_only = bool(argv) and argv[0] == "flow"
-    if flow_only:
-        argv = argv[1:]
-        # ``flow resnet20`` reads naturally; accept bare workload names
-        # as well as the --workloads form.
-        positional_workloads = [a for a in argv if not a.startswith("-")]
-        if positional_workloads:
-            argv = [a for a in argv if a.startswith("-")]
-            argv += ["--workloads", *positional_workloads]
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Statically verify the shipped workload graphs and "
-        "schedules (no simulation).  The 'flow' subcommand runs only "
-        "the F* whole-program dataflow passes.",
+        "schedules (no simulation).",
     )
     parser.add_argument(
         "--workloads", nargs="+", default=_DEFAULT_WORKLOADS,
-        help="workloads to verify",
+        choices=sorted(WORKLOAD_BUILDERS), help="workloads to verify",
     )
     parser.add_argument(
-        "--params", default="ARK", help="CKKS parameter set name"
+        "--params", default="ARK", choices=sorted(PARAMETER_SETS),
+        help="CKKS parameter set name",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -62,8 +46,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    run = flow_workloads if flow_only else verify_workloads
-    reports = run(
+    reports = verify_workloads(
         workload_names=tuple(args.workloads), params_name=args.params
     )
     document = reports_document(reports)
@@ -73,9 +56,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for report in reports:
             if not report.clean:
                 print(report.render_text())
-        what = "flow pass" if flow_only else "pass"
         print(
-            f"verified {len(reports)} {what} run(s): "
+            f"verified {len(reports)} pass run(s): "
             f"{document['errors']} error(s), "
             f"{document['warnings']} warning(s)"
         )

@@ -19,8 +19,8 @@ from repro.resilience.errors import InvariantViolation
 
 #: Process exit status shared by every diagnostics front end: the
 #: experiment runner's ``--verify``, ``python -m repro.analysis`` (both
-#: the workload verifier and the ``flow`` subcommand), and the repo lint
-#: ratchet all exit 5 on ERROR findings so CI branches on one code.
+#: run the one workload verifier), and the repo lint ratchet all exit 5
+#: on ERROR findings so CI branches on one code.
 EXIT_VERIFY = 5
 
 

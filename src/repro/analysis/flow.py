@@ -6,277 +6,34 @@ are *inter*-operator: a level budget must survive whole
 bootstrap/rescale chains, SRAM residency accumulates across window
 boundaries, and a key-switch inner product is only legal if some
 predecessor chain actually materialized its extended digit basis.  This
-module adds the F* rule family for exactly those properties, built on a
-small abstract-interpretation framework:
+module adds the F* rule family for exactly those properties:
+:func:`verify_levels` (F001, the whole-graph generalization of
+C002/C003), :func:`verify_residency` (F002, ciphertext liveness + peak
+SRAM claims per scheduled window), :func:`verify_key_reach` (F003, evk
+fetch + ModUp-materialized digits for every key-switch window), and
+:func:`verify_sharing` (F004, cross-window recompute / dead sibling
+outputs).
 
-* :class:`Lattice` implementations (interval, boolean-or) with
-  ``join``/``widen``/``leq``;
-* :class:`DataflowAnalysis`, a forward/backward worklist fixpoint
-  engine over :class:`~repro.ir.graph.OperatorGraph` whose worklist is
-  a heap of topological indices — the visit order (and therefore every
-  report) is deterministic regardless of hash seeds;
-* four concrete verifiers: :func:`verify_levels` (F001, the
-  whole-graph generalization of C002/C003), :func:`verify_residency`
-  (F002, ciphertext liveness + peak SRAM claims per scheduled window),
-  :func:`verify_key_reach` (F003, evk fetch + ModUp-materialized
-  digits for every key-switch window), and :func:`verify_sharing`
-  (F004, cross-window recompute / dead sibling outputs).
+Every graph these passes see is an SSA DAG — ``OperatorGraph.add_operator``
+rejects a second producer and any cycle-closing insertion — so each
+inter-operator property is one dict or one walk in topological order.
 
-The lowering pipeline (:mod:`repro.passes.pipeline`) checks its
-inter-pass invariants with :func:`verify_flow_graph`, the same
-graph-level F* checks the analysis CLI runs.
+Two compositions share the work: :func:`verify_flow_graph` runs the
+strict graph-level checks (the lowering pipeline's inter-pass
+invariants, ``python -m repro.analysis``, ``runner --verify``), and
+:func:`verify_flow_schedule` runs the schedule-level checks exactly as
+the scheduler's post-``schedule()`` gate does.
 """
 
 from __future__ import annotations
 
-import enum
-import heapq
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Generic,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Dict, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.ir.graph import OperatorGraph
 from repro.ir.operators import Operator, OpKind
 from repro.ir.tensors import DataTensor, TensorKind
 from repro.resilience.errors import InvariantViolation
-
-V = TypeVar("V")
-
-# ---------------------------------------------------------------------------
-# Lattices
-# ---------------------------------------------------------------------------
-
-
-class Lattice(Generic[V]):
-    """A join-semilattice over abstract values of type ``V``.
-
-    ``bottom`` is the least element, ``join`` the least upper bound,
-    ``leq`` the induced partial order, and ``widen`` an (optional)
-    widening operator — it defaults to ``join``, which is enough for
-    finite-height lattices; infinite-height lattices (intervals)
-    override it to force convergence.
-    """
-
-    def bottom(self) -> V:
-        """The least element of the lattice."""
-        raise NotImplementedError
-
-    def join(self, a: V, b: V) -> V:
-        """Least upper bound of two abstract values."""
-        raise NotImplementedError
-
-    def leq(self, a: V, b: V) -> bool:
-        """Partial order: is ``a`` below (or equal to) ``b``?"""
-        raise NotImplementedError
-
-    def widen(self, old: V, new: V) -> V:
-        """Widening operator; defaults to :meth:`join`."""
-        return self.join(old, new)
-
-
-#: Interval values: ``None`` is bottom, otherwise ``(lo, hi)``.
-Interval = Optional[Tuple[int, int]]
-
-
-class IntervalLattice(Lattice[Interval]):
-    """Integer intervals with widening to configurable bounds.
-
-    Used by F001 to track how many limb rows a tensor can carry.  The
-    lattice has infinite ascending chains, so :meth:`widen` jumps any
-    still-moving bound straight to ``floor``/``ceiling``.
-    """
-
-    def __init__(self, floor: int = 0, ceiling: int = 1 << 30):
-        self.floor = floor
-        self.ceiling = ceiling
-
-    def bottom(self) -> Interval:
-        """``None``: no value observed yet."""
-        return None
-
-    def singleton(self, value: int) -> Interval:
-        """The one-point interval ``[value, value]``."""
-        return (value, value)
-
-    def join(self, a: Interval, b: Interval) -> Interval:
-        """Interval hull of ``a`` and ``b``."""
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return (min(a[0], b[0]), max(a[1], b[1]))
-
-    def leq(self, a: Interval, b: Interval) -> bool:
-        """Interval containment: ``a`` within ``b``."""
-        if a is None:
-            return True
-        if b is None:
-            return False
-        return b[0] <= a[0] and a[1] <= b[1]
-
-    def widen(self, old: Interval, new: Interval) -> Interval:
-        """Jump any still-moving bound to ``floor``/``ceiling``."""
-        if old is None:
-            return new
-        if new is None:
-            return old
-        lo = old[0] if old[0] <= new[0] else self.floor
-        hi = old[1] if new[1] <= old[1] else self.ceiling
-        return (lo, hi)
-
-
-class BoolOrLattice(Lattice[bool]):
-    """Two-point lattice ``False <= True`` with or-join."""
-
-    def bottom(self) -> bool:
-        """``False``: the property has not been established."""
-        return False
-
-    def join(self, a: bool, b: bool) -> bool:
-        """Logical or."""
-        return a or b
-
-    def leq(self, a: bool, b: bool) -> bool:
-        """Implication order: ``False <= True``."""
-        return (not a) or b
-
-
-# ---------------------------------------------------------------------------
-# Worklist fixpoint engine
-# ---------------------------------------------------------------------------
-
-
-class Direction(enum.Enum):
-    """Which way a :class:`DataflowAnalysis` walks the graph."""
-
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
-@dataclass
-class FixpointResult:
-    """Outcome of one :meth:`DataflowAnalysis.run`.
-
-    ``values`` maps tensor uid to its abstract value, ``visits`` counts
-    transfer applications per operator uid, and ``converged`` is False
-    only when some operator hit the ``max_visits`` backstop (possible
-    only for non-monotone transfer functions — the backstop guarantees
-    termination regardless).
-    """
-
-    values: Dict[int, Any]
-    visits: Dict[int, int]
-    iterations: int = 0
-    converged: bool = True
-
-
-class DataflowAnalysis(Generic[V]):
-    """Worklist fixpoint over an operator graph's tensor environment.
-
-    Subclasses set :attr:`direction` and :attr:`lattice`, seed the
-    environment via :meth:`boundary`, and implement :meth:`transfer`,
-    which returns new abstract values for the operator's *outgoing*
-    tensors (outputs when forward, inputs when backward).  Values are
-    accumulated with ``join``; after :attr:`widen_after` visits of the
-    same operator ``widen`` replaces ``join``, and :attr:`max_visits`
-    is a hard termination backstop.
-
-    Determinism: the worklist is a heap of topological indices, so
-    operators are always processed in ascending topological order
-    (descending for backward analyses) no matter in which order value
-    changes enqueued them.
-    """
-
-    direction: Direction = Direction.FORWARD
-    widen_after: int = 4
-    max_visits: int = 64
-
-    def __init__(self, lattice: Lattice[V]):
-        self.lattice = lattice
-
-    # -- subclass hooks -------------------------------------------------
-
-    def boundary(self, graph: OperatorGraph) -> Dict[int, V]:
-        """Initial tensor environment (e.g. values for graph inputs)."""
-        return {}
-
-    def transfer(self, op: Operator, env: Mapping[int, V]) -> Dict[int, V]:
-        """Abstract effect of one operator on its outgoing tensors."""
-        raise NotImplementedError
-
-    # -- engine ---------------------------------------------------------
-
-    def run(self, graph: OperatorGraph) -> FixpointResult:
-        """Iterate transfers to a fixpoint and return the environment."""
-        order = graph.operators_topological()
-        forward = self.direction is Direction.FORWARD
-        # Heap keys ascend in processing order for both directions.
-        key_of = {
-            op.uid: (idx if forward else len(order) - 1 - idx)
-            for idx, op in enumerate(order)
-        }
-        op_of = {key_of[op.uid]: op for op in order}
-
-        # Tensor -> operators whose transfer must re-run when the
-        # tensor's value changes (consumers forward, producer backward).
-        dependents: Dict[int, List[int]] = {}
-        for op in order:
-            outgoing = op.outputs if forward else op.inputs
-            incoming = op.inputs if forward else op.outputs
-            for t in incoming:
-                dependents.setdefault(t.uid, []).append(key_of[op.uid])
-            # Touch outgoing tensors so the dict covers every edge.
-            for t in outgoing:
-                dependents.setdefault(t.uid, [])
-
-        env: Dict[int, V] = dict(self.boundary(graph))
-        visits: Dict[int, int] = {}
-        heap = sorted(key_of.values())
-        queued: Set[int] = set(heap)
-        iterations = 0
-        converged = True
-
-        while heap:
-            key = heapq.heappop(heap)
-            queued.discard(key)
-            op = op_of[key]
-            count = visits.get(op.uid, 0) + 1
-            visits[op.uid] = count
-            if count > self.max_visits:
-                converged = False
-                continue
-            iterations += 1
-            for uid, value in self.transfer(op, env).items():
-                old = env.get(uid)
-                if old is None and uid not in env:
-                    new = value
-                else:
-                    new = self.lattice.join(old, value)  # type: ignore[arg-type]
-                    if count > self.widen_after:
-                        new = self.lattice.widen(old, new)  # type: ignore[arg-type]
-                if uid in env and self.lattice.leq(new, env[uid]):
-                    continue
-                env[uid] = new
-                for dep_key in dependents.get(uid, ()):
-                    if dep_key not in queued:
-                        queued.add(dep_key)
-                        heapq.heappush(heap, dep_key)
-        return FixpointResult(
-            values=env, visits=visits, iterations=iterations,
-            converged=converged,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -302,45 +59,27 @@ def _out_rows(op: Operator) -> int:
 
 
 # ---------------------------------------------------------------------------
-# F001 — whole-graph level/scale interval propagation
+# F001 — whole-graph level-budget propagation
 # ---------------------------------------------------------------------------
 
 
-class LevelIntervalAnalysis(DataflowAnalysis[Interval]):
-    """Forward interval analysis of the limb rows each tensor carries.
+def _carried_rows(graph: OperatorGraph) -> Dict[int, int]:
+    """Declared limb rows of every polynomial operator output.
 
-    Graph inputs and constants seed their declared row counts; each
-    operator's transfer emits its declared output rows (clamped so one
-    violation does not cascade down the chain — the post-pass in
-    :func:`verify_levels` re-derives the *achievable* rows per operator
-    and compares against the declaration).
+    Each output has exactly one producer (``add_operator`` enforces
+    SSA); a producerless polynomial carries the rows of its own shape,
+    which readers take from the tensor when it is absent here.
     """
-
-    direction = Direction.FORWARD
-
-    def __init__(self) -> None:
-        super().__init__(IntervalLattice(floor=0))
-
-    def boundary(self, graph: OperatorGraph) -> Dict[int, Interval]:
-        """Seed producerless polynomial tensors with declared rows."""
-        env: Dict[int, Interval] = {}
-        for t in graph.tensors:
-            if graph.producer_of(t) is None and _is_poly_like(t):
-                env[t.uid] = (_rows(t), _rows(t))
-        return env
-
-    def transfer(
-        self, op: Operator, env: Mapping[int, Interval]
-    ) -> Dict[int, Interval]:
-        """Emit each output's declared row count as a point interval."""
-        rows = _out_rows(op)
-        return {
-            t.uid: (rows, rows) for t in op.outputs if _is_poly_like(t)
-        }
+    return {
+        t.uid: _out_rows(op)
+        for op in graph.operators
+        for t in op.outputs
+        if _is_poly_like(t)
+    }
 
 
 def _achievable_rows(
-    op: Operator, env: Mapping[int, Interval]
+    op: Operator, carried: Mapping[int, int]
 ) -> Optional[int]:
     """Upper bound on output limb rows reachable from ``op``'s inputs.
 
@@ -349,25 +88,22 @@ def _achievable_rows(
     than C002's local sum rule — except for the ModUp ``.extend``
     concatenation, the one place the basis legally widens by routing.
     """
-    his = []
-    for t in op.inputs:
-        if not _is_poly_like(t):
-            continue
-        value = env.get(t.uid)
-        his.append(value[1] if value is not None else _rows(t))
-    if not his:
+    supplied = [
+        carried.get(t.uid, _rows(t)) for t in op.inputs if _is_poly_like(t)
+    ]
+    if not supplied:
         return None
     if op.kind is OpKind.KSK_INP:
         # Every digit must carry the full extended basis; the weakest
         # digit bounds the inner product.
-        return min(his)
+        return min(supplied)
     if op.kind in (
         OpKind.EW_ADD, OpKind.EW_MUL, OpKind.EW_MULADD
     ) and op.tag.endswith(".extend"):
-        return sum(his)
+        return sum(supplied)
     # NTT/automorphism/transpose/BConv read rows from their single data
     # input; element-wise ops combine rows positionally.
-    return max(his)
+    return max(supplied)
 
 
 def verify_levels(
@@ -375,16 +111,14 @@ def verify_levels(
 ) -> DiagnosticReport:
     """F001: inter-operator level-budget propagation (generalizes C003).
 
-    Runs :class:`LevelIntervalAnalysis` to a fixpoint, then checks every
-    operator's declared source/output rows against the rows achievable
-    through its whole predecessor chain.
+    Checks every operator's declared source/output rows against the
+    rows achievable from the rows its inputs carry.
     """
     if report is None:
         report = DiagnosticReport(pass_name="flow.levels")
-    result = LevelIntervalAnalysis().run(graph)
-    env = result.values
+    carried = _carried_rows(graph)
     for op in graph.operators_topological():
-        achievable = _achievable_rows(op, env)
+        achievable = _achievable_rows(op, carried)
         out_rows = _out_rows(op)
         if out_rows < 1 or op.limbs < 1:
             report.emit(
@@ -506,42 +240,32 @@ def verify_residency(
 # ---------------------------------------------------------------------------
 
 
-class BasisMaterializationAnalysis(DataflowAnalysis[bool]):
-    """Forward reachability: has a ModUp BConv touched this tensor?
+def _materialized(
+    graph: OperatorGraph, assume_boundary: bool = False
+) -> Set[int]:
+    """Uids of the polynomials some ModUp BConv has touched.
 
     A key-switch inner product is only meaningful over the *extended*
-    digit basis, which only a BConv materializes (Figure 1's ModUp).
-    ``True`` means some predecessor chain contains a BConv.  With
-    ``assume_boundary`` the producerless tensors seed ``True`` — the
-    right reading for a partition segment whose ModUp ran in an
-    upstream segment (and a vacuous one for a complete graph, where
-    the strict ``False`` seed is what catches a skipped ModUp).
+    digit basis, which only a BConv materializes (Figure 1's ModUp).  An
+    operator's polynomial outputs are materialized when it is a BConv or
+    any of its polynomial inputs is.  With ``assume_boundary`` the
+    producerless polynomials count as materialized — the right reading
+    for a workload segment whose ModUp ran in an upstream segment (and a
+    vacuous one for a complete graph, where the strict reading is what
+    catches a skipped ModUp).
     """
-
-    direction = Direction.FORWARD
-
-    def __init__(self, assume_boundary: bool = False) -> None:
-        super().__init__(BoolOrLattice())
-        self.assume_boundary = assume_boundary
-
-    def boundary(self, graph: OperatorGraph) -> Dict[int, bool]:
-        """Producerless polynomials seed ``True`` in boundary mode."""
-        if not self.assume_boundary:
-            return {}
-        return {
-            t.uid: True
-            for t in graph.tensors
+    done: Set[int] = set()
+    if assume_boundary:
+        done.update(
+            t.uid for t in graph.tensors
             if graph.producer_of(t) is None and _is_poly_like(t)
-        }
-
-    def transfer(
-        self, op: Operator, env: Mapping[int, bool]
-    ) -> Dict[int, bool]:
-        """Outputs are materialized iff the op is a BConv or an input is."""
-        value = op.kind is OpKind.BCONV or any(
-            env.get(t.uid, False) for t in op.inputs if _is_poly_like(t)
         )
-        return {t.uid: value for t in op.outputs if _is_poly_like(t)}
+    for op in graph.operators_topological():
+        if op.kind is OpKind.BCONV or any(
+            t.uid in done for t in op.inputs if _is_poly_like(t)
+        ):
+            done.update(t.uid for t in op.outputs if _is_poly_like(t))
+    return done
 
 
 def verify_key_reach(
@@ -554,19 +278,17 @@ def verify_key_reach(
 
     Graph half: each KSKInP digit produced *inside* the graph must have
     a ModUp BConv somewhere in its predecessor chain (EXTERNAL digits
-    were materialized by an upstream partition segment and are exempt;
+    were materialized by an upstream workload segment and are exempt;
     ``assume_boundary_materialized`` extends the same reading to every
-    producerless tensor — the scheduler gate sets it because it may be
-    handed a partition segment rather than a complete graph).
+    producerless tensor — :func:`verify_flow_schedule` sets it because
+    the scheduler gate may be handed a workload segment rather than a
+    complete graph).
     Schedule half: each step running a KSKInP must fetch the evk in
     that window or hold it from an earlier fetch (temporal sharing).
     """
     if report is None:
         report = DiagnosticReport(pass_name="flow.keyreach")
-    result = BasisMaterializationAnalysis(
-        assume_boundary=assume_boundary_materialized
-    ).run(graph)
-    env = result.values
+    materialized = _materialized(graph, assume_boundary_materialized)
     for op in graph.operators_topological():
         if op.kind is not OpKind.KSK_INP:
             continue
@@ -575,7 +297,7 @@ def verify_key_reach(
                 continue
             if not _is_poly_like(t) or t.kind is TensorKind.EXTERNAL:
                 continue
-            if not env.get(t.uid, False):
+            if t.uid not in materialized:
                 report.emit(
                     "F003", _loc(op),
                     f"digit {t.name} reaches the inner product without a "
@@ -671,7 +393,7 @@ def verify_sharing(
 
 def verify_flow_graph(graph: OperatorGraph) -> DiagnosticReport:
     """All graph-level F* analyses (F001, F003 graph half, F004 graph
-    half) merged into one report."""
+    half) merged into one report, in their strict whole-graph modes."""
     report = DiagnosticReport(pass_name="flow")
     verify_levels(graph, report)
     verify_key_reach(graph, steps=None, report=report)
@@ -685,7 +407,14 @@ def verify_flow_schedule(
     graph: Optional[OperatorGraph] = None,
     config: Optional[Any] = None,
 ) -> DiagnosticReport:
-    """All schedule-level F* analyses (F002, F003/F004 schedule halves).
+    """The schedule-level F* checks: exactly what the scheduler gate runs.
+
+    F002; F003 with ``assume_boundary_materialized`` (the gate may be
+    handed a workload segment whose ModUp ran upstream); F004 without
+    its dead-sibling graph half (a sibling may be consumed by a
+    downstream segment).  The strict graph halves belong to
+    :func:`verify_flow_graph` — callers running both see each
+    graph-level finding once.
 
     ``graph`` defaults to the graph of the first step's plan; passing
     it explicitly is only needed for empty schedules.  ``config`` is
@@ -711,6 +440,6 @@ def verify_flow_schedule(
             f"{hw!r} has no sram_capacity_bytes",
         )
     verify_residency(steps, hw, report, config=config)
-    verify_key_reach(graph, steps, report)
-    verify_sharing(graph, steps, report)
+    verify_key_reach(graph, steps, report, assume_boundary_materialized=True)
+    verify_sharing(graph, steps, report, graph_level=False)
     return report

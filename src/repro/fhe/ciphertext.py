@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.fhe.poly import Domain, RnsPoly
+from repro.fhe.poly import RnsPoly
 
 
 @dataclass
@@ -78,9 +78,3 @@ class Ciphertext:
     def copy(self) -> "Ciphertext":
         """Deep-copy all component polynomials."""
         return Ciphertext([p.copy() for p in self.polys], self.scale, self.level)
-
-    def in_domain(self, domain: Domain) -> "Ciphertext":
-        """Convert all component polynomials to the given domain."""
-        if domain is Domain.NTT:
-            return Ciphertext([p.to_ntt() for p in self.polys], self.scale, self.level)
-        return Ciphertext([p.to_coeff() for p in self.polys], self.scale, self.level)

@@ -14,19 +14,11 @@ algorithms that CKKS key-switching is built from:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 INT = np.int64
-
-
-def as_residue_array(values: Iterable[int], modulus: int) -> np.ndarray:
-    """Coerce arbitrary integers into a canonical residue array."""
-    arr = np.asarray(list(values), dtype=object)
-    return np.array([int(v) % modulus for v in arr.ravel()], dtype=INT).reshape(
-        np.shape(arr)
-    )
 
 
 def mod_add(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -47,11 +39,6 @@ def mod_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 def mod_neg(a: np.ndarray, q: int) -> np.ndarray:
     """Element-wise modular negation."""
     return np.mod(-a, q)
-
-
-def mod_pow(base: int, exponent: int, q: int) -> int:
-    """Scalar modular exponentiation."""
-    return pow(int(base), int(exponent), int(q))
 
 
 def mod_inverse(a: int, q: int) -> int:

@@ -45,10 +45,6 @@ class MeshNoc:
         """Bidirectional links counted once per direction."""
         return 2 * (self.rows * (self.cols - 1) + self.cols * (self.rows - 1))
 
-    @property
-    def bisection_links(self) -> int:
-        return 2 * min(self.rows, self.cols)
-
     def coords(self, pe_index: int) -> Tuple[int, int]:
         """Mesh (row, col) of a PE index."""
         if not 0 <= pe_index < self.num_pes:

@@ -9,18 +9,8 @@ and never the throughput bottleneck (Section IV-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.hw.config import HardwareConfig
 from repro.ir.operators import Operator, OpKind
-
-
-@dataclass(frozen=True)
-class PeTiming:
-    """Cycle counts for one operator on some number of PEs."""
-
-    cycles: int
-    pes_used: int
 
 
 def operator_cycles(
@@ -47,14 +37,6 @@ def operator_cycles(
     if work == 0:  # routing-only pseudo-ops
         return 1
     return max(1, -(work // -lanes))
-
-
-def pe_timing(op: Operator, num_pes: int, config: HardwareConfig) -> PeTiming:
-    """Cycle count plus the allocation it assumed."""
-    return PeTiming(
-        cycles=operator_cycles(op, num_pes, config.lanes_per_pe),
-        pes_used=num_pes,
-    )
 
 
 def seconds(cycles: int, config: HardwareConfig) -> float:

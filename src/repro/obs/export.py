@@ -17,10 +17,10 @@ OP/NoC/DRAM slices line up the way Figure 11's attribution story reads.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 from repro.obs.tracer import Span
-from repro.sim.trace import EventKind, TraceEvent
+from repro.sim.trace import TraceEvent
 
 if TYPE_CHECKING:  # import cycle stays lazy: fleet imports metrics only
     from repro.obs.fleet import FleetTracer, VSpan
@@ -277,16 +277,3 @@ def write_json_stable(payload: Dict[str, object], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def events_by_kind(
-    events: Sequence[TraceEvent],
-    kinds: Optional[Sequence[EventKind]] = None,
-) -> Dict[str, int]:
-    """Event counts per kind (trace sanity summaries)."""
-    counts: Dict[str, int] = {}
-    for event in events:
-        if kinds is not None and event.kind not in kinds:
-            continue
-        counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
-    return counts

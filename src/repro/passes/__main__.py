@@ -15,7 +15,8 @@ Subcommands:
 
 Exit code 0 on success,
 :data:`~repro.analysis.diagnostics.EXIT_VERIFY` (5) when any ERROR
-diagnostic or invariant failure is found, or when the artifacts differ.
+diagnostic or invariant failure is found, or when the artifacts differ;
+an unknown workload is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -243,6 +244,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     diff_p.add_argument("candidate", help="candidate (change) artifact JSON")
 
     args = parser.parse_args(list(argv) if argv is not None else None)
+    if args.command in ("run", "dump"):
+        # Checked after parsing: before Python 3.13 argparse also checks
+        # the positional's list default against ``choices``.
+        unknown = [w for w in args.workloads if w not in WORKLOAD_EMITTERS]
+        if unknown:
+            (run_p if args.command == "run" else dump_p).error(
+                f"unknown workload(s) {', '.join(unknown)} "
+                f"(choose from {', '.join(sorted(WORKLOAD_EMITTERS))})"
+            )
     if args.command == "ls":
         return _cmd_ls()
     if args.command == "run":

@@ -30,10 +30,6 @@ class Placement:
     op: Operator
     pes: Tuple[int, ...]
 
-    @property
-    def center(self) -> float:
-        return sum(self.pes) / len(self.pes) if self.pes else 0.0
-
 
 @dataclass
 class GroupMapping:

@@ -604,11 +604,7 @@ class Scheduler:
         if self.config.verify == "off":
             return
         # Imported lazily: repro.analysis depends on this module.
-        from repro.analysis.flow import (
-            verify_key_reach,
-            verify_residency,
-            verify_sharing,
-        )
+        from repro.analysis.flow import verify_flow_schedule
         from repro.analysis.schedule_verify import verify_schedule
         from repro.resilience.errors import VerificationError
 
@@ -616,22 +612,13 @@ class Scheduler:
             report = verify_schedule(
                 schedule, self.hw, graph=self.graph, config=self.config
             )
-            steps = list(schedule.steps)
-            if steps:
-                # The gate may be handed a workload segment rather than
-                # a complete program graph (segments take their inputs
-                # from earlier segments), so the graph-level F003/F004
-                # halves run in their boundary-tolerant modes: ModUp may
-                # live in an upstream segment and siblings may be
-                # consumed by a downstream one.  The full-strength graph
-                # checks run on complete graphs via verify_flow_graph
-                # (engine pre-run, runner --verify, analysis CLI).
-                verify_residency(steps, self.hw, report,
-                                 config=self.config)
-                verify_key_reach(self.graph, steps, report,
-                                 assume_boundary_materialized=True)
-                verify_sharing(self.graph, steps, report,
-                               graph_level=False)
+            # The F* schedule checks run in their workload-segment
+            # modes; the strict graph halves run on complete graphs via
+            # verify_flow_graph (lowering pipeline, runner --verify,
+            # analysis CLI).
+            report.extend(verify_flow_schedule(
+                schedule, self.hw, graph=self.graph, config=self.config
+            ))
         self.stats["verify_errors"] = float(len(report.errors))
         if report.ok:
             return

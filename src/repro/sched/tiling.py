@@ -37,10 +37,6 @@ class NestAssignment:
         """Matched top-loop depth of an edge (0 = orientation switch)."""
         return self.edge_matches.get((producer.uid, consumer.uid), 0)
 
-    @property
-    def total_matched_levels(self) -> int:
-        return sum(self.edge_matches.values())
-
 
 def assign_loop_nests(
     graph: OperatorGraph,

@@ -24,7 +24,7 @@ Quickstart::
 Public surface: :class:`ServeSimulator`, :class:`ServeSummary`,
 :class:`FaultPlan`, :class:`FaultEvent`, :class:`ServePolicies`,
 :class:`LoadSpec`, :class:`TenantSpec`, :class:`FleetSpec`, the
-oracles, and the request/outcome types.
+:class:`TableOracle`, and the request/outcome types.
 """
 
 from repro.serve.faults import (
@@ -38,7 +38,6 @@ from repro.serve.fleet import (
     DEFAULT_SERVICE_SECONDS,
     Fleet,
     FleetSpec,
-    ScheduleOracle,
     TableOracle,
 )
 from repro.serve.loadgen import (
@@ -87,7 +86,6 @@ __all__ = [
     "ObservabilityPolicy",
     "RequestOutcome",
     "RetryPolicy",
-    "ScheduleOracle",
     "ServePolicies",
     "ServeRequest",
     "ServeSimulator",

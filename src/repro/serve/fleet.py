@@ -25,7 +25,6 @@ __all__ = [
     "DEFAULT_SERVICE_SECONDS",
     "Fleet",
     "FleetSpec",
-    "ScheduleOracle",
     "TableOracle",
 ]
 
@@ -46,22 +45,9 @@ DEFAULT_SERVICE_SECONDS: Dict[str, float] = {
 }
 
 
-class ScheduleOracle:
-    """Answers per-request service seconds for a workload."""
-
-    name = "abstract"
-
-    def seconds(self, workload: str) -> float:
-        """Reference single-request service time, in seconds."""
-        raise NotImplementedError
-
-    def inject_fault(self, workload: str) -> None:
-        """Arm one deterministic lookup fault for ``workload``."""
-        raise NotImplementedError
-
-
-class TableOracle(ScheduleOracle):
-    """Static latency table with a degraded-fallback fault mode.
+class TableOracle:
+    """Per-request service seconds from a static latency table, with a
+    degraded-fallback fault mode.
 
     An injected fault makes the next lookup for that workload pay
     ``degraded_factor`` — the cost of re-deriving a schedule estimate
@@ -82,6 +68,7 @@ class TableOracle(ScheduleOracle):
         self.fallbacks = 0
 
     def seconds(self, workload: str) -> float:
+        """Reference single-request service time, in seconds."""
         if workload not in self.table:
             raise ConfigError(
                 "workload", workload,
@@ -95,6 +82,7 @@ class TableOracle(ScheduleOracle):
         return base
 
     def inject_fault(self, workload: str) -> None:
+        """Arm one deterministic lookup fault for ``workload``."""
         self._armed[workload] = self._armed.get(workload, 0) + 1
 
     def _note_fallback(self) -> None:

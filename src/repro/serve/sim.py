@@ -49,7 +49,6 @@ from repro.serve.fleet import (
     DOWN,
     Fleet,
     FleetSpec,
-    ScheduleOracle,
     TableOracle,
     UP,
 )
@@ -226,7 +225,7 @@ class ServeSimulator:
         fleet_spec: FleetSpec,
         policies: Optional[ServePolicies] = None,
         plan: Optional[FaultPlan] = None,
-        oracle: Optional[ScheduleOracle] = None,
+        oracle: Optional[TableOracle] = None,
         seed: int = 0,
         observer: Optional[FleetObserver] = None,
     ):
@@ -806,7 +805,7 @@ class ServeSimulator:
             hedge_wins=self.hedge_wins,
             evictions=self.fleet.evictions,
             rejoins=self.fleet.rejoins,
-            oracle_fallbacks=getattr(self.oracle, "fallbacks", 0),
+            oracle_fallbacks=self.oracle.fallbacks,
             batches=self.batches_dispatched,
             queue_depth_peak=self.queue.peak_depth,
             faults_fired=self.faults_fired,

@@ -1,6 +1,7 @@
-"""F* dataflow verifiers: fixpoint engine properties, seeded mutations."""
+"""F* dataflow verifiers: a reference property, seeded mutations, wiring."""
 
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from repro.analysis import (
     verify_steps,
 )
 from repro.analysis.diagnostics import DiagnosticReport
-from repro.analysis.flow import IntervalLattice, LevelIntervalAnalysis
 from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_64
 from repro.ir.builders import GraphBuilder
@@ -29,8 +29,10 @@ from repro.ir.tensors import (
     TensorKind,
     evk_tensor,
     external_tensor,
+    plaintext_tensor,
     poly_tensor,
 )
+from repro.resilience.errors import VerificationError
 from repro.sched.scheduler import Scheduler, SchedulerConfig
 
 PARAMS = parameter_set("ARK")
@@ -49,6 +51,35 @@ def _single(op):
     return g
 
 
+def _ksk_graph(materialize):
+    """KSKInP over three digits, with or without a ModUp BConv."""
+    g = OperatorGraph("ksk")
+    src = external_tensor("src", 6, 16)
+    digits = []
+    for j in range(3):
+        d = poly_tensor(f"d{j}", 6, 16)
+        kind = OpKind.BCONV if materialize else OpKind.EW_ADD
+        g.add_operator(Operator(f"mk{j}", kind, 6, 16,
+                                inputs=[src], outputs=[d]))
+        digits.append(d)
+    outs = [poly_tensor("ob", 6, 16), poly_tensor("oa", 6, 16)]
+    g.add_operator(Operator(
+        "ksk", OpKind.KSK_INP, 6, 16, digits=3,
+        inputs=digits + [evk_tensor("evk", beta=3, limbs=6, n=16)],
+        outputs=outs,
+    ))
+    return g, outs
+
+
+def _dead_sibling_graph():
+    """The materialized KSKInP with only its ``ob`` output consumed."""
+    graph, outs = _ksk_graph(materialize=True)
+    graph.add_operator(Operator("use", OpKind.EW_ADD, 6, 16,
+                                inputs=[outs[0]],
+                                outputs=[poly_tensor("r", 6, 16)]))
+    return graph
+
+
 @pytest.fixture()
 def scheduled():
     """Fresh graph + schedule per test: mutations must not leak."""
@@ -59,58 +90,97 @@ def scheduled():
 
 
 # ----------------------------------------------------------------------
-# Fixpoint engine
+# F003 against an order-independent reference
 # ----------------------------------------------------------------------
 
+_POLY_LIKE = (TensorKind.POLY, TensorKind.EXTERNAL, TensorKind.PLAINTEXT)
+
+
 @st.composite
-def _random_dags(draw):
-    """A random element-wise DAG over polynomial tensors."""
-    g = OperatorGraph("prop")
-    tensors = [
-        poly_tensor(f"r{i}", draw(st.integers(1, 8)), 16)
-        for i in range(draw(st.integers(1, 3)))
+def _keyswitch_dags(draw):
+    """A random DAG of element-wise, BConv and KSKInP operators.
+
+    Inputs are producerless POLY, EXTERNAL and PLAINTEXT tensors; the
+    operators are inserted in a drawn order, so a consumer may enter
+    the graph before its producer.
+    """
+    makers = (poly_tensor, external_tensor, plaintext_tensor)
+    pool = [
+        draw(st.sampled_from(makers))(f"in{i}", 4, 16)
+        for i in range(draw(st.integers(1, 4)))
     ]
+    ops = []
     for i in range(draw(st.integers(1, 12))):
-        arity = draw(st.integers(1, min(3, len(tensors))))
+        kind = draw(st.sampled_from(
+            (OpKind.EW_ADD, OpKind.BCONV, OpKind.KSK_INP)))
+        arity = draw(st.integers(1, min(3, len(pool))))
         picks = draw(st.lists(
-            st.integers(0, len(tensors) - 1),
+            st.integers(0, len(pool) - 1),
             min_size=arity, max_size=arity, unique=True,
         ))
-        rows = draw(st.integers(1, 8))
-        out = poly_tensor(f"t{i}", rows, 16)
-        g.add_operator(Operator(
-            f"op{i}", OpKind.EW_ADD, rows, 16,
-            inputs=[tensors[j] for j in picks], outputs=[out],
-        ))
-        tensors.append(out)
+        inputs = [pool[j] for j in picks]
+        if kind is OpKind.KSK_INP:
+            inputs.append(evk_tensor(f"evk{i}", beta=arity, limbs=4, n=16))
+            outputs = [poly_tensor(f"ob{i}", 4, 16),
+                       poly_tensor(f"oa{i}", 4, 16)]
+        else:
+            outputs = [poly_tensor(f"t{i}", 4, 16)]
+        ops.append(Operator(f"op{i}", kind, 4, 16, digits=arity,
+                            inputs=inputs, outputs=outputs))
+        pool.extend(outputs)
+    g = OperatorGraph("prop")
+    for op in draw(st.permutations(ops)):
+        g.add_operator(op)
     return g
 
 
-class TestFixpointEngine:
-    @settings(max_examples=50, deadline=None)
-    @given(graph=_random_dags())
-    def test_terminates_and_covers_every_operator(self, graph):
-        result = LevelIntervalAnalysis().run(graph)
-        assert result.converged
-        assert set(result.visits) == {op.uid for op in graph.operators}
-        # Every polynomial output carries its declared rows at fixpoint.
+def _reference_unmaterialized(graph, assume_boundary):
+    """(operator, digit) pairs F003 must flag, by repeated passes.
+
+    Sweeps ``graph.operators`` in insertion order (not a topological
+    order) until no tensor changes: a polynomial output is materialized
+    when its operator is a BConv or any polynomial input is.
+    """
+    produced = {t.uid for op in graph.operators for t in op.outputs}
+    done = set()
+    if assume_boundary:
+        done = {
+            t.uid for op in graph.operators for t in op.inputs
+            if t.kind in _POLY_LIKE and t.uid not in produced
+        }
+    changed = True
+    while changed:
+        changed = False
         for op in graph.operators:
-            for t in op.outputs:
-                assert result.values[t.uid] == (op.limbs, op.limbs)
+            if op.kind is OpKind.BCONV or any(
+                t.uid in done for t in op.inputs if t.kind in _POLY_LIKE
+            ):
+                for t in op.outputs:
+                    if t.uid not in done:
+                        done.add(t.uid)
+                        changed = True
+    return sorted(
+        (op.name, t.name)
+        for op in graph.operators if op.kind is OpKind.KSK_INP
+        for t in op.inputs
+        if t.kind in (TensorKind.POLY, TensorKind.PLAINTEXT)
+        and t.uid not in done
+    )
 
-    @settings(max_examples=25, deadline=None)
-    @given(graph=_random_dags())
-    def test_fixpoint_is_deterministic(self, graph):
-        first = LevelIntervalAnalysis().run(graph)
-        second = LevelIntervalAnalysis().run(graph)
-        assert first.values == second.values
-        assert first.iterations == second.iterations
 
-    def test_interval_widening_jumps_to_bounds(self):
-        lat = IntervalLattice(floor=0, ceiling=100)
-        assert lat.widen((2, 5), (2, 6)) == (2, 100)
-        assert lat.widen((2, 5), (1, 5)) == (0, 5)
-        assert lat.widen((2, 5), (2, 5)) == (2, 5)
+class TestKeyReachProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(graph=_keyswitch_dags(), assume_boundary=st.booleans())
+    def test_flags_exactly_the_reference_digits(self, graph,
+                                                assume_boundary):
+        report = verify_key_reach(
+            graph, assume_boundary_materialized=assume_boundary)
+        flagged = sorted(
+            (d.location.split()[1], d.message.split()[1])
+            for d in report.diagnostics
+        )
+        assert set(report.rule_ids()) <= {"F003"}
+        assert flagged == _reference_unmaterialized(graph, assume_boundary)
 
 
 # ----------------------------------------------------------------------
@@ -143,32 +213,13 @@ class TestGraphMutations:
                       outputs=[poly_tensor("o", 0, 16)])
         assert "F001" in verify_levels(_single(op)).rule_ids()
 
-    def _ksk_graph(self, materialize):
-        """KSKInP over three digits, with or without a ModUp BConv."""
-        g = OperatorGraph("ksk")
-        src = external_tensor("src", 6, 16)
-        digits = []
-        for j in range(3):
-            d = poly_tensor(f"d{j}", 6, 16)
-            kind = OpKind.BCONV if materialize else OpKind.EW_ADD
-            g.add_operator(Operator(f"mk{j}", kind, 6, 16,
-                                    inputs=[src], outputs=[d]))
-            digits.append(d)
-        outs = [poly_tensor("ob", 6, 16), poly_tensor("oa", 6, 16)]
-        g.add_operator(Operator(
-            "ksk", OpKind.KSK_INP, 6, 16, digits=3,
-            inputs=digits + [evk_tensor("evk", beta=3, limbs=6, n=16)],
-            outputs=outs,
-        ))
-        return g, outs
-
     def test_unmaterialized_digits_trip_f003(self):
-        graph, _ = self._ksk_graph(materialize=False)
+        graph, _ = _ksk_graph(materialize=False)
         report = verify_key_reach(graph)
         assert report.rule_ids() == ["F003", "F003", "F003"]
 
     def test_bconv_materialized_digits_are_clean(self):
-        graph, _ = self._ksk_graph(materialize=True)
+        graph, _ = _ksk_graph(materialize=True)
         assert verify_key_reach(graph).clean
 
     def test_partition_boundary_digits_exempt_when_assumed(self):
@@ -194,17 +245,13 @@ class TestGraphMutations:
             g, assume_boundary_materialized=True).clean
 
     def test_dead_sibling_output_trips_f004(self):
-        graph, outs = self._ksk_graph(materialize=True)
         # Consume acc_b only; acc_a is computed and written back dead.
-        graph.add_operator(Operator("use", OpKind.EW_ADD, 6, 16,
-                                    inputs=[outs[0]],
-                                    outputs=[poly_tensor("r", 6, 16)]))
-        report = verify_sharing(graph)
+        report = verify_sharing(_dead_sibling_graph())
         assert "F004" in report.rule_ids()
         assert "oa" in report.diagnostics[0].message
 
     def test_fully_consumed_outputs_are_clean_for_f004(self):
-        graph, outs = self._ksk_graph(materialize=True)
+        graph, outs = _ksk_graph(materialize=True)
         graph.add_operator(Operator("use", OpKind.EW_ADD, 6, 16,
                                     inputs=list(outs),
                                     outputs=[poly_tensor("r", 6, 16)]))
@@ -293,12 +340,12 @@ class TestScheduleMutations:
 # ----------------------------------------------------------------------
 
 class TestKnownGood:
-    """ISSUE acceptance: the shipped workloads are F*-clean end to end."""
+    """The shipped workloads pass every static check end to end."""
 
     def test_quick_workloads_verify_flow_clean(self):
-        from repro.analysis import flow_workloads
+        from repro.analysis import verify_workloads
 
-        reports = flow_workloads(
+        reports = verify_workloads(
             workload_names=("bootstrapping", "helr", "resnet20"))
         assert reports
         for report in reports:
@@ -314,19 +361,83 @@ class TestFrontEnds:
         report = verify_flow_graph(_hmult_graph())
         assert report.clean, report.render_text()
 
+    def test_graph_findings_reported_once(self):
+        # python -m repro.analysis and runner --verify run both
+        # compositions on one graph: the graph-level dead sibling is
+        # verify_flow_graph's finding, not verify_flow_schedule's.
+        graph = _dead_sibling_graph()
+        schedule = Scheduler(graph, CROPHE_64,
+                             SchedulerConfig(verify="off")).schedule()
+        assert verify_flow_graph(graph).rule_ids() == ["F004"]
+        report = verify_flow_schedule(schedule, CROPHE_64, graph=graph)
+        assert "F004" not in report.rule_ids()
+
     def test_cli_clean_run_exits_zero(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            analysis_main, "flow_workloads",
+            analysis_main, "verify_workloads",
             lambda **k: [DiagnosticReport(pass_name="flow")])
-        assert analysis_main.main(["flow", "helr"]) == 0
+        assert analysis_main.main(["--workloads", "helr"]) == 0
         assert "0 error(s)" in capsys.readouterr().out
 
     def test_cli_finding_exits_verify_code(self, monkeypatch, capsys):
         bad = DiagnosticReport(pass_name="flow")
         bad.emit("F002", "step 0", "seeded failure")
         monkeypatch.setattr(
-            analysis_main, "flow_workloads", lambda **k: [bad])
-        assert analysis_main.main(["flow", "--json"]) == EXIT_VERIFY
+            analysis_main, "verify_workloads", lambda **k: [bad])
+        assert analysis_main.main(["--json"]) == EXIT_VERIFY
         payload = json.loads(capsys.readouterr().out)
         assert payload["errors"] == 1
         assert payload["reports"][0]["diagnostics"][0]["rule"] == "F002"
+
+    @pytest.mark.parametrize("argv", [
+        ["--workloads", "bogus"], ["--params", "NOPE"],
+    ])
+    def test_cli_unknown_name_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            analysis_main.main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Scheduler gate
+# ----------------------------------------------------------------------
+
+class TestGateWiring:
+    """The gate fails, warns or stays silent on an F* schedule finding."""
+
+    @pytest.fixture()
+    def seeded_f002(self, monkeypatch):
+        import repro.analysis.flow as flow
+
+        calls = []
+
+        def fake_residency(steps, hw, report=None, config=None):
+            calls.append(len(steps))
+            report.emit("F002", "step 0", "seeded failure")
+            return report
+
+        monkeypatch.setattr(flow, "verify_residency", fake_residency)
+        return calls
+
+    def _scheduler(self, mode):
+        return Scheduler(_hmult_graph(), CROPHE_64,
+                         SchedulerConfig(verify=mode))
+
+    def test_error_mode_raises(self, seeded_f002):
+        with pytest.raises(VerificationError) as exc:
+            self._scheduler("error").schedule()
+        assert exc.value.rule_ids == ("F002",)
+
+    def test_warn_mode_warns_and_returns(self, seeded_f002):
+        scheduler = self._scheduler("warn")
+        with pytest.warns(UserWarning, match="F002"):
+            schedule = scheduler.schedule()
+        assert schedule.steps
+        assert scheduler.stats["verify_errors"] == 1
+
+    def test_off_mode_is_silent(self, seeded_f002):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._scheduler("off").schedule().steps
+        assert seeded_f002 == []

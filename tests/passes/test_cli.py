@@ -63,6 +63,13 @@ class TestVerify:
         with pytest.raises(KeyError):
             main(["run", "bootstrapping", "--params", "NOPE"])
 
+    @pytest.mark.parametrize("command", ["run", "dump"])
+    def test_unknown_workload_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "bogus", "--params", "TESTSMALL"])
+        assert exc.value.code == 2
+        assert "choose from bootstrapping" in capsys.readouterr().err
+
 
 class TestDiffArtifacts:
     """``diff-artifacts``: the byte-identity check between two commits."""
