@@ -155,11 +155,12 @@ RULES: Dict[str, Rule] = _catalog([
          "never claimed by a later window; share it via temporal "
          "pipelining instead"),
     # ---- lowering pipeline (P) ----------------------------------------
-    Rule("P001", "pass left operators above its target level",
+    Rule("P001", "lowering left operators above the decomposed level",
          Severity.ERROR,
-         "a pass's output graph still contains coarse "
-         "(KEY_SWITCH/ROT_BATCH) operators its postcondition requires "
-         "it to expand; the rewrite is incomplete"),
+         "the lowered graph still contains a coarse "
+         "(KEY_SWITCH/ROT_BATCH) operator, or a monolithic (i)NTT while "
+         "a four-step split is configured; the lowering walk is "
+         "incomplete"),
     Rule("P002", "NTT split off the Section V-D candidate set",
          Severity.WARNING,
          "the configured four-step split is not among "

@@ -229,7 +229,7 @@ def _evaluate_once(
     base_config: SchedulerConfig,
 ) -> EvalResult:
     options = _workload_options(point, params, r_hyb, decompose_ntt)
-    # Emit, lower with the inter-pass invariants enforced, memoized per
+    # Emit, lower with the pipeline invariants enforced, memoized per
     # distinct structure; looked up on its module so wrappers see it.
     from repro.passes import lowering
 

@@ -11,33 +11,28 @@ Two properties matter for the scheduler downstream:
   the same amount and level reference the *same* evk tensor, which is
   exactly what makes cross-operator *sharing* visible in the graph.
   The cache lives in a :class:`ConstantPool` so the :mod:`repro.passes`
-  rewrites can emit into an existing graph while preserving the exact
-  sharing a single monolithic build would have produced.
+  lowering walk can emit into an existing graph while preserving the
+  exact sharing a single monolithic build would have produced.
 * With ``ntt_split`` set, every (i)NTT is emitted in four-step form —
   column phase, twiddle multiply, transpose, row phase — exposing the
   independent ``N1``/``N2`` loops of Section V-B.
 
 The ``lowering`` mode selects how far primitives are decomposed at
-emission time (the level vocabulary of the :mod:`repro.passes`
-pipeline):
+emission time (the two levels of the :mod:`repro.passes` pipeline):
 
-* ``"full"`` (default, the historical behaviour) — everything is
-  decomposed inline: key switches expand to Decomp/ModUp/inner-product/
-  ModDown chains and ``ntt_split`` applies.
+* ``"full"`` (default) — everything is decomposed inline: key switches
+  expand to Decomp/ModUp/inner-product/ModDown chains and ``ntt_split``
+  applies.  The lowering walk's emitter runs in this mode.
 * ``"primitive"`` — key switches emit a single coarse ``KEY_SWITCH``
   operator, hoisting/hybrid baby-rotation batches emit one coarse
   ``ROT_BATCH`` operator, and every (i)NTT stays monolithic; the
-  :mod:`repro.passes` rewrites lower these later (this is what the
+  :mod:`repro.passes` walk lowers these later (this is what the
   workload builders emit).
-* ``"coarse-ks"`` — like ``"full"`` except key switches stay coarse
-  and NTTs stay monolithic; the rewrites' emitters use it, so their
-  output still contains ``KEY_SWITCH`` nodes and unsplit NTTs for the
-  next passes to expand *in place*.
 
 Names are ``stem#index``, counting every name a builder hands out.  A
 deferred decomposition (coarse key switch or rotation batch, monolithic
 NTT awaiting its split) skips the indices its decomposed form takes; the
-rewrite that expands it numbers from its first output's index
+walk numbers its expansion from its first output's index
 (:func:`name_index`, :meth:`GraphBuilder.name_at`), so lowered graphs
 carry the names of a one-pass ``"full"`` emission.
 """
@@ -65,7 +60,7 @@ from repro.ir.tensors import (
 
 
 #: Emission modes (see the module docstring).
-LOWERING_MODES = ("full", "primitive", "coarse-ks")
+LOWERING_MODES = ("full", "primitive")
 
 #: Names a four-step (i)NTT takes: a tensor and an operator per phase.
 _FOUR_STEP_NAMES = 6
@@ -101,9 +96,9 @@ def rot_batch_amounts(
       ``1..r_hyb-1`` that at least one group actually uses.
 
     A coarse ``ROT_BATCH`` operator takes exactly these evk tensors as
-    inputs (after its two ciphertext halves), so the rotation-lowering
-    rewrite can seed its emitter's :class:`ConstantPool` and replay the
-    full expansion with identical constant sharing.
+    inputs (after its two ciphertext halves), so the lowering walk can
+    seed its emitter's :class:`ConstantPool` and replay the full
+    expansion with identical constant sharing.
     """
     if strategy == "hoisting":
         return tuple(range(1, n1))
@@ -122,12 +117,12 @@ def rot_batch_amounts(
 class ConstantPool:
     """Cached auxiliary-constant tensors shared across emitted primitives.
 
-    One pool per built graph (or per lowering-pipeline run over a
-    segment): two primitives asking for the same evk / BConv matrix /
-    twiddle vector get the *same* tensor, which is what makes constant
-    sharing visible to the scheduler.  The :mod:`repro.passes` rewrites
-    seed a pool with the constants already present in the source graph
-    so in-place expansions reuse them instead of minting twins.
+    One pool per built graph (or per lowering walk over a segment): two
+    primitives asking for the same evk / BConv matrix / twiddle vector
+    get the *same* tensor, which is what makes constant sharing visible
+    to the scheduler.  The :mod:`repro.passes` walk seeds a pool with
+    the constants already present in the source graph so in-place
+    expansions reuse them instead of minting twins.
     """
 
     def __init__(self, params: CKKSParams):
@@ -198,11 +193,11 @@ class GraphBuilder:
         params: CKKS parameter set (spec or concrete — only shapes used).
         ntt_split: optional ``(n1, n2)`` four-step split applied to every
             (i)NTT; ``None`` emits monolithic NTT operators.  Applied at
-            emission time only in ``"full"`` mode; the other modes emit
-            monolithic NTTs for the decompose-ntt rewrite to split.
+            emission time only in ``"full"`` mode; ``"primitive"`` mode
+            emits monolithic NTTs for the lowering walk to split.
         lowering: emission mode, one of :data:`LOWERING_MODES` (see the
             module docstring).
-        graph: existing graph to emit into (the passes rewrites expand
+        graph: existing graph to emit into (the lowering walk expands
             coarse operators into a graph under construction); a fresh
             graph by default.
         pool: shared :class:`ConstantPool`; a fresh pool by default.
@@ -286,11 +281,11 @@ class GraphBuilder:
     ) -> DataTensor:
         """Emit an (i)NTT over ``limbs`` limb rows of ``src``.
 
-        Outside ``"full"`` mode the NTT is always monolithic — the
+        In ``"primitive"`` mode the NTT is always monolithic — the
         four-step split (when requested) is applied later by the
-        decompose-ntt rewrite, which replays :meth:`_four_step` in place.
+        lowering walk, which replays this method in ``"full"`` mode.
         """
-        if self.ntt_split is None or self.lowering != "full":
+        if self.ntt_split is None or self.lowering == "primitive":
             base = self._next
             out = self.poly(f"{tag}.{'intt' if inverse else 'ntt'}", limbs)
             self._add(
@@ -503,13 +498,14 @@ class GraphBuilder:
     ) -> Tuple[DataTensor, DataTensor]:
         """Key switch of one polynomial: returns ``(ks_b, ks_a)``.
 
-        In ``"primitive"``/``"coarse-ks"`` lowering modes this emits a
-        single coarse ``KEY_SWITCH`` operator carrying the digit count;
-        the key-switch-lowering rewrite expands it in place into the
-        exact chain :meth:`expand_key_switch` emits.
+        In ``"full"`` mode this emits the Decomp/ModUp/inner-product/
+        ModDown chain.  In ``"primitive"`` mode it emits a single coarse
+        ``KEY_SWITCH`` operator carrying the digit count, which the
+        lowering walk expands in place by replaying this method in
+        ``"full"`` mode.
         """
         beta = self.params.digits_at_level(level)
-        if self.lowering != "full":
+        if self.lowering == "primitive":
             limbs = level + 1
             base = self._next
             ks_b = self.poly(f"{tag}.ksb", limbs)
@@ -528,21 +524,6 @@ class GraphBuilder:
             )
             self._next = base + _full_names(self.params, self.ntt_split, level)
             return ks_b, ks_a
-        return self.expand_key_switch(d, level, evk, tag)
-
-    def expand_key_switch(
-        self,
-        d: DataTensor,
-        level: int,
-        evk: DataTensor,
-        tag: str,
-    ) -> Tuple[DataTensor, DataTensor]:
-        """The key switch's Decomp/ModUp/inner-product/ModDown chain.
-
-        Emitted in every mode (:meth:`key_switch` emits it in ``"full"``
-        mode); the key-switch-lowering rewrite calls it directly.
-        """
-        beta = self.params.digits_at_level(level)
         digits_ext = []
         for j in range(beta):
             alpha_j = min(
@@ -737,8 +718,8 @@ class GraphBuilder:
         the same level — e.g. a BSGS giant step).  Outputs are the
         ``(b, a)`` pairs of rotations ``1..n1-1``; rotation 0 is the
         input ciphertext itself.  The strategy parameters ride along as
-        structural ``attrs`` so the rotation-lowering rewrite can replay
-        the exact full expansion.
+        structural ``attrs`` so the lowering walk can replay the exact
+        full expansion.
         """
         level = ct.level
         limbs = level + 1

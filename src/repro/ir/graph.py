@@ -138,9 +138,8 @@ class OperatorGraph:
         tensor sharing is preserved exactly — a constant consumed by two
         operators is one tensor in the clone too.  The clone is fully
         independent: rewrites may extend or rewire it without touching
-        the original, which is the safe copy primitive the
-        :mod:`repro.passes` rewrites build on.  ``clone()`` and the
-        original are :func:`structural_mismatch`-equal by construction.
+        the original.  ``clone()`` and the original are
+        :func:`structural_mismatch`-equal by construction.
         """
         out = OperatorGraph(self.name if name is None else name)
         mapped: Dict[int, DataTensor] = {}

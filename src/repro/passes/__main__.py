@@ -1,12 +1,11 @@
-"""``python -m repro.passes``: run, list, and inspect the lowering pipeline.
+"""``python -m repro.passes``: run and inspect the lowering pipeline.
 
 Subcommands:
 
-* ``ls`` — print the pass catalog in application order.
 * ``run [workload ...]`` — emit each workload at the primitive level,
   lower every distinct segment through the pipeline, and print a
-  per-stage report (operator-count diff, level, wall time,
-  diagnostics).
+  per-segment report (operator-count diff, whether the walk rewrote,
+  wall time, diagnostics).
 * ``dump <workload> --level primitive|decomposed`` — print the
   operator listing of each distinct segment graph at a level.
 * ``diff-artifacts <baseline> <candidate>`` — compare two experiment
@@ -16,7 +15,8 @@ Subcommands:
 Exit code 0 on success,
 :data:`~repro.analysis.diagnostics.EXIT_VERIFY` (5) when any ERROR
 diagnostic or invariant failure is found, or when the artifacts differ;
-an unknown workload is a usage error (exit 2).
+an unknown workload, parameter set or rotation strategy, or an
+``--r-hyb`` below 1, is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import EXIT_VERIFY, reports_document
-from repro.fhe.params import CKKSParams, parameter_set
+from repro.fhe.params import PARAMETER_SETS, CKKSParams, parameter_set
 from repro.ir.graph import OperatorGraph
-from repro.passes.levels import Level
 from repro.passes.lowering import lower_graph
-from repro.passes.pipeline import PASSES, PipelineResult
+from repro.passes.pipeline import PipelineResult
 from repro.resilience.errors import VerificationError
 from repro.workloads import WORKLOAD_EMITTERS
-from repro.workloads.base import WorkloadOptions
+from repro.workloads.base import ROTATION_STRATEGIES, WorkloadOptions
 
 _DEFAULT_WORKLOADS = ["bootstrapping", "helr", "resnet20"]
 
@@ -70,34 +69,16 @@ def _distinct_segments(
     return out
 
 
-def _print_stages(label: str, result: PipelineResult) -> None:
-    """Per-stage diff table of one pipeline run."""
-    print(f"{label}:")
-    prev_ops = result.source.graph.num_operators
+def _print_lowering(label: str, result: PipelineResult) -> None:
+    """One line per pipeline run: op-count diff, verdict, timing."""
+    ops = result.graph.num_operators
+    marker = "rewrote" if result.rewrote else "identity"
+    findings = sum(len(r.diagnostics) for r in result.reports)
     print(
-        f"  source               level={result.source.level} "
-        f"ops={prev_ops}"
+        f"{label}: ops={result.source_ops} -> {ops} "
+        f"({ops - result.source_ops:+d}) {marker} "
+        f"{result.seconds * 1e3:.1f}ms findings={findings}"
     )
-    for stage in result.stages:
-        ops = stage.graph.num_operators
-        delta = ops - prev_ops
-        marker = "rewrote" if stage.rewrote else "identity"
-        findings = sum(len(r.diagnostics) for r in stage.reports)
-        print(
-            f"  {stage.pass_name:<20} level={stage.level} "
-            f"ops={ops} ({delta:+d}) "
-            f"{marker} {stage.seconds * 1e3:.1f}ms "
-            f"findings={findings}"
-        )
-        prev_ops = ops
-
-
-def _cmd_ls() -> int:
-    """The ``ls`` subcommand."""
-    print(f"{Level.PRIMITIVE} -> {Level.DECOMPOSED}, in order:")
-    for p in PASSES:
-        print(f"  {p.name:<16} {p.description}")
-    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -118,7 +99,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         reports.extend(result.reports)
         if args.json:
             continue
-        _print_stages(label, result)
+        _print_lowering(label, result)
     if args.json:
         print(json.dumps(reports_document(reports), indent=2))
     document = reports_document(reports)
@@ -136,14 +117,13 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     """The ``dump`` subcommand."""
     params = parameter_set(args.params)
     options = _options(args, params)
-    level = Level(args.level)
     for label, graph in _distinct_segments(args.workloads, params, options):
         shown = graph
-        if level is not Level.PRIMITIVE:
+        if args.level == "decomposed":
             shown = lower_graph(
                 graph, params, options, invariants="off"
             ).graph
-        print(f"== {label} @ {level} ({shown.num_operators} ops) ==")
+        print(f"== {label} @ {args.level} ({shown.num_operators} ops) ==")
         for op in shown.operators_topological():
             ins = ", ".join(t.name for t in op.inputs)
             outs = ", ".join(t.name for t in op.outputs)
@@ -188,18 +168,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("ls", help="print the pass catalog in order")
-
     def _common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "workloads", nargs="*", default=_DEFAULT_WORKLOADS,
             help="workloads to lower (default: the shipped three)",
         )
         p.add_argument(
-            "--params", default="ARK", help="CKKS parameter set name"
+            "--params", default="ARK", choices=sorted(PARAMETER_SETS),
+            help="CKKS parameter set name",
         )
         p.add_argument(
-            "--strategy", default="hybrid",
+            "--strategy", default="hybrid", choices=ROTATION_STRATEGIES,
             help="rotation strategy of the build",
         )
         p.add_argument(
@@ -208,17 +187,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         p.add_argument(
             "--no-ntt-split", action="store_true",
-            help="keep NTTs monolithic (skip the decompose-ntt split)",
+            help="keep NTTs monolithic (no four-step split)",
         )
 
     run_p = sub.add_parser(
-        "run", help="lower workloads and print per-stage diagnostics"
+        "run", help="lower workloads and print per-segment diagnostics"
     )
     _common(run_p)
     run_p.add_argument(
         "--invariants", default="error",
         choices=("error", "warn", "off"),
-        help="inter-pass invariant mode",
+        help="pipeline invariant mode",
     )
     run_p.add_argument(
         "--json", action="store_true",
@@ -232,7 +211,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     dump_p.add_argument(
         "--level", default="decomposed",
         choices=("primitive", "decomposed"),
-        help="which level snapshot to print",
+        help="which level to print",
     )
 
     diff_p = sub.add_parser(
@@ -245,16 +224,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(list(argv) if argv is not None else None)
     if args.command in ("run", "dump"):
+        cmd_p = run_p if args.command == "run" else dump_p
         # Checked after parsing: before Python 3.13 argparse also checks
         # the positional's list default against ``choices``.
         unknown = [w for w in args.workloads if w not in WORKLOAD_EMITTERS]
         if unknown:
-            (run_p if args.command == "run" else dump_p).error(
+            cmd_p.error(
                 f"unknown workload(s) {', '.join(unknown)} "
                 f"(choose from {', '.join(sorted(WORKLOAD_EMITTERS))})"
             )
-    if args.command == "ls":
-        return _cmd_ls()
+        if args.r_hyb < 1:
+            cmd_p.error(f"--r-hyb must be >= 1 (got {args.r_hyb})")
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "dump":

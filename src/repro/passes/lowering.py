@@ -55,9 +55,9 @@ def lowering_key(
     """The memo key of one lowering.
 
     Keyed on the *primitive*-level structural fingerprint plus the
-    parameters and the split the decompose-ntt pass will apply (the
-    split is not represented in the primitive graph, so it must be part
-    of the key).  Rotation strategy and ``r_hyb`` need no slot of their
+    parameters and the split the lowering walk will apply (the split is
+    not represented in the primitive graph, so it must be part of the
+    key).  Rotation strategy and ``r_hyb`` need no slot of their
     own: they are structural attributes of the primitive graph's
     ``ROT_BATCH`` operators and already shape its fingerprint.
 
@@ -115,7 +115,7 @@ def lower_workload(
     """Emit a workload at the primitive level and lower it.
 
     Segments that share one graph object at the primitive level share
-    one lowered graph object too.  The inter-pass invariants run in
+    one lowered graph object too.  The pipeline invariants run in
     ``"error"`` mode, so an illegal lowering fails loudly instead of
     producing a wrong schedule.
 
@@ -123,7 +123,7 @@ def lower_workload(
         name: workload name (a :data:`~repro.workloads.WORKLOAD_EMITTERS`
             key).
         options: the build options; the primitive emission records
-            ``ntt_split`` and the decompose-ntt pass applies it.
+            ``ntt_split`` and the lowering walk applies it.
     """
     primitive = WORKLOAD_EMITTERS[name](params, options)
     lowered_by_id: Dict[int, OperatorGraph] = {}

@@ -81,7 +81,6 @@ class SimulationEngine:
         collect_trace: bool = False,
         residency_fraction: float = 0.5,
         constant_share: int = 1,
-        verify: bool = True,
     ):
         if not 0.0 <= residency_fraction <= 1.0:
             raise ConfigError(
@@ -97,39 +96,36 @@ class SimulationEngine:
         self.collect_trace = collect_trace
         self.residency_fraction = residency_fraction
         self.constant_share = constant_share
-        self.verify = verify
         self._noc = MeshNoc.for_config(config)
         self._pricing = GroupPricing.for_config(config)
 
     def run(self, schedule: Schedule) -> SimResult:
         """Simulate a schedule and return time/utilization/traffic.
 
-        Unless constructed with ``verify=False``, the engine first runs
-        the per-step legality rules (:func:`repro.analysis.
-        schedule_verify.verify_steps`) plus the whole-graph level-budget
-        propagation (:func:`repro.analysis.flow.verify_levels`, F001)
-        over every distinct graph the steps reference, and refuses
-        schedules whose steps are non-physical, so cost-model bugs
-        surface as a typed :class:`SimulationError` instead of silently
-        wrong numbers.
+        The engine first runs the per-step legality rules
+        (:func:`repro.analysis.schedule_verify.verify_steps`) plus the
+        whole-graph level-budget propagation
+        (:func:`repro.analysis.flow.verify_levels`, F001) over every
+        distinct graph the steps reference, and refuses schedules whose
+        steps are non-physical, so cost-model bugs surface as a typed
+        :class:`SimulationError` instead of silently wrong numbers.
         """
-        if self.verify:
-            from repro.analysis.flow import verify_levels
-            from repro.analysis.schedule_verify import verify_steps
+        from repro.analysis.flow import verify_levels
+        from repro.analysis.schedule_verify import verify_steps
 
-            report = verify_steps(schedule.steps, self.config)
-            seen_graphs = set()
-            for step in schedule.steps:
-                graph = step.plan.graph
-                if graph is None or id(graph) in seen_graphs:
-                    continue
-                seen_graphs.add(id(graph))
-                verify_levels(graph, report)
-            if not report.ok:
-                raise SimulationError(
-                    "schedule failed pre-run verification",
-                    detail=report.render_text(),
-                )
+        report = verify_steps(schedule.steps, self.config)
+        seen_graphs = set()
+        for step in schedule.steps:
+            graph = step.plan.graph
+            if graph is None or id(graph) in seen_graphs:
+                continue
+            seen_graphs.add(id(graph))
+            verify_levels(graph, report)
+        if not report.ok:
+            raise SimulationError(
+                "schedule failed pre-run verification",
+                detail=report.render_text(),
+            )
         cfg = self.config
         freq = cfg.frequency_ghz * 1e9
         total_seconds = 0.0

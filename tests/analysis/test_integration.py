@@ -115,13 +115,6 @@ class TestEngineGate:
         with pytest.raises(SimulationError, match="verification"):
             SimulationEngine(CROPHE_64).run(schedule)
 
-    def test_verify_false_skips_the_gate(self):
-        schedule = _hmult_schedule()
-        schedule.steps[0].plan.metrics.buffer_bytes = (
-            CROPHE_64.sram_capacity_bytes + 1)
-        result = SimulationEngine(CROPHE_64, verify=False).run(schedule)
-        assert result.total_seconds > 0
-
 
 class TestRunnerFlag:
     def test_verify_failure_blocks_the_run(self, monkeypatch):

@@ -3,12 +3,12 @@
 import pytest
 
 import repro.passes.pipeline as pipeline_mod
+from repro.analysis.diagnostics import Severity
 from repro.dse.fingerprint import graph_fingerprint, schedule_fingerprint
+from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_64
 from repro.ir.builders import GraphBuilder
 from repro.passes import (
-    Level,
-    Pass,
     PassPipeline,
     lower_graph,
     lower_workload,
@@ -38,34 +38,29 @@ def _options(split=SPLIT):
 
 class TestStages:
     def test_stage_results_recorded(self, small_params):
-        result = PassPipeline(small_params, _options()).run(
-            _primitive_graph(small_params)
-        )
-        assert result.source.level is Level.PRIMITIVE
-        assert [s.pass_name for s in result.stages] == [
-            "lower-rotations", "lower-keyswitch", "decompose-ntt"
-        ]
-        assert result.level is Level.DECOMPOSED
+        graph = _primitive_graph(small_params)
+        result = PassPipeline(small_params, _options()).run(graph)
+        assert result.source_ops == graph.num_operators
+        assert result.rewrote
+        assert result.graph.num_operators > graph.num_operators
+        assert not any(op.kind.is_coarse for op in result.graph.operators)
         assert result.ok
-        for stage in result.stages:
-            assert stage.seconds >= 0.0
+        assert result.seconds >= 0.0
+        # The source and the lowered graph each get the G*/C*/F* battery;
+        # the postcondition report carries the off-catalog split's P002.
+        assert [r.pass_name.split()[0] for r in result.reports] == [
+            "source", "source", "source",
+            "lowering", "lowered", "lowered", "lowered",
+        ]
 
 
 class TestInvariantModes:
     @pytest.fixture()
     def broken_pass(self, monkeypatch):
-        """A catalog of one pass whose P001 postcondition always fires."""
+        """A walk that copies its input, so coarse operators survive."""
         monkeypatch.setattr(
-            pipeline_mod,
-            "PASSES",
-            (
-                Pass(
-                    name="broken-post",
-                    rewrite=lambda graph, ctx: graph.clone(),
-                    description="test-only: clone and claim a violation",
-                    postcondition=lambda graph, ctx: "deliberate violation",
-                ),
-            ),
+            pipeline_mod, "lower_primitives",
+            lambda graph, params, split: graph.clone(),
         )
 
     def test_error_mode_raises(self, small_params, broken_pass):
@@ -83,10 +78,10 @@ class TestInvariantModes:
     def test_off_mode_skips_graph_verifiers(self, small_params, broken_pass):
         pipeline = PassPipeline(small_params, invariants="off")
         result = pipeline.run(_primitive_graph(small_params))
-        assert not result.source.reports  # source battery skipped
-        # The P001 postcondition is structural to the pass and still runs.
+        # Both batteries skipped; the P001 postcondition is structural
+        # to the walk and still runs.
         names = [r.pass_name for r in result.reports]
-        assert names == ["broken-post postcondition"]
+        assert names == ["lowering postcondition"]
 
     def test_clean_run_reports_no_errors(self, small_params):
         result = PassPipeline(
@@ -103,14 +98,54 @@ class TestTelemetry:
         )
         snap = metrics.snapshot()
         assert snap["passes.pipeline.runs"]["value"] == 1
-        assert snap["passes.invariants{status=clean}"]["value"] >= 4
+        # One gate on the source graph, one on the lowered graph.
+        assert snap["passes.invariants{status=clean}"]["value"] == 2
         assert "passes.invariants{status=dirty}" not in snap
-        for name in ("lower-rotations", "lower-keyswitch", "decompose-ntt"):
-            assert f"passes.rewrites{{kind={name}}}" in snap
-            assert snap[f"passes.pass_seconds{{kind={name}}}"]["count"] == 1
-        # rescale's key switch + split NTTs rewrite; no rotations here.
-        assert snap["passes.rewrites{kind=lower-rotations}"]["value"] == 0
-        assert snap["passes.rewrites{kind=lower-keyswitch}"]["value"] == 1
+        assert snap["passes.rewrites"]["value"] == 1
+        assert snap["passes.pass_seconds"]["count"] == 1
+
+    def test_identity_lowering_counts_no_rewrite(self, small_params, metrics):
+        b = GraphBuilder(small_params, lowering="primitive")
+        ct = b.input_ciphertext("x", 3)
+        b.hadd(ct, ct, "s")
+        PassPipeline(small_params, _options()).run(b.graph)
+        snap = metrics.snapshot()
+        assert snap["passes.rewrites"]["value"] == 0
+        assert snap["passes.invariants{status=clean}"]["value"] == 2
+
+
+class TestSplitCatalogWarning:
+    """P002: a configured four-step split off ``candidate_splits(N)``."""
+
+    def _p002(self, result):
+        return [
+            d for r in result.reports for d in r.diagnostics
+            if d.rule == "P002"
+        ]
+
+    def test_off_catalog_split_warns_once(self, small_params):
+        # candidate_splits(64) is empty: no tile reaches the lane count.
+        result = PassPipeline(small_params, _options(SPLIT)).run(
+            _primitive_graph(small_params)
+        )
+        found = self._p002(result)
+        assert len(found) == 1
+        assert found[0].severity is Severity.WARNING
+        assert result.ok
+
+    def test_no_split_no_warning(self, small_params):
+        result = PassPipeline(small_params, _options(None)).run(
+            _primitive_graph(small_params)
+        )
+        assert not self._p002(result)
+
+    def test_catalog_split_no_warning(self):
+        ark = parameter_set("ARK")
+        result = PassPipeline(ark, _options((256, 256))).run(
+            _primitive_graph(ark)
+        )
+        assert not self._p002(result)
+        assert result.ok
 
 
 class TestLoweringMemo:

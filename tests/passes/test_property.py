@@ -1,10 +1,10 @@
 """Property: the pipeline preserves G*/F* cleanliness and structure.
 
 Random valid primitive-level DAGs (chains of HE primitives over a
-couple of live ciphertexts) must lower through the full pipeline in
+couple of live ciphertexts) must lower through the pipeline in
 ``"error"`` invariant mode — i.e. with the G* structural, C* semantic,
-and F* dataflow batteries clean between every adjacent pass pair — and
-land at the decomposed level with no coarse operators surviving.  The
+and F* dataflow batteries clean on the source and the lowered graph —
+and land at the decomposed level with no coarse operators surviving.  The
 lowered graph must also be structurally identical to the same program
 emitted fully decomposed in one go by ``GraphBuilder(lowering="full")``,
 operator names included.
@@ -18,7 +18,7 @@ from repro.analysis.graph_verify import verify_graph
 from repro.fhe.params import make_concrete_params
 from repro.ir.builders import GraphBuilder
 from repro.ir.graph import structural_mismatch
-from repro.passes import Level, PassPipeline
+from repro.passes import PassPipeline
 from repro.workloads.base import WorkloadOptions
 
 PARAMS = make_concrete_params(log_n=6, max_level=8, alpha=2)
@@ -75,10 +75,9 @@ def test_pipeline_preserves_cleanliness(steps, split):
     # builders: it fixes the names the deferred NTT phases will take.
     graph = _random_graph(steps, split=split)
     options = WorkloadOptions(ntt_split=split)
-    # "error" mode: any G*/C*/F* or P001 finding between passes raises.
+    # "error" mode: any G*/C*/F* or P001 finding raises.
     result = PassPipeline(PARAMS, options, invariants="error").run(graph)
     assert result.ok
-    assert result.level is Level.DECOMPOSED
     assert not any(op.kind.is_coarse for op in result.graph.operators)
     # The final graph re-verifies clean outside the pipeline too.
     assert verify_graph(result.graph).ok

@@ -1,4 +1,4 @@
-"""Per-pass golden tests, and lowered graphs against pinned references.
+"""Lowering-walk golden tests, and lowered graphs against pinned references.
 
 The oracle is :func:`repro.ir.graph.structural_mismatch` (insertion
 order + signatures + tags + sharing pattern) plus fingerprint equality;
@@ -24,7 +24,7 @@ from repro.dse.fingerprint import graph_fingerprint
 from repro.ir.builders import GraphBuilder
 from repro.ir.graph import structural_mismatch
 from repro.ir.operators import OpKind
-from repro.passes import Level, PassPipeline
+from repro.passes import PassPipeline
 from repro.workloads import WORKLOAD_BUILDERS
 from repro.workloads.base import WorkloadOptions
 
@@ -116,27 +116,29 @@ def _lower(graph, params, split, invariants="error"):
 
 
 class TestPerPassGoldens:
-    def test_lower_rotations_removes_rot_batches(self, small_params):
+    def test_rot_batches_expand_with_their_key_switches(self, small_params):
         graph = _build(small_params, "primitive", "hybrid", 2, None)
         assert any(
             op.kind is OpKind.ROT_BATCH for op in graph.operators
         )
-        stage = _lower(graph, small_params, None).stages[0]
-        assert stage.pass_name == "lower-rotations"
-        kinds = {op.kind for op in stage.graph.operators}
+        result = _lower(graph, small_params, None)
+        kinds = {op.kind for op in result.graph.operators}
+        # One walk: the batch's own key switches come out decomposed.
         assert OpKind.ROT_BATCH not in kinds
-        # Key switches stay coarse: still a primitive-level graph.
-        assert OpKind.KEY_SWITCH in kinds
-        assert stage.level is Level.PRIMITIVE
+        assert OpKind.KEY_SWITCH not in kinds
+        assert OpKind.KSK_INP in kinds and OpKind.BCONV in kinds
 
-    def test_lower_keyswitch_reaches_decomposed(self, small_params):
-        graph = _build(small_params, "primitive", "hybrid", 2, None)
-        stage = _lower(graph, small_params, None).stages[1]
-        assert stage.pass_name == "lower-keyswitch"
+    def test_key_switches_expand_fully(self, small_params):
+        b = GraphBuilder(small_params, lowering="primitive")
+        ct = b.input_ciphertext("x", 3)
+        b.hmult(ct, ct, "m")  # one coarse key switch, no batches
+        result = _lower(b.graph, small_params, None)
         assert not any(
-            op.kind.is_coarse for op in stage.graph.operators
+            op.kind.is_coarse for op in result.graph.operators
         )
-        assert stage.level is Level.DECOMPOSED
+        assert sum(
+            op.kind is OpKind.KSK_INP for op in result.graph.operators
+        ) == 1
 
     def test_decompose_ntt_splits_monolithic_ntts(self, small_params):
         graph = _build(small_params, "primitive", "hybrid", 2, (8, 8))
@@ -150,7 +152,7 @@ class TestPerPassGoldens:
         result = _lower(graph, small_params, None)
         kinds = {op.kind for op in result.graph.operators}
         assert OpKind.NTT in kinds
-        assert not result.stages[-1].rewrote  # decompose-ntt identity
+        assert not any(kind.is_ntt_phase for kind in kinds)
 
     def test_identity_pass_returns_same_object(self, small_params):
         b = GraphBuilder(small_params, lowering="primitive")
@@ -158,8 +160,7 @@ class TestPerPassGoldens:
         b.hadd(ct, ct, "s")  # no rotations, no key switches
         result = _lower(b.graph, small_params, None)
         assert result.graph is b.graph
-        assert not any(stage.rewrote for stage in result.stages)
-        assert all(stage.graph is b.graph for stage in result.stages)
+        assert not result.rewrote
 
 
 class TestLegacyEquivalence:
@@ -202,16 +203,15 @@ class TestLegacyEquivalence:
 
     def test_deterministic_fingerprints(self, small_params):
         split = (8, 8)
-        results = [
-            _lower(
-                _build(small_params, "primitive", "hybrid", 2, split),
-                small_params,
-                split,
-            )
+        sources = [
+            _build(small_params, "primitive", "hybrid", 2, split)
             for _ in range(2)
         ]
         first, second = (
-            [graph_fingerprint(r.source.graph), graph_fingerprint(r.graph)]
-            for r in results
+            [
+                graph_fingerprint(source),
+                graph_fingerprint(_lower(source, small_params, split).graph),
+            ]
+            for source in sources
         )
         assert first == second
