@@ -11,35 +11,45 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import networkx as nx
-
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.ir.graph import OperatorGraph
 from repro.ir.operators import Operator
 from repro.ir.tensors import TensorKind
 
 
-def _cycle_members(g: "nx.DiGraph") -> List[str]:
-    """Operator names along one cycle (best effort)."""
-    try:
-        edges = nx.find_cycle(g, orientation="original")
-    except nx.NetworkXNoCycle:
-        return []
-    names = [edge[0].name for edge in edges]
-    if edges:
-        names.append(edges[-1][1].name)
-    return names
+def _cycle_members(graph: OperatorGraph) -> List[str]:
+    """Operator names along one cycle of the edge index, or empty.
+
+    A Kahn pass over the successor index leaves exactly the operators on
+    or behind a cycle stuck; the first one on a cycle names it.
+    """
+    succ = graph._succ
+    indegree = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for uid in targets:
+            indegree[uid] = indegree.get(uid, 0) + 1
+    ready = [uid for uid, n in indegree.items() if n == 0]
+    while ready:
+        for uid in succ.get(ready.pop(), ()):
+            indegree[uid] -= 1
+            if indegree[uid] == 0:
+                ready.append(uid)
+    for uid, n in indegree.items():
+        if n > 0:
+            cycle = graph._cycle_through(graph._ops[uid])
+            if cycle:
+                return [op.name for op in cycle]
+    return []
 
 
 def verify_graph(graph: OperatorGraph) -> DiagnosticReport:
     """Run the graph pass; returns a report (empty when clean)."""
     report = DiagnosticReport(pass_name=f"graph:{graph.name}")
 
-    # G001: acyclicity.  Use the underlying DiGraph directly so the pass
-    # works on graphs too corrupt for operators_topological().
-    g = graph._nx
-    if not nx.is_directed_acyclic_graph(g):
-        members = _cycle_members(g)
+    # G001: acyclicity.  Read the edge index directly so the pass works
+    # on graphs too corrupt for operators_topological().
+    members = _cycle_members(graph)
+    if members:
         report.emit(
             "G001", f"graph {graph.name}",
             "dependency cycle: " + " -> ".join(members),
@@ -83,22 +93,23 @@ def verify_graph(graph: OperatorGraph) -> DiagnosticReport:
 
     # G005: edge agreement — the tensor on each producer->consumer edge
     # must appear in both endpoints' tensor lists.
-    for prod, cons, data in g.edges(data=True):
-        t = data.get("tensor")
-        if t is None:
-            report.emit(
-                "G005", f"edge {prod.name} -> {cons.name}",
-                "edge carries no tensor",
-            )
-            continue
-        if all(o.uid != t.uid for o in prod.outputs):
-            report.emit(
-                "G005", f"edge {prod.name} -> {cons.name}",
-                f"tensor {t.name} is not an output of {prod.name}",
-            )
-        if all(i.uid != t.uid for i in cons.inputs):
-            report.emit(
-                "G005", f"edge {prod.name} -> {cons.name}",
-                f"tensor {t.name} is not an input of {cons.name}",
-            )
+    for prod in graph.operators:
+        for cons in graph.successors(prod):
+            t = graph.edge_tensor(prod, cons)
+            if t is None:
+                report.emit(
+                    "G005", f"edge {prod.name} -> {cons.name}",
+                    "edge carries no tensor",
+                )
+                continue
+            if all(o.uid != t.uid for o in prod.outputs):
+                report.emit(
+                    "G005", f"edge {prod.name} -> {cons.name}",
+                    f"tensor {t.name} is not an output of {prod.name}",
+                )
+            if all(i.uid != t.uid for i in cons.inputs):
+                report.emit(
+                    "G005", f"edge {prod.name} -> {cons.name}",
+                    f"tensor {t.name} is not an input of {cons.name}",
+                )
     return report

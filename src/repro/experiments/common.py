@@ -318,7 +318,6 @@ def evaluate_workload(
     workload_name: str,
     params: CKKSParams,
     scheduler_config: Optional[SchedulerConfig] = None,
-    use_cache: bool = True,
 ) -> EvalResult:
     """Evaluate one design on one workload (best r_hyb kept for hybrid).
 
@@ -330,19 +329,18 @@ def evaluate_workload(
     fp = result_fingerprint(
         _design_payload(point), workload_name, params, base_config
     )
-    if use_cache:
-        live = _RESULT_LIVE.get(fp)
-        if live is not None:
-            CACHE.bump("hits")
+    live = _RESULT_LIVE.get(fp)
+    if live is not None:
+        CACHE.bump("hits")
+        CACHE.flush_stats()
+        return live
+    doc = CACHE.get("result", fp)
+    if doc is not None:
+        restored = _restore_result(doc)
+        if restored is not None:
+            _RESULT_LIVE[fp] = restored
             CACHE.flush_stats()
-            return live
-        doc = CACHE.get("result", fp)
-        if doc is not None:
-            restored = _restore_result(doc)
-            if restored is not None:
-                _RESULT_LIVE[fp] = restored
-                CACHE.flush_stats()
-                return restored
+            return restored
     hybrid = point.dataflow == "crophe" and point.use_hybrid_rotation
     best: Optional[EvalResult] = None
     if hybrid:
@@ -388,14 +386,13 @@ def evaluate_workload(
             f"no evaluated variant produced a schedule for "
             f"{point.label} on {workload_name}"
         )
-    if use_cache:
-        _RESULT_LIVE[fp] = best
-        CACHE.put(
-            "result", fp, eval_result_to_doc(best),
-            meta={"label": point.label, "workload": workload_name,
-                  "params": params.name},
-        )
-        CACHE.flush_stats()
+    _RESULT_LIVE[fp] = best
+    CACHE.put(
+        "result", fp, eval_result_to_doc(best),
+        meta={"label": point.label, "workload": workload_name,
+              "params": params.name},
+    )
+    CACHE.flush_stats()
     return best
 
 

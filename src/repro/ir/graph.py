@@ -4,17 +4,16 @@ An :class:`OperatorGraph` holds :class:`~repro.ir.operators.Operator`
 nodes connected through :class:`~repro.ir.tensors.DataTensor` edges.  A
 tensor has at most one producer (graph inputs and constants have none)
 and any number of consumers.  The scheduler consumes graphs through the
-topological-order and subgraph-enumeration helpers here.
+topological order and the window queries here (signature, internal and
+boundary tensors).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.operators import Operator
-from repro.ir.tensors import DataTensor, TensorKind
+from repro.ir.tensors import DataTensor
 from repro.resilience.errors import GraphInvariantError
 
 
@@ -23,7 +22,13 @@ class OperatorGraph:
 
     def __init__(self, name: str = "graph"):
         self.name = name
-        self._nx = nx.DiGraph()
+        # The edge index, per operator uid in insertion order:
+        # neighbour uid -> the tensor on that edge, neighbours in
+        # first-wiring order (re-wiring an edge keeps its position and
+        # stores the later tensor).  The topological order depends on
+        # both orders.
+        self._succ: Dict[int, Dict[int, DataTensor]] = {}
+        self._pred: Dict[int, Dict[int, DataTensor]] = {}
         self._producer: Dict[int, Operator] = {}       # tensor uid -> op
         self._consumers: Dict[int, List[Operator]] = {}
         self._tensors: Dict[int, DataTensor] = {}
@@ -58,25 +63,28 @@ class OperatorGraph:
                     f"tensor {t.name} already has a producer",
                     graph=self.name, operators=(existing.name, op.name),
                 )
-        self._ops[op.uid] = op
-        self._nx.add_node(op)
+        uid = op.uid
+        self._ops[uid] = op
+        self._succ[uid] = {}
+        self._pred[uid] = {}
         for t in op.outputs:
             self._producer[t.uid] = op
             self._tensors[t.uid] = t
             # Late consumers may already be registered.
             for consumer in self._consumers.get(t.uid, []):
-                self._nx.add_edge(op, consumer, tensor=t)
+                self._wire(uid, consumer.uid, t)
         for t in op.inputs:
             self._tensors[t.uid] = t
             self._consumers.setdefault(t.uid, []).append(op)
             producer = self._producer.get(t.uid)
             if producer is not None:
-                self._nx.add_edge(producer, op, tensor=t)
+                self._wire(producer.uid, uid, t)
         # Only an operator that gains *outgoing* edges at insertion time
-        # (some registered consumer was waiting for one of its outputs)
-        # can close a cycle; builders append producers before consumers,
-        # so the common path stays O(degree).
-        if self._nx.out_degree(op) > 0 and self._nx.in_degree(op) > 0:
+        # (some registered consumer was waiting for one of its outputs,
+        # or it consumes its own output) can close a cycle; builders
+        # append producers before consumers, so the common path stays
+        # O(degree).
+        if self._succ[uid] and self._pred[uid]:
             cycle = self._cycle_through(op)
             if cycle:
                 self._rollback_insertion(op)
@@ -88,20 +96,25 @@ class OperatorGraph:
                 )
         return op
 
+    def _wire(self, src: int, dst: int, tensor: DataTensor) -> None:
+        """Record the edge ``src -> dst`` carrying ``tensor``."""
+        self._succ[src][dst] = tensor
+        self._pred[dst][src] = tensor
+
     def _cycle_through(self, op: Operator) -> List[Operator]:
         """The path ``op -> ... -> op`` if one exists, else empty."""
-        path: List[Operator] = [op]
-        stack = [iter(self._nx.successors(op))]
-        visited: Set[Operator] = set()
+        path: List[int] = [op.uid]
+        stack = [iter(self._succ.get(op.uid, ()))]
+        visited: Set[int] = set()
         while stack:
             advanced = False
             for succ in stack[-1]:
-                if succ is op:
-                    return path + [op]
+                if succ == op.uid:
+                    return [self._ops[uid] for uid in path] + [op]
                 if succ not in visited:
                     visited.add(succ)
                     path.append(succ)
-                    stack.append(iter(self._nx.successors(succ)))
+                    stack.append(iter(self._succ.get(succ, ())))
                     advanced = True
                     break
             if not advanced:
@@ -111,8 +124,15 @@ class OperatorGraph:
 
     def _rollback_insertion(self, op: Operator) -> None:
         """Undo a rejected :meth:`add_operator` (graph left as before)."""
-        self._nx.remove_node(op)
-        del self._ops[op.uid]
+        uid = op.uid
+        # Both directions, a self-loop included.
+        for succ in self._succ.pop(uid):
+            if succ != uid:
+                del self._pred[succ][uid]
+        for pred in self._pred.pop(uid):
+            if pred != uid:
+                del self._succ[pred][uid]
+        del self._ops[uid]
         for t in op.outputs:
             self._producer.pop(t.uid, None)
         for t in op.inputs:
@@ -124,11 +144,6 @@ class OperatorGraph:
         for t in list(op.outputs) + list(op.inputs):
             if t.uid not in self._producer and t.uid not in self._consumers:
                 self._tensors.pop(t.uid, None)
-
-    def merge(self, other: "OperatorGraph") -> None:
-        """Absorb all operators of another graph (tensors may be shared)."""
-        for op in other.operators_topological():
-            self.add_operator(op)
 
     def clone(self, name: Optional[str] = None) -> "OperatorGraph":
         """Deterministic deep copy: fresh operators, fresh tensors.
@@ -195,11 +210,11 @@ class OperatorGraph:
 
     def predecessors(self, op: Operator) -> List[Operator]:
         """Operators feeding ``op``."""
-        return list(self._nx.predecessors(op))
+        return [self._ops[uid] for uid in self._pred[op.uid]]
 
     def successors(self, op: Operator) -> List[Operator]:
         """Operators fed by ``op``."""
-        return list(self._nx.successors(op))
+        return [self._ops[uid] for uid in self._succ[op.uid]]
 
     def operators_topological(self) -> List[Operator]:
         """Depth-first topological order with constant affinity.
@@ -229,8 +244,9 @@ class OperatorGraph:
         return order
 
     def _operators_topological_uncached(self) -> List[Operator]:
-        indegree = {op: self._nx.in_degree(op) for op in self._nx.nodes}
-        ready = [op for op in self._nx.nodes if indegree[op] == 0]
+        ops = self._ops
+        indegree = {uid: len(preds) for uid, preds in self._pred.items()}
+        ready = [op for uid, op in ops.items() if indegree[uid] == 0]
         order: List[Operator] = []
         last_constants: Set[int] = set()
         while ready:
@@ -246,13 +262,13 @@ class OperatorGraph:
             op = ready.pop(pick_index)
             order.append(op)
             last_constants = {t.uid for t in op.inputs if t.is_constant}
-            for succ in self._nx.successors(op):
+            for succ in self._succ[op.uid]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(self._ops):
+                    ready.append(ops[succ])
+        if len(order) != len(ops):
             stuck = sorted(
-                (op.name for op in self._nx.nodes if indegree[op] > 0)
+                ops[uid].name for uid, n in indegree.items() if n > 0
             )
             raise GraphInvariantError(
                 "topological traversal stalled: graph has a cycle",
@@ -262,7 +278,7 @@ class OperatorGraph:
 
     def edge_tensor(self, producer: Operator, consumer: Operator) -> DataTensor:
         """The tensor carried on a producer->consumer edge."""
-        return self._nx.edges[producer, consumer]["tensor"]
+        return self._succ[producer.uid][consumer.uid]
 
     def graph_inputs(self) -> List[DataTensor]:
         """Tensors with no producer that some operator consumes."""
@@ -284,38 +300,9 @@ class OperatorGraph:
         """All auxiliary constant tensors referenced by the graph."""
         return [t for t in self._tensors.values() if t.is_constant]
 
-    def validate(self) -> None:
-        """Check acyclicity and tensor wiring consistency."""
-        if not nx.is_directed_acyclic_graph(self._nx):
-            raise GraphInvariantError(
-                "graph has a cycle", graph=self.name
-            )
-        for uid, consumers in self._consumers.items():
-            t = self._tensors[uid]
-            if t.kind is TensorKind.POLY and uid not in self._producer:
-                # Intermediate polys should have producers unless they are
-                # graph inputs, which is legal; nothing to check.
-                pass
-
     # ------------------------------------------------------------------
     # Scheduling support
     # ------------------------------------------------------------------
-
-    def contiguous_windows(
-        self, max_size: int
-    ) -> Iterator[Tuple[Operator, ...]]:
-        """Windows of consecutive operators along a topological order.
-
-        The scheduler's bottom-up composition enumerates candidate
-        spatial groups from these windows (a practical restriction of
-        "all subgraphs up to a certain size", Section V-D).
-        """
-        order = self.operators_topological()
-        for start in range(len(order)):
-            for size in range(1, max_size + 1):
-                if start + size > len(order):
-                    break
-                yield tuple(order[start: start + size])
 
     def subgraph_signature(self, ops: Sequence[Operator]) -> Tuple:
         """Structural signature of an operator window (for memoization).
@@ -329,9 +316,9 @@ class OperatorGraph:
         for i, op in enumerate(ops):
             edges = tuple(
                 sorted(
-                    index[succ.uid]
-                    for succ in self.successors(op)
-                    if succ.uid in index
+                    index[succ]
+                    for succ in self._succ[op.uid]
+                    if succ in index
                 )
             )
             parts.append((op.signature(), edges))

@@ -18,6 +18,9 @@ Three subcommands::
 * ``trace`` runs one design/workload evaluation with event capture and
   exports the simulated timeline as Chrome/Perfetto ``trace_json``
   (open the ``*.sim.perfetto.json`` file at https://ui.perfetto.dev).
+
+Bad input (an unreadable or malformed document, ``--r-hyb`` below 1)
+exits 2 with one ``error: ...`` line, as ``repro.dse``/``repro.serve`` do.
 """
 
 from __future__ import annotations
@@ -29,14 +32,16 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.obs.diffing import DEFAULT_THRESHOLD, diff_documents
-from repro.resilience.errors import TraceError
+from repro.resilience.errors import ReproError, TraceError
 
 
 def _load_document(path: str) -> dict:
-    """Load a JSON observability document, with a typed parse failure."""
+    """Load a JSON observability document, with a typed read failure."""
     try:
         with open(path) as handle:
             document = json.load(handle)
+    except OSError as exc:
+        raise TraceError(f"cannot read: {exc.strerror}", path=path) from exc
     except ValueError as exc:
         raise TraceError(f"malformed JSON document: {exc}", path=path) from exc
     if not isinstance(document, dict):
@@ -298,8 +303,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_trace.set_defaults(fn=_cmd_trace)
 
     args = parser.parse_args(argv)
+    if args.command == "trace" and args.r_hyb < 1:
+        parser.error("--r-hyb must be >= 1")
     try:
         return args.fn(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Reader closed early (e.g. `summarize ... | head`); not an error.
         sys.stderr.close()

@@ -119,8 +119,7 @@ class SchedulerConfig:
     #: Post-``schedule()`` static verification gate
     #: (:mod:`repro.analysis`): ``"error"`` raises
     #: :class:`~repro.resilience.errors.VerificationError` on an illegal
-    #: schedule, ``"warn"`` downgrades the findings to a warning,
-    #: ``"off"`` skips the gate.
+    #: schedule, ``"off"`` skips the gate.
     verify: str = "error"
 
     def __post_init__(self) -> None:
@@ -177,10 +176,10 @@ class SchedulerConfig:
                 "max_search_nodes", self.max_search_nodes,
                 "the node budget must be >= 1 (or None)",
             )
-        if self.verify not in ("error", "warn", "off"):
+        if self.verify not in ("error", "off"):
             raise ConfigError(
                 "verify", self.verify,
-                'the verification gate is "error", "warn", or "off"',
+                'the verification gate is "error" or "off"',
             )
 
     def validate_for_hardware(self, hw: HardwareConfig) -> None:
@@ -597,9 +596,9 @@ class Scheduler:
         schedule this class produces, so the full rule set — order,
         coverage, residency provenance, plus the cross-window dataflow
         rules (F002 peak residency, F003 key-switch reachability, F004
-        sharing) — applies.  ``verify="warn"`` reports without failing;
-        ``verify="off"`` skips the gate (the evaluation pipeline
-        re-verifies via the simulator's pre-run check anyway).
+        sharing) — applies.  ``verify="off"`` skips the gate (the
+        evaluation pipeline re-verifies via the simulator's pre-run
+        check anyway).
         """
         if self.config.verify == "off":
             return
@@ -620,21 +619,12 @@ class Scheduler:
                 schedule, self.hw, graph=self.graph, config=self.config
             ))
         self.stats["verify_errors"] = float(len(report.errors))
-        if report.ok:
-            return
-        if self.config.verify == "error":
+        if not report.ok:
             raise VerificationError(
                 f"schedule for graph {self.graph.name!r} failed static "
                 "verification",
                 report=report,
             )
-        import warnings
-
-        warnings.warn(
-            f"schedule for graph {self.graph.name!r} failed static "
-            f"verification:\n{report.render_text()}",
-            stacklevel=3,
-        )
 
     # ------------------------------------------------------------------
 

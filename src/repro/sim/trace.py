@@ -120,9 +120,14 @@ def iter_trace(path: str) -> Iterator[TraceEvent]:
 
     Blank lines are skipped; anything else that fails to parse raises
     :class:`~repro.resilience.errors.TraceError` with the file and
-    1-based line number.
+    1-based line number, as does a file that cannot be opened (without
+    a line number).
     """
-    with open(path) as f:
+    try:
+        handle = open(path)
+    except OSError as exc:
+        raise TraceError(f"cannot read: {exc.strerror}", path=path) from exc
+    with handle as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue

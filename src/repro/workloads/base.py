@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.fhe.params import CKKSParams
 from repro.ir.graph import OperatorGraph
@@ -100,24 +100,3 @@ class Workload:
             if s.name == name:
                 return s
         raise KeyError(f"no segment {name!r} in workload {self.name}")
-
-
-#: Builder memo: (workload name, params, options) -> lowered workload.
-_LOWERED: Dict[Tuple[str, CKKSParams, WorkloadOptions], Workload] = {}
-
-
-def lowered_workload(
-    name: str, params: CKKSParams, options: Optional[WorkloadOptions]
-) -> Workload:
-    """What every workload builder returns: its primitive emission lowered
-    by :func:`repro.passes.lowering.lower_workload`, memoized."""
-    options = options or WorkloadOptions()
-    key = (name, params, options)
-    workload = _LOWERED.get(key)
-    if workload is None:
-        # Imported at call time: repro.passes imports this package.
-        from repro.passes import lowering
-
-        workload = lowering.lower_workload(name, params, options)
-        _LOWERED[key] = workload
-    return workload

@@ -27,7 +27,6 @@ from repro.workloads.base import (
     Workload,
     WorkloadOptions,
     WorkloadSegment,
-    lowered_workload,
 )
 
 #: Radix decomposition of the homomorphic DFT: 3 stages per transform.
@@ -174,4 +173,9 @@ def build_bootstrapping(
     params: CKKSParams, options: Optional[WorkloadOptions] = None
 ) -> Workload:
     """Build the bootstrapping workload for a parameter set (lowered)."""
-    return lowered_workload("bootstrapping", params, options)
+    # Imported at call time: repro.passes imports this package.
+    from repro.passes import lowering
+
+    return lowering.lower_workload(
+        "bootstrapping", params, options or WorkloadOptions()
+    )

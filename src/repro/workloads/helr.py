@@ -28,7 +28,6 @@ from repro.workloads.base import (
     Workload,
     WorkloadOptions,
     WorkloadSegment,
-    lowered_workload,
 )
 
 #: Features per sample (14 x 14 MNIST crops).
@@ -102,4 +101,9 @@ def build_helr(
     params: CKKSParams, options: Optional[WorkloadOptions] = None
 ) -> Workload:
     """One HELR-1024 training iteration (gradient + bootstrap), lowered."""
-    return lowered_workload("helr", params, options)
+    # Imported at call time: repro.passes imports this package.
+    from repro.passes import lowering
+
+    return lowering.lower_workload(
+        "helr", params, options or WorkloadOptions()
+    )

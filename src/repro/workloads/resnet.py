@@ -25,7 +25,6 @@ from repro.workloads.base import (
     Workload,
     WorkloadOptions,
     WorkloadSegment,
-    lowered_workload,
 )
 
 #: BSGS split for the per-layer convolution matmuls.
@@ -137,11 +136,21 @@ def build_resnet20(
     params: CKKSParams, options: Optional[WorkloadOptions] = None
 ) -> Workload:
     """ResNet-20 encrypted inference workload (lowered)."""
-    return lowered_workload("resnet20", params, options)
+    # Imported at call time: repro.passes imports this package.
+    from repro.passes import lowering
+
+    return lowering.lower_workload(
+        "resnet20", params, options or WorkloadOptions()
+    )
 
 
 def build_resnet110(
     params: CKKSParams, options: Optional[WorkloadOptions] = None
 ) -> Workload:
     """ResNet-110 encrypted inference workload (scale test, lowered)."""
-    return lowered_workload("resnet110", params, options)
+    # Imported at call time: repro.passes imports this package.
+    from repro.passes import lowering
+
+    return lowering.lower_workload(
+        "resnet110", params, options or WorkloadOptions()
+    )

@@ -404,7 +404,7 @@ class TestFrontEnds:
 # ----------------------------------------------------------------------
 
 class TestGateWiring:
-    """The gate fails, warns or stays silent on an F* schedule finding."""
+    """The gate fails or stays silent on an F* schedule finding."""
 
     @pytest.fixture()
     def seeded_f002(self, monkeypatch):
@@ -428,13 +428,6 @@ class TestGateWiring:
         with pytest.raises(VerificationError) as exc:
             self._scheduler("error").schedule()
         assert exc.value.rule_ids == ("F002",)
-
-    def test_warn_mode_warns_and_returns(self, seeded_f002):
-        scheduler = self._scheduler("warn")
-        with pytest.warns(UserWarning, match="F002"):
-            schedule = scheduler.schedule()
-        assert schedule.steps
-        assert scheduler.stats["verify_errors"] == 1
 
     def test_off_mode_is_silent(self, seeded_f002):
         with warnings.catch_warnings():

@@ -71,7 +71,35 @@ class TestInsertionGuards:
         assert g.num_operators == 1
         assert t2.uid not in {t.uid for op in g.operators
                               for t in op.outputs}
-        g.validate()
+        # t2 dangles by design, so only the cycle rule must be silent.
+        assert "G001" not in verify_graph(g).rule_ids()
+
+    def test_self_loop_insertion_rejected_and_rolled_back(self):
+        g = OperatorGraph("guard")
+        t0, t1 = poly_tensor("t0", 2, 16), poly_tensor("t1", 2, 16)
+        a = self._op("a", t0, t1)
+        b = self._op("b", t1, poly_tensor("t2", 2, 16))
+        g.add_operator(a)
+        g.add_operator(b)
+        before = g.operators_topological()
+        loop = poly_tensor("loop", 2, 16)
+        # Consumes a's output and its own.
+        selfish = Operator("selfish", OpKind.EW_ADD, 2, 16,
+                           inputs=[t1, loop], outputs=[loop])
+        with pytest.raises(GraphInvariantError) as err:
+            g.add_operator(selfish)
+        assert "selfish" in str(err.value)
+        assert g.num_operators == 2
+        assert g.successors(a) == [b] and g.predecessors(b) == [a]
+        assert g.consumers_of(t1) == [b]
+        assert loop not in g.tensors
+        assert g._operators_topological_uncached() == before
+        # A later insertion orders as in a graph that never saw the loop.
+        g.add_operator(self._op("c", t1, poly_tensor("t3", 2, 16)))
+        assert [op.name for op in g.operators_topological()] == [
+            op.name for op in g.clone().operators_topological()
+        ]
+        assert "G001" not in verify_graph(g).rule_ids()
 
     def test_duplicate_producer_insertion_rejected(self):
         g = OperatorGraph("guard")

@@ -90,7 +90,8 @@ class TestEvaluationPipeline:
         a = evaluate_workload(point, "bootstrapping", TINY)
         b = evaluate_workload(point, "bootstrapping", TINY)
         assert a is b
-        c = evaluate_workload(point, "bootstrapping", TINY, use_cache=False)
+        clear_cache()
+        c = evaluate_workload(point, "bootstrapping", TINY)
         assert c is not a
         assert c.seconds == pytest.approx(a.seconds, rel=0.01)
 

@@ -240,12 +240,13 @@ class TestSpecParameterBuilds:
 
     @pytest.mark.parametrize("name", ["BTS", "ARK", "SHARP", "CraterLake"])
     def test_bootstrapping_builds(self, name):
+        from repro.analysis import verify_graph
         from repro.workloads import build_bootstrapping
 
         wl = build_bootstrapping(parameter_set(name))
         assert wl.total_operators > 100
         for seg in wl.segments:
-            seg.graph.validate()
+            assert verify_graph(seg.graph).ok, seg.name
 
     @pytest.mark.parametrize("name", ["BTS", "CraterLake"])
     def test_extreme_dnum_keyswitch_shapes(self, name):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import verify_graph
 from repro.fhe.params import make_concrete_params, parameter_set
 from repro.ir.builders import GraphBuilder
 from repro.ir.graph import OperatorGraph
@@ -92,13 +93,6 @@ class TestGraph:
         assert g.internal_tensors([a, b]) == [t1]
         assert g.internal_tensors([a]) == []
 
-    def test_contiguous_windows(self):
-        g, a, b, _ = _chain_graph()
-        windows = list(g.contiguous_windows(2))
-        assert (a,) in windows
-        assert (a, b) in windows
-        assert (b,) in windows
-
     def test_subgraph_signature_matches_structure(self):
         g1, a1, b1, _ = _chain_graph()
         g2, a2, b2, _ = _chain_graph()
@@ -113,7 +107,7 @@ class TestBuilders:
             b.input_ciphertext("y", PARAMS.max_level),
         )
         g = b.graph
-        g.validate()
+        assert verify_graph(g).ok
         kinds = [op.kind for op in g.operators]
         beta = PARAMS.digits_at_level(PARAMS.max_level)
         # One KSK inner product, beta ModUps worth of iNTT/BConv/NTT.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import verify_graph
 from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_64
 from repro.ir.operators import OpKind
@@ -34,7 +35,7 @@ class TestTracing:
         kinds = [op.kind for op in tctx.graph.operators]
         assert kinds.count(OpKind.KSK_INP) == 1  # the relinearization
         assert OpKind.BCONV in kinds
-        tctx.graph.validate()
+        assert verify_graph(tctx.graph).ok
 
     def test_traced_graph_schedules(self, tctx, rng):
         n = tctx.ctx.params.slots

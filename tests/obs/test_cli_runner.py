@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.obs.__main__ import main as obs_main
-from repro.resilience.errors import TraceError
 
 
 def _metrics_doc(wall, windows):
@@ -60,13 +59,6 @@ class TestDiffCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
 
-    def test_malformed_document_raises_typed(self, tmp_path):
-        path = os.path.join(tmp_path, "broken.json")
-        with open(path, "w") as f:
-            f.write("{nope")
-        with pytest.raises(TraceError):
-            obs_main(["diff", path, path])
-
 
 class TestSummarize:
     def test_bench_document(self, tmp_path, capsys):
@@ -86,6 +78,40 @@ class TestSummarize:
         )
         assert obs_main(["summarize", path]) == 0
         assert "limiter" in capsys.readouterr().out
+
+
+class TestBadInput:
+    """Bad input is one ``error:`` line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("suffix", [".json", ".jsonl"])
+    @pytest.mark.parametrize(
+        "case", ["missing", "directory", "malformed", "list"]
+    )
+    @pytest.mark.parametrize("command", ["diff", "summarize"])
+    def test_bad_document_exits_2(
+        self, command, case, suffix, tmp_path, capsys
+    ):
+        # summarize reads a .jsonl path as a simulator trace.
+        path = os.path.join(tmp_path, "doc" + suffix)
+        if case == "directory":
+            os.mkdir(path)
+        elif case == "malformed":
+            with open(path, "w") as f:
+                f.write("{nope\n")
+        elif case == "list":
+            _write_doc([1, 2], path)
+        argv = [command, path] + ([path] if command == "diff" else [])
+        assert obs_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
+        assert "Traceback" not in err
+
+    def test_r_hyb_below_one_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["trace", "--r-hyb", "0", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--r-hyb" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestTraceCommand:

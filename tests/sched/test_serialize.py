@@ -11,7 +11,11 @@ import json
 import pytest
 
 from repro.baselines.mad import MadScheduler
-from repro.experiments.common import DesignPoint, evaluate_workload
+from repro.experiments.common import (
+    DesignPoint,
+    clear_cache,
+    evaluate_workload,
+)
 from repro.fhe.params import CKKSParams
 from repro.hw.config import CROPHE_36
 from repro.resilience.errors import InvariantViolation
@@ -108,9 +112,9 @@ class TestScheduleRoundTrip:
 
 class TestEvalResultRoundTrip:
     def test_exact_equality(self):
+        clear_cache()
         result = evaluate_workload(
             DesignPoint("CROPHE-36", CROPHE_36), "bootstrapping", TINY_BOOT,
-            use_cache=False,
         )
         doc = json.loads(json.dumps(eval_result_to_doc(result)))
         restored = eval_result_from_doc(doc)

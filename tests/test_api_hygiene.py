@@ -2,12 +2,16 @@
 
 A release-quality library documents its public surface; this test walks
 the package and fails on any public item without a docstring, and on
-any module that fails to import.
+any module that fails to import.  It also holds the runtime imports to
+what ``pyproject.toml`` declares.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -55,3 +59,30 @@ def test_package_exports_resolve():
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name} missing"
+
+
+def test_pipeline_imports_only_declared_dependencies():
+    """The pipeline imports numpy and the standard library, nothing else.
+
+    ``pyproject.toml`` declares numpy as the one runtime dependency; the
+    graph IR keeps its own edge index instead of a graph library.
+    """
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import repro.experiments.runner, repro.serve.sim\n"
+        "import repro.analysis, repro.passes\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "new -= set(sys.stdlib_module_names)\n"
+        "print(sorted(m for m in new if not m.startswith('_')))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "['numpy', 'repro']"

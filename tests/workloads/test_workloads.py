@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import verify_graph
 from repro.fhe.params import parameter_set
 from repro.ir.operators import OpKind
 from repro.workloads import (
@@ -28,13 +29,32 @@ class TestBootstrapping:
     def test_graphs_validate(self):
         wl = build_bootstrapping(PARAMS)
         for seg in wl.segments:
-            seg.graph.validate()
+            assert verify_graph(seg.graph).ok, seg.name
 
     def test_build_is_memoized(self):
         opts = WorkloadOptions()
         a = build_bootstrapping(PARAMS, opts)
         b = build_bootstrapping(PARAMS, opts)
-        assert a is b
+        assert all(
+            x.graph is y.graph for x, y in zip(a.segments, b.segments)
+        )
+
+    def test_builder_and_lowering_share_graphs_after_clear(self):
+        from repro.experiments.common import clear_cache
+        from repro.passes.lowering import lower_workload
+
+        opts = WorkloadOptions()
+        build_bootstrapping(PARAMS, opts)
+        clear_cache()
+        built = build_bootstrapping(PARAMS, opts)
+        lowered = lower_workload("bootstrapping", PARAMS, opts)
+        assert [s.name for s in built.segments] == [
+            s.name for s in lowered.segments
+        ]
+        assert all(
+            x.graph is y.graph
+            for x, y in zip(built.segments, lowered.segments)
+        )
 
     def test_distinct_options_not_shared(self):
         a = build_bootstrapping(PARAMS, WorkloadOptions(r_hyb=2))
