@@ -10,7 +10,7 @@ Paper expectations encoded here:
 
 import pytest
 
-from repro.experiments.fig9 import design_points, fig9
+from repro.experiments.fig9 import fig9
 
 
 def _cells(full):

@@ -1,6 +1,6 @@
 """Benchmark: regenerate Table I and check it against the paper."""
 
-from repro.experiments.table1 import ROW_LABELS, TABLE1_COLUMNS, table1
+from repro.experiments.table1 import ROW_LABELS, table1
 
 
 def test_table1(benchmark):

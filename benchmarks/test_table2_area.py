@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.table2 import PAPER_TABLE2, compare_with_paper, table2
+from repro.experiments.table2 import compare_with_paper, table2
 
 
 def test_table2(benchmark):

@@ -12,11 +12,9 @@ Run with::
     python examples/secure_cloud_pipeline.py
 """
 
-import io
-
 import numpy as np
 
-from repro.fhe import CKKSContext, ops
+from repro.fhe import CKKSContext
 from repro.fhe.noise import NoiseEstimator, measure_noise_bits
 from repro.fhe.params import make_concrete_params
 from repro.fhe.polyeval import chebyshev_coefficients, chebyshev_eval

@@ -16,10 +16,12 @@ Everything in this package runs *before* (and without) the simulator:
 * :mod:`repro.analysis.lint` — the repo lint pass (L001-L002) and the
   determinism lint (D001-D005).
 
-Entry points: the scheduler's post-``schedule()`` gate
+Entry points: the lowering pipeline's invariants
+(:mod:`repro.passes.pipeline`), the scheduler's post-``schedule()`` gate
 (``SchedulerConfig.verify``), the simulator's pre-run check, and
-:func:`verify_workloads` — the one workload verifier, behind both the
-experiment runner's ``--verify`` flag and ``python -m repro.analysis``.
+:func:`verify_workloads` — the one workload verifier, behind
+``python -m repro.analysis``, which reports the pipeline's findings and
+checks every schedule.
 """
 
 from repro.analysis.diagnostics import (
@@ -72,20 +74,25 @@ def verify_workloads(
 ):
     """Statically verify the shipped workloads end to end.
 
-    Builds each workload the way the evaluation does (lowered through
-    :mod:`repro.passes`, four-step NTTs, hybrid rotation), then runs
-    every pass on every distinct segment:
-    graph + semantics + whole-graph dataflow (F*) on the operator
-    graph, and full schedule legality plus the scheduler gate's F*
-    checks (:func:`verify_flow_schedule`) on the schedule the CROPHE
-    scheduler produces for it.  Returns one list of
-    :class:`DiagnosticReport` (one per pass per segment).  The backend
-    of ``python -m repro.analysis`` and ``runner --verify``.
+    Emits each workload at the primitive level and lowers every distinct
+    segment the way the evaluation does (:func:`repro.passes.lower_graph`,
+    four-step NTTs, hybrid rotation), keeping the pipeline's own reports:
+    graph + semantics + whole-graph dataflow (F*) on the source and the
+    lowered graph, and the lowering postcondition (P*) when it has
+    findings.  A lowering that fails its invariants contributes its
+    :class:`~repro.resilience.errors.VerificationError` report and is
+    not scheduled.  Every distinct lowered graph is then scheduled once
+    by the CROPHE scheduler and checked for full schedule legality (S*)
+    plus the scheduler gate's F* checks (:func:`verify_flow_schedule`).
+    Returns one list of :class:`DiagnosticReport`, each named after its
+    ``workload/segment``.  The backend of ``python -m repro.analysis``.
     """
     from repro.fhe.params import parameter_set
     from repro.hw.config import CROPHE_64
+    from repro.passes.lowering import lower_graph
+    from repro.resilience.errors import VerificationError
     from repro.sched.scheduler import Scheduler, SchedulerConfig
-    from repro.workloads import WORKLOAD_BUILDERS
+    from repro.workloads import WORKLOAD_EMITTERS
     from repro.workloads.base import WorkloadOptions
 
     params = parameter_set(params_name)
@@ -101,29 +108,44 @@ def verify_workloads(
     config = SchedulerConfig(verify="off")
 
     reports = []
-    seen = set()
+    scheduled = set()
     for name in workload_names:
-        workload = WORKLOAD_BUILDERS[name](params, options)
+        workload = WORKLOAD_EMITTERS[name](params, options)
+        primitives = set()
         for segment in workload.segments:
-            graph = segment.graph
-            if id(graph) in seen:
+            if id(segment.graph) in primitives:
                 continue
-            seen.add(id(graph))
-            for report in (
-                verify_graph(graph),
-                verify_semantics(graph, params),
-                verify_flow_graph(graph),
-            ):
-                report.pass_name = f"{name}/{segment.name} {report.pass_name}"
-                reports.append(report)
-            scheduler = Scheduler(
+            primitives.add(id(segment.graph))
+            label = f"{name}/{segment.name}"
+            try:
+                result = lower_graph(segment.graph, params, options)
+            except VerificationError as exc:
+                reports.append(_labeled(label, exc.report))
+                continue
+            graph = result.graph
+            # Structurally identical segments (HELR's bootstrap) hit the
+            # lowering memo and share one lowered graph: report it once.
+            if id(graph) in scheduled:
+                continue
+            scheduled.add(id(graph))
+            reports.extend(_labeled(label, r) for r in result.reports)
+            schedule = Scheduler(
                 graph, hw, config, n_split=options.ntt_split
-            )
-            schedule = scheduler.schedule()
+            ).schedule()
             for report in (
                 verify_schedule(schedule, hw, graph=graph, config=config),
                 verify_flow_schedule(schedule, hw, graph=graph),
             ):
-                report.pass_name = f"{name}/{segment.name} {report.pass_name}"
-                reports.append(report)
+                reports.append(_labeled(label, report))
     return reports
+
+
+def _labeled(label: str, report: DiagnosticReport) -> DiagnosticReport:
+    """A copy of ``report`` named ``"<label> <pass>"``.
+
+    A copy, because the pipeline's reports live on in the lowering memo.
+    """
+    return DiagnosticReport(
+        pass_name=f"{label} {report.pass_name}",
+        diagnostics=list(report.diagnostics),
+    )

@@ -1,14 +1,16 @@
 """``python -m repro.analysis``: verify the shipped workloads.
 
-Builds the evaluation workloads, runs every static pass on every
-distinct segment (graph, CKKS semantics, whole-program dataflow,
-schedule legality), and prints the combined report.
+Lowers the evaluation workloads through the verified pipeline and
+schedules every distinct segment (:func:`repro.analysis.verify_workloads`),
+then prints the combined report: the pipeline's graph, CKKS semantics,
+whole-program dataflow and lowering-postcondition findings, plus
+schedule legality.
 
 Exit code 0 when no ERROR diagnostics were found,
-:data:`~repro.analysis.diagnostics.EXIT_VERIFY` (5, shared with the
-experiment runner's ``--verify``) otherwise.  ``--json`` emits the same
-document shape as ``runner --verify-json``.  An unknown workload or
-parameter set is a usage error (exit 2).
+:data:`~repro.analysis.diagnostics.EXIT_VERIFY` (5) otherwise; a
+lowering that fails its invariants is reported, not raised.  ``--json``
+emits the shared :func:`~repro.analysis.diagnostics.reports_document`
+shape.  An unknown workload or parameter set is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional, Sequence
 
 from repro.analysis import EXIT_VERIFY, reports_document, verify_workloads
 from repro.fhe.params import PARAMETER_SETS
-from repro.workloads import WORKLOAD_BUILDERS
+from repro.workloads import WORKLOAD_EMITTERS
 
 _DEFAULT_WORKLOADS = ["bootstrapping", "helr", "resnet20"]
 
@@ -34,7 +36,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--workloads", nargs="+", default=_DEFAULT_WORKLOADS,
-        choices=sorted(WORKLOAD_BUILDERS), help="workloads to verify",
+        choices=sorted(WORKLOAD_EMITTERS), help="workloads to verify",
     )
     parser.add_argument(
         "--params", default="ARK", choices=sorted(PARAMETER_SETS),
@@ -42,7 +44,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--json", action="store_true",
-        help="emit the runner-compatible verification JSON document",
+        help="emit the verification JSON document",
     )
     args = parser.parse_args(argv)
 

@@ -17,10 +17,10 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.resilience.errors import InvariantViolation
 
-#: Process exit status shared by every diagnostics front end: the
-#: experiment runner's ``--verify``, ``python -m repro.analysis`` (both
-#: run the one workload verifier), and the repo lint ratchet all exit 5
-#: on ERROR findings so CI branches on one code.
+#: Process exit status shared by every diagnostics front end:
+#: ``python -m repro.analysis`` (the one workload verifier),
+#: ``python -m repro.passes`` and the repo lint ratchet all exit 5 on
+#: ERROR findings so CI branches on one code.
 EXIT_VERIFY = 5
 
 
@@ -303,10 +303,10 @@ class DiagnosticReport:
 def reports_document(reports: Sequence[DiagnosticReport]) -> Dict[str, Any]:
     """The shared JSON document for multi-report verification runs.
 
-    Every front end that aggregates several passes — runner
-    ``--verify-json``, ``python -m repro.analysis --json``, the ``flow``
-    subcommand, and the lint ratchet — emits this exact shape so CI
-    parses one schema: total counts plus one entry per pass.
+    Every front end that aggregates several passes —
+    ``python -m repro.analysis --json`` and the lint ratchet — emits
+    this exact shape so CI parses one schema: total counts plus one
+    entry per pass.
     """
     return {
         "errors": sum(len(r.errors) for r in reports),

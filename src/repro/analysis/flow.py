@@ -20,9 +20,8 @@ inter-operator property is one dict or one walk in topological order.
 
 Two compositions share the work: :func:`verify_flow_graph` runs the
 strict graph-level checks (the lowering pipeline's invariants on the
-source and lowered graphs, ``python -m repro.analysis``,
-``runner --verify``), and
-:func:`verify_flow_schedule` runs the schedule-level checks exactly as
+source and lowered graphs, whose reports ``python -m repro.analysis``
+shows), and :func:`verify_flow_schedule` runs the schedule-level checks exactly as
 the scheduler's post-``schedule()`` gate does.
 """
 

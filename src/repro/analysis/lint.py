@@ -378,7 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Exit 0 when no (file, rule) count exceeds the baseline,
     :data:`~repro.analysis.diagnostics.EXIT_VERIFY` otherwise — the
-    same code the runner's ``--verify`` and ``python -m repro.analysis``
+    same code ``python -m repro.analysis`` and ``python -m repro.passes``
     use, so CI branches on one value.
     """
     parser = argparse.ArgumentParser(

@@ -18,7 +18,7 @@ element-wise engines but <30% for BConv and automorphism units
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.hw.config import (
     CROPHE_28,

@@ -31,11 +31,10 @@ the documents live on disk in :data:`repro.dse.cache.CACHE`.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.baselines.mad import MadScheduler
 from repro.dse.cache import CACHE

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.baselines.accelerators import baseline_config, paired_crophe
-from repro.experiments.common import DesignPoint, EvalResult, evaluate_workload
+from repro.experiments.common import DesignPoint, evaluate_workload
 from repro.fhe.params import parameter_set
 
 #: The reduced SRAM capacities used by the breakdown study (MB).

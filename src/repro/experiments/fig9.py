@@ -14,15 +14,11 @@ the design is faster than baseline+MAD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
-from repro.baselines.accelerators import (
-    BASELINE_CONFIGS,
-    baseline_config,
-    paired_crophe,
-)
-from repro.experiments.common import DesignPoint, EvalResult, evaluate_workload
+from repro.baselines.accelerators import baseline_config, paired_crophe
+from repro.experiments.common import DesignPoint, evaluate_workload
 from repro.fhe.params import parameter_set
 
 WORKLOADS = ("bootstrapping", "helr", "resnet20", "resnet110")

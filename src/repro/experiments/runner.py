@@ -29,11 +29,11 @@ Resilience (each table/figure is one *cell*):
 * ``--search-seconds`` / ``--search-nodes`` bound every DP schedule
   search inside the cells (exported as ``REPRO_MAX_SEARCH_SECONDS`` /
   ``REPRO_MAX_SEARCH_NODES``); exhausted budgets degrade to the greedy
-  fallback scheduler instead of hanging;
-* ``--verify`` statically verifies the shipped workload graphs and
-  schedules (:mod:`repro.analysis`) before any cell runs and aborts
-  with exit status 5 on findings; ``--verify-json`` prints the reports
-  as JSON.
+  fallback scheduler instead of hanging.
+
+Static verification of the shipped workloads is its own command,
+``python -m repro.analysis`` (exit status 5 on findings); run it before
+the runner to gate a run on it.
 
 Design-space exploration (:mod:`repro.dse`):
 
@@ -64,13 +64,10 @@ Observability (:mod:`repro.obs`):
   (tagged ``interrupted=True``) and dumped during the termination
   grace period, so traces from killed cells stay well-formed;
 * ``--metrics-json PATH`` writes the *runner's own* metrics document
-  after the run: ``runner.cell_seconds.<cell>`` gauges,
-  ``runner.exit.<status>`` counters, and ``runner.verify_seconds``.
+  after the run: ``runner.cell_seconds.<cell>`` gauges and
+  ``runner.exit.<status>`` counters.
 
-Exit codes and ``--verify``: verification runs *before* any cell, so
-exit status 5 means no cell executed (the metrics document, when
-requested, still records ``runner.verify_seconds``). Once cells run,
-the exit code reports the worst cell failure class in branch-priority
+The exit code reports the worst cell failure class in branch-priority
 order — config (2) over budget (3) over simulation (4) over other (1);
 0 means every cell succeeded.
 """
@@ -99,7 +96,6 @@ EXIT_OTHER = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_SIMULATION = 4
-EXIT_VERIFY = 5
 
 _KIND_TO_EXIT = {
     "config": EXIT_CONFIG,
@@ -223,9 +219,7 @@ def _observed_cell(name, fn, trace_dir, quick=False):
             obs.disable()
 
 
-def _write_runner_metrics(
-    path, statuses, verify_seconds=None, cache_stats=None
-) -> None:
+def _write_runner_metrics(path, statuses, cache_stats=None) -> None:
     """Write the parent-side ``repro-metrics`` document for this run."""
     from repro.obs import MetricsRegistry, metrics_document
     from repro.obs.export import write_json
@@ -234,40 +228,10 @@ def _write_runner_metrics(
     for s in statuses:
         registry.gauge(f"runner.cell_seconds.{s.name}").set(round(s.seconds, 3))
         registry.counter(f"runner.exit.{s.status}").inc()
-    if verify_seconds is not None:
-        registry.gauge("runner.verify_seconds").set(round(verify_seconds, 3))
     if cache_stats is not None:
         for key, value in sorted(cache_stats.items()):
             registry.counter(f"dse.cache.{key}").inc(value)
     write_json(metrics_document(registry.snapshot()), path)
-
-
-def _run_verify(as_json: bool) -> int:
-    """Statically verify the shipped workloads before any cell runs.
-
-    Returns :data:`EXIT_OK` when every pass is free of ERROR findings,
-    :data:`EXIT_VERIFY` otherwise.  The JSON document is the shared
-    :func:`repro.analysis.diagnostics.reports_document` shape, identical
-    to ``python -m repro.analysis --json``.
-    """
-    import json
-
-    from repro.analysis import reports_document, verify_workloads
-
-    reports = verify_workloads()
-    document = reports_document(reports)
-    if as_json:
-        print(json.dumps(document, indent=2))
-    else:
-        for report in reports:
-            if not report.clean:
-                print(report.render_text())
-        print(
-            f"verify: {len(reports)} pass run(s), "
-            f"{document['errors']} error(s), "
-            f"{document['warnings']} warning(s)"
-        )
-    return EXIT_OK if document["errors"] == 0 else EXIT_VERIFY
 
 
 def _print_report(statuses) -> None:
@@ -338,15 +302,6 @@ def main(argv=None) -> int:
         help="node budget per DP schedule search inside cells",
     )
     parser.add_argument(
-        "--verify", action="store_true",
-        help="statically verify the shipped workload graphs/schedules "
-             "before running; abort with exit status 5 on findings",
-    )
-    parser.add_argument(
-        "--verify-json", action="store_true",
-        help="like --verify, but print the reports as JSON",
-    )
-    parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",
         help="enable telemetry inside every cell and write per-cell "
              "artifacts (metrics, span tree, simulator trace + Perfetto "
@@ -355,8 +310,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="write the runner's own metrics document (cell wall times, "
-             "exit-status counters, verify cost, cache hit/miss deltas) "
-             "to PATH after the run",
+             "exit-status counters, cache hit/miss deltas) to PATH after "
+             "the run",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -379,22 +334,6 @@ def main(argv=None) -> int:
     jobs = max(1, args.jobs)
     if args.no_isolation:
         jobs = 1  # in-process cells share module state: keep them serial
-    verify_seconds = None
-    if args.verify or args.verify_json:
-        verify_start = time.time()
-        code = _run_verify(as_json=args.verify_json)
-        verify_seconds = time.time() - verify_start
-        if code != EXIT_OK:
-            print(
-                "verification failed; not running any cell",
-                file=sys.stderr,
-            )
-            if args.metrics_json:
-                _write_runner_metrics(
-                    args.metrics_json, [], verify_seconds=verify_seconds
-                )
-            return code
-
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     artifact = (
         RunArtifact.load(args.artifact) if args.resume
@@ -487,8 +426,7 @@ def main(argv=None) -> int:
         )
     if args.metrics_json:
         _write_runner_metrics(
-            args.metrics_json, statuses, verify_seconds=verify_seconds,
-            cache_stats=cache_delta,
+            args.metrics_json, statuses, cache_stats=cache_delta
         )
         print(f"metrics: {args.metrics_json}")
     return _exit_code(statuses)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.hw.area import AreaReport, area_report
 from repro.hw.config import CROPHE_36

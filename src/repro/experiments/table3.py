@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.fhe.params import PARAMETER_SETS, CKKSParams, security_bits_estimate
+from repro.fhe.params import PARAMETER_SETS, security_bits_estimate
 
 ROW_LABELS = ["log2 N", "L", "L_boot", "dnum", "alpha"]
 

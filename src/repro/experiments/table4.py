@@ -9,7 +9,7 @@ baseline reproduction idealizes the NoC).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.baselines.accelerators import baseline_config, paired_crophe
 from repro.experiments.common import DesignPoint, evaluate_workload

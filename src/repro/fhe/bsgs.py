@@ -15,7 +15,6 @@ baby step ``i`` of giant step ``j`` are pre-rotated by ``-n1*j`` slots.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np

@@ -19,7 +19,7 @@ from repro.fhe.ciphertext import Ciphertext, Plaintext
 from repro.fhe.keys import EvaluationKey, PublicKey, SecretKey
 from repro.fhe.params import CKKSParams
 from repro.fhe.poly import Domain, RnsPoly
-from repro.fhe.rns import INT, mod_inverse
+from repro.fhe.rns import mod_inverse
 
 
 class CKKSContext:

@@ -26,7 +26,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.fhe.ciphertext import Ciphertext
 from repro.fhe.context import CKKSContext
 from repro.fhe.keys import EvaluationKey
 from repro.fhe.poly import Domain, RnsPoly

@@ -17,12 +17,12 @@ Noise here means the absolute error on the decrypted *scaled* values
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.fhe.ciphertext import Ciphertext, Plaintext
+from repro.fhe.ciphertext import Ciphertext
 from repro.fhe.context import CKKSContext
 from repro.fhe.params import CKKSParams
 

@@ -9,9 +9,7 @@ operators validate scale/level compatibility so misuse fails loudly.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from repro.fhe import keyswitch
 from repro.fhe.ciphertext import Ciphertext, Plaintext

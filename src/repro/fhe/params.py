@@ -17,7 +17,6 @@ Two kinds of parameter sets exist:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple

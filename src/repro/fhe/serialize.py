@@ -18,7 +18,7 @@ from typing import BinaryIO, Union
 
 import numpy as np
 
-from repro.fhe.ciphertext import Ciphertext, Plaintext
+from repro.fhe.ciphertext import Ciphertext
 from repro.fhe.keys import EvaluationKey, SecretKey
 from repro.fhe.poly import Domain, RnsPoly
 

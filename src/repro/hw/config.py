@@ -9,7 +9,7 @@ the source of their utilization losses (Section III-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from repro.resilience.errors import ConfigError

@@ -40,7 +40,7 @@ carry the names of a one-pass ``"full"`` emission.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fhe.params import CKKSParams
@@ -49,7 +49,6 @@ from repro.resilience.errors import ConfigError, InvariantViolation
 from repro.ir.operators import Operator, OpKind
 from repro.ir.tensors import (
     DataTensor,
-    TensorKind,
     bconv_matrix_tensor,
     evk_tensor,
     external_tensor,

@@ -288,14 +288,6 @@ class OperatorGraph:
             if uid not in self._producer
         ]
 
-    def graph_outputs(self) -> List[DataTensor]:
-        """Tensors produced but never consumed."""
-        return [
-            self._tensors[uid]
-            for uid in self._producer
-            if uid not in self._consumers
-        ]
-
     def constant_tensors(self) -> List[DataTensor]:
         """All auxiliary constant tensors referenced by the graph."""
         return [t for t in self._tensors.values() if t.is_constant]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ir.loops import Axis, Loop, LoopNest
 from repro.ir.tensors import DataTensor

@@ -15,7 +15,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 class TensorKind(enum.Enum):

@@ -25,7 +25,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

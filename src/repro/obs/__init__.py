@@ -15,7 +15,7 @@ The observability layer (DESIGN.md "Observability"):
 * :mod:`repro.obs.fleet` — the virtual-clock observability plane for
   :mod:`repro.serve`: per-request causal span trees, windowed
   time-series rollups, SLO burn rates, and the flight recorder behind
-  ``python -m repro.serve postmortem``;
+  ``python -m repro.serve run --postmortem-out``;
 * :mod:`repro.obs.diffing` — snapshot diffs with threshold-based
   regression verdicts (CI's counter gates against the committed
   ``BENCH_quick/`` and ``BENCH_serve.json`` baselines);

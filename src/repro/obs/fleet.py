@@ -20,7 +20,9 @@ module is the virtual-clock observability plane:
   (:class:`repro.serve.loadgen.TenantSpec`);
 * :class:`FlightRecorder` — a bounded ring of recent structured events
   per node, snapshotted into a postmortem whenever a request is lost
-  or a health eviction fires (``python -m repro.serve postmortem``).
+  or a health eviction fires (``python -m repro.serve run
+  --postmortem-out``, which adds an ``"end-of-run"`` snapshot when the
+  run took none).
 
 Everything is deterministic on the virtual clock: no wall-clock reads,
 no unordered iteration, floats rounded at the serialization boundary —
@@ -437,8 +439,9 @@ class FlightRecorder:
     cheap enough to leave on for every CLI run.  A *postmortem*
     snapshots every ring (node-name-sorted, events in sequence order)
     with a reason; the simulator takes one whenever a request is lost
-    or a health eviction fires, and the CLI's SIGTERM handler takes a
-    final one so a killed run still yields a parseable document.
+    or a health eviction fires, the CLI takes an ``"end-of-run"`` one
+    when a run took none, and its SIGTERM handler takes a final one so
+    a killed run still yields a parseable document.
     """
 
     def __init__(self, capacity: int = 64):

@@ -2,14 +2,17 @@
 
 :func:`lower_workload` is how every workload graph gets built: it emits
 the workload at the *primitive* level and lowers every distinct segment
-graph through the :class:`~repro.passes.pipeline.PassPipeline`,
-memoizing lowered graphs on the structural fingerprint of the
-primitive graph plus the lowering-relevant parameters.  Structurally
-identical segments therefore lower once per process *across workloads*
-(HELR and ResNet-20 reuse bootstrapping's segment graphs), and because
-the memo returns the same graph object, every downstream cache keyed on
-the decomposed graph's fingerprint (schedule cache, plan memo) shares
-hits the same way.
+graph through the :class:`~repro.passes.pipeline.PassPipeline`, which
+always enforces its invariants.  :func:`lower_graph` memoizes each
+lowering (the lowered graph and the pipeline's reports) on the
+structural fingerprint of the primitive graph plus the
+lowering-relevant parameters.  Structurally identical segments
+therefore lower once per process *across workloads* (HELR and
+ResNet-20 reuse bootstrapping's segment graphs), and because the memo
+returns the same graph object, every downstream cache keyed on the
+decomposed graph's fingerprint (schedule cache, plan memo) shares hits
+the same way.  :func:`repro.analysis.verify_workloads` reports the
+memoized reports instead of running the checks again.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ __all__ = [
     "lowering_key",
 ]
 
-#: Process-wide memo: lowering key -> pipeline result of an
-#: ``"error"``-mode run.  Cleared by :func:`clear_lowering_memo`
+#: Process-wide memo: lowering key -> pipeline result (its graph and
+#: its invariant reports).  Cleared by :func:`clear_lowering_memo`
 #: (hooked into the experiment runner's ``clear_cache``).
 _MEMO: Dict[str, PipelineResult] = {}
 
@@ -85,13 +88,13 @@ def lower_graph(
     graph: OperatorGraph,
     params: CKKSParams,
     options: WorkloadOptions,
-    invariants: str = "error",
 ) -> PipelineResult:
     """Lower one primitive-level graph, memoized per lowering key.
 
-    Only ``"error"``-mode runs enter the memo: a graph lowered with the
-    invariants off or only warning is never handed to a later caller
-    that asked for them enforced.  A memoized result serves every mode.
+    Every lowering enforces the pipeline invariants, so a memoized
+    result has passed them; a failing lowering raises
+    :class:`~repro.resilience.errors.VerificationError` and is not
+    memoized.
     """
     key = lowering_key(graph, params, options.ntt_split)
     hit = _MEMO.get(key)
@@ -101,9 +104,8 @@ def lower_graph(
         return hit
     if _METRICS.enabled:
         _METRICS.counter("passes.memo.misses").inc()
-    result = PassPipeline(params, options, invariants=invariants).run(graph)
-    if invariants == "error":
-        _MEMO[key] = result
+    result = PassPipeline(params, options).run(graph)
+    _MEMO[key] = result
     return result
 
 
@@ -115,9 +117,9 @@ def lower_workload(
     """Emit a workload at the primitive level and lower it.
 
     Segments that share one graph object at the primitive level share
-    one lowered graph object too.  The pipeline invariants run in
-    ``"error"`` mode, so an illegal lowering fails loudly instead of
-    producing a wrong schedule.
+    one lowered graph object too.  The pipeline invariants are
+    enforced, so an illegal lowering fails loudly instead of producing a
+    wrong schedule.
 
     Args:
         name: workload name (a :data:`~repro.workloads.WORKLOAD_EMITTERS`

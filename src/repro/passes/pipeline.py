@@ -1,10 +1,12 @@
 """The verified lowering-pipeline runner.
 
 A :class:`PassPipeline` lowers one primitive-level graph with the
-:func:`~repro.passes.rewrites.lower_primitives` walk and runs the
+:func:`~repro.passes.rewrites.lower_primitives` walk and enforces the
 :mod:`repro.analysis` verifiers as *pipeline invariants*: G* structural
 + C* semantic + F* whole-graph dataflow on the source graph and on the
-lowered graph, plus the walk's P001/P002 postcondition.
+lowered graph, plus the walk's P001/P002 postcondition.  Any ERROR
+finding raises :class:`~repro.resilience.errors.VerificationError`
+carrying every report of that lowering so far.
 
 Telemetry (:mod:`repro.obs`, enabled via ``REPRO_OBS``): a
 ``passes.pipeline`` span, the ``passes.pipeline.runs`` /
@@ -27,17 +29,11 @@ from repro.ir.graph import OperatorGraph
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.tracer import span as _span
 from repro.passes.rewrites import lower_primitives
-from repro.resilience.errors import ConfigError, VerificationError
+from repro.resilience.errors import VerificationError
 from repro.sched.ntt_decomp import candidate_splits
 from repro.workloads.base import WorkloadOptions
 
-__all__ = ["INVARIANT_MODES", "PassPipeline", "PipelineResult"]
-
-#: What to do with invariant findings: ``"error"`` raises
-#: :class:`~repro.resilience.errors.VerificationError` on any ERROR
-#: finding, ``"warn"`` records findings but continues, ``"off"`` skips
-#: the G*/C*/F* battery entirely (P001/P002 findings are still recorded).
-INVARIANT_MODES = ("error", "warn", "off")
+__all__ = ["PassPipeline", "PipelineResult"]
 
 
 @dataclass
@@ -46,18 +42,15 @@ class PipelineResult:
 
     ``graph`` is the lowered graph (the source graph object itself when
     the walk had nothing to expand, i.e. ``rewrote`` is false).
+    ``reports`` are the source graph's G*/C*/F* reports, the
+    postcondition report when it has findings, and the lowered graph's
+    G*/C*/F* reports when the walk rewrote; none carries an ERROR
+    finding, because the run raises on those.
     """
 
     graph: OperatorGraph = field(repr=False)
-    source_ops: int
     rewrote: bool
-    seconds: float
     reports: List[DiagnosticReport]
-
-    @property
-    def ok(self) -> bool:
-        """True when no invariant report carries an ERROR finding."""
-        return all(r.ok for r in self.reports)
 
 
 class PassPipeline:
@@ -67,23 +60,15 @@ class PassPipeline:
         params: CKKS parameter set of the graphs to lower.
         options: workload build options (the walk applies
             ``options.ntt_split``).
-        invariants: one of :data:`INVARIANT_MODES`.
     """
 
     def __init__(
         self,
         params: CKKSParams,
         options: Optional[WorkloadOptions] = None,
-        invariants: str = "error",
     ):
-        if invariants not in INVARIANT_MODES:
-            raise ConfigError(
-                "invariants", invariants,
-                f"choose from {INVARIANT_MODES}",
-            )
         self.params = params
         self.options = options or WorkloadOptions()
-        self.invariants = invariants
 
     # ------------------------------------------------------------------
 
@@ -91,8 +76,6 @@ class PassPipeline:
         self, graph: OperatorGraph, where: str
     ) -> List[DiagnosticReport]:
         """The invariant battery (G* + C* + F*)."""
-        if self.invariants == "off":
-            return []
         reports = [
             verify_graph(graph),
             verify_semantics(graph, self.params),
@@ -103,19 +86,27 @@ class PassPipeline:
         return reports
 
     def _gate(self, reports: Sequence[DiagnosticReport], where: str) -> None:
-        """Apply the invariant mode to one graph's reports."""
+        """Raise on any ERROR finding among this lowering's reports so far.
+
+        The :class:`VerificationError` carries every finding of
+        ``reports`` merged into one report, each under its own rule id.
+        """
         errors = [d for r in reports for d in r.errors]
         if _METRICS.enabled:
             _METRICS.counter(
                 "passes.invariants",
                 labels=(("status", "dirty" if errors else "clean"),),
             ).inc()
-        if errors and self.invariants == "error":
+        if errors:
             first = errors[0]
             raise VerificationError(
                 f"pipeline invariant violated on the {where}: "
                 f"{len(errors)} error finding(s), first "
-                f"[{first.rule}] {first.location}: {first.message}"
+                f"[{first.rule}] {first.location}: {first.message}",
+                report=DiagnosticReport(
+                    pass_name=f"{where} invariants",
+                    diagnostics=[d for r in reports for d in r.diagnostics],
+                ),
             )
 
     def _postcondition(self, graph: OperatorGraph) -> DiagnosticReport:
@@ -152,8 +143,9 @@ class PassPipeline:
         lowered graph.
 
         Raises:
-            VerificationError: in ``"error"`` mode, when any invariant
-                (including a P001 postcondition) fails.
+            VerificationError: when any invariant (including a P001
+                postcondition) fails; ``exc.report`` holds every finding
+                of this lowering so far.
         """
         with _span(
             "passes.pipeline", graph=graph.name,
@@ -161,8 +153,8 @@ class PassPipeline:
         ) as sp:
             if _METRICS.enabled:
                 _METRICS.counter("passes.pipeline.runs").inc()
-            source_reports = self._verify(graph, "source")
-            self._gate(source_reports, "source graph")
+            reports = self._verify(graph, "source")
+            self._gate(reports, "source graph")
             t0 = time.perf_counter()
             lowered = lower_primitives(
                 graph, self.params, self.options.ntt_split
@@ -174,14 +166,9 @@ class PassPipeline:
                 _METRICS.counter("passes.rewrites").inc(1 if rewrote else 0)
                 _METRICS.histogram("passes.pass_seconds").observe(seconds)
             post = self._postcondition(lowered)
-            reports = [] if post.clean else [post]
+            if not post.clean:
+                reports.append(post)
             if rewrote:
                 reports += self._verify(lowered, "lowered")
             self._gate(reports, "lowered graph")
-        return PipelineResult(
-            graph=lowered,
-            source_ops=graph.num_operators,
-            rewrote=rewrote,
-            seconds=seconds,
-            reports=source_reports + reports,
-        )
+        return PipelineResult(graph=lowered, rewrote=rewrote, reports=reports)

@@ -11,13 +11,13 @@ Public surface:
 
 * :mod:`repro.resilience.errors` — the ``ReproError`` hierarchy.
 * :mod:`repro.resilience.backoff` — shared retry-delay policy with
-  deterministic seeded jitter, plus clock-agnostic deadlines.
+  deterministic seeded jitter.
 * :mod:`repro.resilience.budget` — ``SearchBudget`` / ``BudgetMeter``.
 * :mod:`repro.resilience.isolation` — crash-isolated cell execution
   and the resumable experiment artifact.
 """
 
-from repro.resilience.backoff import DEFAULT_BACKOFF, BackoffPolicy, Deadline
+from repro.resilience.backoff import DEFAULT_BACKOFF, BackoffPolicy
 from repro.resilience.budget import BudgetMeter, SearchBudget
 from repro.resilience.errors import (
     CacheError,
@@ -44,7 +44,6 @@ __all__ = [
     "VerificationError",
     "BackoffPolicy",
     "DEFAULT_BACKOFF",
-    "Deadline",
     "SearchBudget",
     "BudgetMeter",
     "CellStatus",

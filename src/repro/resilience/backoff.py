@@ -1,4 +1,4 @@
-"""Shared retry-delay and deadline primitives.
+"""Shared retry-delay primitive.
 
 Every retry loop in the stack — the crash-isolated cell runner and
 the serving simulator's per-request retries — prices its delays
@@ -8,22 +8,16 @@ seeded jitter**.  Jitter is derived from a caller
 token (a cell name, a request id) rather than a live RNG, so the same
 failure sequence always produces the same delay sequence — retries
 are replayable, which is what makes chaos runs assertable in CI.
-
-:class:`Deadline` is the virtual-clock-friendly companion: it never
-reads the wall clock itself; callers pass ``now`` explicitly, so the
-same type serves both real time (the isolation runner) and simulated
-time (``repro.serve``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.resilience.errors import ConfigError
 
-__all__ = ["BackoffPolicy", "DEFAULT_BACKOFF", "Deadline"]
+__all__ = ["BackoffPolicy", "DEFAULT_BACKOFF"]
 
 
 @dataclass(frozen=True)
@@ -78,31 +72,6 @@ class BackoffPolicy:
         draw = random.Random(f"{token}#{attempt}").random()
         return raw * (1.0 - self.jitter * draw)
 
-    def delays(self, attempts: int, token: str = "") -> Iterator[float]:
-        """The first ``attempts`` jittered delays for one token."""
-        for attempt in range(1, attempts + 1):
-            yield self.delay(attempt, token)
-
 
 #: The stack-wide default: fast first retry, bounded tail.
 DEFAULT_BACKOFF = BackoffPolicy()
-
-
-@dataclass(frozen=True)
-class Deadline:
-    """An absolute point on a caller-supplied clock.
-
-    Never reads the wall clock: callers pass ``now``, so the same type
-    works against ``time.monotonic()`` and the serving simulator's
-    virtual clock alike.
-    """
-
-    at: float
-
-    def remaining(self, now: float) -> float:
-        """Seconds left before the deadline (0.0 once past)."""
-        return max(0.0, self.at - now)
-
-    def expired(self, now: float) -> bool:
-        """Whether ``now`` is at or past the deadline."""
-        return now >= self.at

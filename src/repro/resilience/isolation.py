@@ -33,7 +33,6 @@ from repro.resilience.errors import (
     ConfigError,
     InfeasibleScheduleError,
     InvariantViolation,
-    ReproError,
     SearchBudgetExceeded,
     SimulationError,
 )

@@ -39,7 +39,7 @@ from repro.hw.pe import operator_cycles
 from repro.hw.transpose import TransposeUnit
 from repro.ir.graph import OperatorGraph
 from repro.ir.operators import Operator, OpKind
-from repro.ir.tensors import DataTensor, TensorKind
+from repro.ir.tensors import DataTensor
 from repro.resilience.errors import InvariantViolation
 from repro.sched.tiling import NestAssignment, assign_loop_nests
 

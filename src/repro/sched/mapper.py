@@ -14,10 +14,9 @@ of producer->consumer transfers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from repro.hw.config import HardwareConfig
 from repro.hw.noc import MeshNoc
 from repro.ir.operators import Operator, OpKind
 from repro.sched.dataflow import SpatialGroupPlan

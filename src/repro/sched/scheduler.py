@@ -613,8 +613,7 @@ class Scheduler:
             )
             # The F* schedule checks run in their workload-segment
             # modes; the strict graph halves run on complete graphs via
-            # verify_flow_graph (lowering pipeline, runner --verify,
-            # analysis CLI).
+            # verify_flow_graph (the lowering pipeline's invariants).
             report.extend(verify_flow_schedule(
                 schedule, self.hw, graph=self.graph, config=self.config
             ))

@@ -15,7 +15,7 @@ are tiny, so greedy rarely loses).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.ir.graph import OperatorGraph
 from repro.ir.loops import LoopNest, matched_prefix

@@ -7,18 +7,18 @@
         --faults aggressive --summary-json out/summary.json
     python -m repro.serve run  --quick --faults aggressive \\
         --trace-out trace.json        # open at https://ui.perfetto.dev
+    python -m repro.serve run  --faults aggressive --seed 3 \\
+        --postmortem-out postmortem.json
     python -m repro.serve plan --faults aggressive --seed 7 --nodes 4
-    python -m repro.serve postmortem --faults aggressive --seed 3
 
 ``run`` exits 0 iff every request reached a terminal outcome
 (``lost == 0``); ``plan`` prints the fault schedule a seed would
 produce without running anything — chaos you can read before you
-unleash it.  ``postmortem`` replays a scenario with the flight
-recorder on and emits the postmortem document (eviction and
-lost-request snapshots, or a final end-of-run snapshot when the run
-was clean).  With ``--summary-json`` / ``--trace-out`` /
-``--postmortem-out``, two runs with the same arguments write
-byte-identical files; CI diffs them.
+unleash it.  ``--postmortem-out`` writes the flight recorder's
+postmortem document (eviction and lost-request snapshots, or a final
+``"end-of-run"`` snapshot when the run took none).  With
+``--summary-json`` / ``--trace-out`` / ``--postmortem-out``, two runs
+with the same arguments write byte-identical files; CI diffs them.
 
 A ``SIGTERM`` mid-run still produces a parseable postmortem: the
 handler aborts the event loop, snapshots the flight-recorder rings at
@@ -98,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(open at https://ui.perfetto.dev)")
     run.add_argument("--postmortem-out", default=None,
                      help="write the flight-recorder postmortem "
-                          "document here")
+                          "document here (an end-of-run snapshot "
+                          "when the run took none)")
     run.add_argument("--rollup-bucket", type=float, default=None,
                      help="time-series window width in virtual "
                           "seconds (default 0.25)")
@@ -107,15 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="print a seed's fault schedule")
     common(plan)
-
-    pm = sub.add_parser(
-        "postmortem",
-        help="replay a scenario and emit its postmortem document",
-    )
-    common(pm)
-    pm.add_argument("--out", default=None,
-                    help="write the postmortem document here "
-                         "(default: stdout)")
     return parser
 
 
@@ -198,8 +190,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         print(f"trace: {args.trace_out}")
     if args.postmortem_out:
+        postmortems = list(summary.postmortems)
+        if not postmortems and observer.recorder is not None:
+            # A clean run still yields a document: the final ring state.
+            postmortems.append(observer.recorder.postmortem(
+                "end-of-run", summary.makespan,
+            ))
         write_json_stable(postmortem_document(
-            summary.postmortems, context=_context(args, False),
+            postmortems, context=_context(args, False),
         ), args.postmortem_out)
         print(f"postmortem: {args.postmortem_out}")
     return EXIT_OK if summary.lost == 0 else EXIT_LOST
@@ -296,50 +294,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_postmortem(args: argparse.Namespace) -> int:
-    load, fleet, plan = _scenario(args)
-    policies = ServePolicies()
-    observer = FleetObserver(
-        trace=False, record=True, ring=policies.obs.ring
-    )
-    sim = ServeSimulator(
-        load=load, fleet_spec=fleet, policies=policies,
-        plan=plan, oracle=TableOracle(), seed=args.seed,
-        observer=observer,
-    )
-    _install_sigterm()
-    try:
-        summary = sim.run()
-    except _Interrupted:
-        args.postmortem_out = args.out
-        args.trace_out = None
-        return _on_interrupt(args, sim, observer)
-    postmortems = list(summary.postmortems)
-    if not postmortems and observer.recorder is not None:
-        # A clean run still yields a document: the final ring state.
-        postmortems.append(observer.recorder.postmortem(
-            "end-of-run", summary.makespan,
-        ))
-    doc = postmortem_document(
-        postmortems, context=_context(args, False)
-    )
-    if args.out:
-        write_json_stable(doc, args.out)
-        print(f"postmortem: {args.out}")
-    else:
-        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
-    return EXIT_OK if summary.lost == 0 else EXIT_LOST
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "postmortem":
-            return _cmd_postmortem(args)
         return _cmd_plan(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

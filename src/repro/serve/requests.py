@@ -14,7 +14,7 @@ priority tenants first instead of collapsing for everyone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.resilience.errors import InvariantViolation

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.analysis.__main__ as analysis_main
+import repro.passes.pipeline as pipeline_mod
 from repro.analysis import (
     EXIT_VERIFY,
     verify_flow_graph,
@@ -18,8 +19,9 @@ from repro.analysis import (
     verify_semantics,
     verify_sharing,
     verify_steps,
+    verify_workloads,
 )
-from repro.analysis.diagnostics import DiagnosticReport
+from repro.analysis.diagnostics import DiagnosticReport, Severity
 from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_64
 from repro.ir.builders import GraphBuilder
@@ -32,6 +34,7 @@ from repro.ir.tensors import (
     plaintext_tensor,
     poly_tensor,
 )
+from repro.passes import clear_lowering_memo
 from repro.resilience.errors import VerificationError
 from repro.sched.scheduler import Scheduler, SchedulerConfig
 
@@ -339,17 +342,41 @@ class TestScheduleMutations:
 # Known-good workloads
 # ----------------------------------------------------------------------
 
+@pytest.fixture()
+def fresh_lowerings():
+    """A cold lowering memo, so the pipeline really runs, and no lowering
+    a patched pipeline produced outlives the test."""
+    clear_lowering_memo()
+    yield
+    clear_lowering_memo()
+
+
 class TestKnownGood:
     """The shipped workloads pass every static check end to end."""
 
-    def test_quick_workloads_verify_flow_clean(self):
-        from repro.analysis import verify_workloads
-
+    def test_quick_workloads_verify_flow_clean(
+        self, monkeypatch, fresh_lowerings
+    ):
+        calls = []
+        real = pipeline_mod.verify_graph
+        monkeypatch.setattr(
+            pipeline_mod, "verify_graph",
+            lambda graph: calls.append(graph) or real(graph),
+        )
         reports = verify_workloads(
             workload_names=("bootstrapping", "helr", "resnet20"))
         assert reports
         for report in reports:
             assert report.clean, report.render_text()
+        # The pipeline's graph checks are reported, not run again: one
+        # verify_graph per source and per lowered graph, each reported
+        # once.
+        names = [r.pass_name for r in reports]
+        assert len(names) == len(set(names))
+        graph_reports = [
+            n for n in names if n.split()[-1].startswith("graph:")
+        ]
+        assert len(calls) == len(graph_reports) == 32
 
 
 # ----------------------------------------------------------------------
@@ -362,9 +389,9 @@ class TestFrontEnds:
         assert report.clean, report.render_text()
 
     def test_graph_findings_reported_once(self):
-        # python -m repro.analysis and runner --verify run both
-        # compositions on one graph: the graph-level dead sibling is
-        # verify_flow_graph's finding, not verify_flow_schedule's.
+        # python -m repro.analysis reports both compositions on one
+        # graph: the graph-level dead sibling is verify_flow_graph's
+        # finding, not verify_flow_schedule's.
         graph = _dead_sibling_graph()
         schedule = Scheduler(graph, CROPHE_64,
                              SchedulerConfig(verify="off")).schedule()
@@ -388,6 +415,36 @@ class TestFrontEnds:
         payload = json.loads(capsys.readouterr().out)
         assert payload["errors"] == 1
         assert payload["reports"][0]["diagnostics"][0]["rule"] == "F002"
+
+    def test_cli_reports_a_failing_lowering(
+        self, monkeypatch, capsys, fresh_lowerings
+    ):
+        # A walk that copies its input, so coarse operators survive and
+        # the P001 postcondition fails every lowering.
+        monkeypatch.setattr(
+            pipeline_mod, "lower_primitives",
+            lambda graph, params, split: graph.clone(),
+        )
+        assert analysis_main.main(["--json"]) == EXIT_VERIFY
+        payload = json.loads(capsys.readouterr().out)
+        rules = [
+            d["rule"] for r in payload["reports"] for d in r["diagnostics"]
+        ]
+        assert "P001" in rules
+        assert payload["errors"] == rules.count("P001")
+
+    def test_lowering_warnings_reach_the_report(
+        self, monkeypatch, fresh_lowerings
+    ):
+        # An empty Section V-D catalog puts the (256, 256) split off it.
+        monkeypatch.setattr(pipeline_mod, "candidate_splits", lambda n: [])
+        reports = verify_workloads(workload_names=("helr",))
+        p002 = [
+            d for r in reports for d in r.diagnostics if d.rule == "P002"
+        ]
+        assert p002
+        assert all(d.severity is Severity.WARNING for d in p002)
+        assert all(r.ok for r in reports)
 
     @pytest.mark.parametrize("argv", [
         ["--workloads", "bogus"], ["--params", "NOPE"],

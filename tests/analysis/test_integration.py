@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import verify_graph, verify_schedule, verify_semantics
-from repro.analysis.diagnostics import DiagnosticReport
 from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_64
 from repro.ir.builders import GraphBuilder
@@ -142,27 +141,3 @@ class TestEngineGate:
             CROPHE_64.sram_capacity_bytes + 1)
         with pytest.raises(SimulationError, match="verification"):
             SimulationEngine(CROPHE_64).run(schedule)
-
-
-class TestRunnerFlag:
-    def test_verify_failure_blocks_the_run(self, monkeypatch):
-        import repro.analysis as analysis
-        from repro.experiments import runner
-
-        bad = DiagnosticReport(pass_name="stub")
-        bad.emit("S003", "step 0", "seeded failure")
-        monkeypatch.setattr(analysis, "verify_workloads",
-                            lambda *a, **k: [bad])
-        assert runner.main(["table4", "--verify"]) == runner.EXIT_VERIFY
-
-    def test_verify_success_allows_the_run(self, monkeypatch, tmp_path):
-        import repro.analysis as analysis
-        from repro.experiments import runner
-
-        monkeypatch.setattr(analysis, "verify_workloads",
-                            lambda *a, **k: [DiagnosticReport(pass_name="ok")])
-        monkeypatch.setitem(runner.EXPERIMENTS, "table4",
-                            lambda quick=False: "stub cell ran")
-        code = runner.main(["table4", "--verify", "--no-isolation",
-                            "--artifact", str(tmp_path / "artifact.json")])
-        assert code == runner.EXIT_OK

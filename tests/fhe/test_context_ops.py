@@ -5,7 +5,7 @@ import pytest
 
 from repro.fhe import ops
 from repro.fhe.context import CKKSContext
-from repro.fhe.params import make_concrete_params, parameter_set
+from repro.fhe.params import parameter_set
 
 TOL = 1e-3
 

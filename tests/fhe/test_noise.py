@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fhe import ops
-from repro.fhe.noise import NoiseEstimator, NoiseState, measure_noise_bits
+from repro.fhe.noise import NoiseEstimator, measure_noise_bits
 from repro.fhe.params import parameter_set
 
 

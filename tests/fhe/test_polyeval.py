@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.fhe import ops
 from repro.fhe.context import CKKSContext
 from repro.fhe.params import make_concrete_params
 from repro.fhe.polyeval import (

@@ -7,7 +7,6 @@ scheduler's cost model relies on.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

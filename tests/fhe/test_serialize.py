@@ -1,6 +1,5 @@
 """Tests for CKKS serialization."""
 
-import io
 import os
 
 import numpy as np

@@ -17,7 +17,6 @@ from repro.hw.config import (
     CROPHE_36,
     CROPHE_64,
     FunctionalUnitMix,
-    HardwareConfig,
     crophe_config,
 )
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import verify_graph
-from repro.fhe.params import make_concrete_params, parameter_set
+from repro.fhe.params import parameter_set
 from repro.ir.builders import GraphBuilder
 from repro.ir.graph import OperatorGraph
 from repro.ir.operators import Operator, OpKind
@@ -35,7 +35,6 @@ class TestGraph:
     def test_graph_io(self):
         g, a, b, (t0, t1, t2) = _chain_graph()
         assert g.graph_inputs() == [t0]
-        assert g.graph_outputs() == [t2]
 
     def test_topological_order_respects_deps(self):
         g, a, b, _ = _chain_graph()

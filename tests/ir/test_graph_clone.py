@@ -65,7 +65,9 @@ class TestClone:
         g = _sample_graph(small_params)
         n = g.num_operators
         c = g.clone()
-        src = c.graph_outputs()[0]
+        # A tensor the clone produces and never consumes.
+        src = next(t for t in c.tensors
+                   if c.producer_of(t) is not None and not c.consumers_of(t))
         out = poly_tensor("extra", src.shape[0], small_params.n,
                           small_params.bytes_per_word())
         c.add_operator(

@@ -5,8 +5,6 @@ import pytest
 from repro.ir.loops import Axis
 from repro.ir.operators import Operator, OpKind
 from repro.ir.tensors import (
-    DataTensor,
-    TensorKind,
     bconv_matrix_tensor,
     evk_tensor,
     external_tensor,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.passes.pipeline as pipeline_mod
 from repro.analysis.diagnostics import EXIT_VERIFY
 from repro.fhe.params import PARAMETER_SETS
 from repro.passes.__main__ import main
@@ -17,21 +18,6 @@ def _small_parameter_set(monkeypatch, deep_params):
 
 def _argv(command, *extra):
     return [command, "bootstrapping", "--params", "TESTSMALL", *extra]
-
-
-class TestRun:
-    def test_reports_stages(self, capsys):
-        assert main(_argv("run")) == 0
-        out = capsys.readouterr().out
-        assert "bootstrapping/mod_raise: ops=" in out
-        assert "rewrote" in out
-        assert "0 error(s)" in out
-
-    def test_json_document(self, capsys):
-        assert main(_argv("run", "--json")) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["errors"] == 0
-        assert "reports" in document
 
 
 class TestDump:
@@ -48,9 +34,22 @@ class TestDump:
         assert "key_switch" not in out
         assert "bconv" in out
 
+    def test_failing_lowering_exits_verify(self, monkeypatch, capsys):
+        # A walk that copies its input, so coarse operators survive and
+        # the enforced P001 postcondition fails the lowering.
+        monkeypatch.setattr(
+            pipeline_mod, "lower_primitives",
+            lambda graph, params, split: graph.clone(),
+        )
+        assert main(_argv("dump", "--level", "decomposed")) == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert err.startswith("error: bootstrapping/mod_raise: ")
+        assert "[P001]" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestVerify:
-    @pytest.mark.parametrize("command", ["run", "dump"])
+    @pytest.mark.parametrize("command", ["dump"])
     @pytest.mark.parametrize(
         "flag,value,expected",
         [
@@ -69,7 +68,7 @@ class TestVerify:
         assert exc.value.code == 2
         assert expected in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "dump"])
+    @pytest.mark.parametrize("command", ["dump"])
     def test_unknown_workload_is_usage_error(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "bogus", "--params", "TESTSMALL"])

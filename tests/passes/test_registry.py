@@ -1,18 +1,11 @@
 """Tests for pipeline construction."""
 
-import pytest
-
 from repro.ir.builders import GraphBuilder
 from repro.passes import PassPipeline
-from repro.resilience.errors import ConfigError
 from repro.workloads.base import WorkloadOptions
 
 
 class TestPipelineConstruction:
-    def test_bad_invariant_mode_rejected(self, small_params):
-        with pytest.raises(ConfigError, match="choose from"):
-            PassPipeline(small_params, invariants="sometimes")
-
     def test_default_sequence_accepted(self, small_params):
         b = GraphBuilder(small_params, lowering="primitive")
         ct = b.input_ciphertext("x", 3)
@@ -20,7 +13,7 @@ class TestPipelineConstruction:
         result = PassPipeline(
             small_params, WorkloadOptions(ntt_split=(8, 8))
         ).run(b.graph)
-        assert result.rewrote and result.ok
+        assert result.rewrote
         assert not any(
             op.kind.is_coarse or op.kind.is_monolithic_ntt
             for op in result.graph.operators

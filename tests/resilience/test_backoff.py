@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.resilience.backoff import DEFAULT_BACKOFF, BackoffPolicy, Deadline
+from repro.resilience.backoff import DEFAULT_BACKOFF, BackoffPolicy
 from repro.resilience.errors import ConfigError
 from repro.resilience.isolation import run_isolated
 
@@ -56,12 +56,6 @@ class TestJitter:
         policy = BackoffPolicy(jitter=0.0)
         assert policy.delay(3, "anything") == policy.raw_delay(3)
 
-    def test_delays_iterator_matches_singles(self):
-        policy = BackoffPolicy()
-        assert list(policy.delays(3, "tok")) == [
-            policy.delay(a, "tok") for a in (1, 2, 3)
-        ]
-
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -76,18 +70,6 @@ class TestValidation:
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             BackoffPolicy(**kwargs)
-
-
-class TestDeadline:
-    def test_remaining_counts_down(self):
-        deadline = Deadline(at=10.0)
-        assert deadline.remaining(now=7.5) == 2.5
-        assert deadline.remaining(now=12.0) == 0.0
-
-    def test_expired_boundary_inclusive(self):
-        deadline = Deadline(at=10.0)
-        assert not deadline.expired(now=9.999)
-        assert deadline.expired(now=10.0)
 
 
 class TestIsolationIntegration:

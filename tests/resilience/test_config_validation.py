@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.fhe.params import parameter_set
-from repro.hw.config import CROPHE_64, FunctionalUnitMix, HardwareConfig
+from repro.hw.config import CROPHE_64, FunctionalUnitMix
 from repro.ir.builders import GraphBuilder
 from repro.resilience.errors import ConfigError
 from repro.sched.scheduler import Scheduler, SchedulerConfig

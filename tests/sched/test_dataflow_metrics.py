@@ -1,10 +1,7 @@
 """Focused tests on the group-metrics accounting rules."""
 
-import pytest
-
 from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_64
-from repro.ir.builders import GraphBuilder
 from repro.ir.graph import OperatorGraph
 from repro.ir.operators import Operator, OpKind
 from repro.ir.tensors import poly_tensor

@@ -1,7 +1,5 @@
 """Tests for nest assignment and spatial group plans."""
 
-import pytest
-
 from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_64
 from repro.ir.builders import GraphBuilder

@@ -60,6 +60,16 @@ class TestRun:
         assert doc["policies"]["hedge"]["enabled"] is False
         assert doc["recovery"]["hedges"] == 0
 
+    def test_clean_run_postmortem_ends_with_end_of_run(self, tmp_path):
+        path = tmp_path / "pm.json"
+        assert main([
+            "run", "--quick", "--faults", "none",
+            "--postmortem-out", str(path),
+        ]) == EXIT_OK
+        doc = json.loads(path.read_text())
+        assert doc["kind"] == "repro-postmortem"
+        assert doc["postmortems"][-1]["reason"] == "end-of-run"
+
 
 class TestPlan:
     def test_plan_prints_schedule(self, capsys):

@@ -160,3 +160,24 @@ class TestSteadyStateConstants:
             # Greedy largest-first: anything dropped that is larger than a
             # kept constant must not have fit at its turn.
             assert smallest_kept >= 0 and largest_dropped >= 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="warm repeats drop the step's deferred-spill DRAM writes: "
+        "every window output is kept, and the spills are never passed as "
+        "extra_write_bytes (fixing it moves perfbench/reference.json)",
+    )
+    def test_warm_repeats_charge_spill_writes(self):
+        b = GraphBuilder(PARAMS)
+        ct = b.hmult(b.input_ciphertext("x", 10), b.input_ciphertext("y", 10))
+        b.rescale(ct)
+        hw = CROPHE_64.with_sram_mb(32)
+        steps = Scheduler(b.graph, hw).schedule().steps
+        assert sum(s.metrics.dram_write_bytes for s in steps) > 0
+        once, twice = (
+            SimulationEngine(hw).run(Schedule(steps=steps, repeat=r))
+            for r in (1, 2)
+        )
+        assert twice.traffic.dram_write_bytes == (
+            2 * once.traffic.dram_write_bytes
+        )

@@ -3,12 +3,15 @@
 A release-quality library documents its public surface; this test walks
 the package and fails on any public item without a docstring, and on
 any module that fails to import.  It also holds the runtime imports to
-what ``pyproject.toml`` declares.
+what ``pyproject.toml`` declares, and fails on any imported name a
+module never uses.
 """
 
+import ast
 import importlib
 import inspect
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -86,3 +89,55 @@ def test_pipeline_imports_only_declared_dependencies():
         text=True, check=True,
     )
     assert out.stdout.strip() == "['numpy', 'repro']"
+
+
+def _unused_imports(path):
+    """Names a module imports but never references.
+
+    A name counts as referenced when it appears as an identifier, or
+    inside a string that parses as an expression (string annotations,
+    ``__all__`` entries).
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            used.update(
+                n.id for n in ast.walk(expr) if isinstance(n, ast.Name)
+            )
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in imported.items()
+        if name not in used
+    )
+
+
+def test_no_unused_imports():
+    """Every name a non-package module imports is referenced in it.
+
+    Package ``__init__`` modules are exempt: their imports are the
+    package's re-exported surface.
+    """
+    root = pathlib.Path(repro.__file__).parent
+    unused = {
+        str(path.relative_to(root)): names
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "__init__.py"
+        for names in [_unused_imports(path)]
+        if names
+    }
+    assert not unused, f"unused imports: {unused}"
