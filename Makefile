@@ -5,8 +5,9 @@
 install:
 	pip install -e . || python setup.py develop
 
+# ROADMAP's tier-1 command.
 test:
-	pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
 
 # Quick-suite counter baseline: CI's quick-sweep cold pass, run in one
 # process (--no-isolation) so every cell's counters are deterministic,
@@ -46,19 +47,19 @@ trace:
 	PYTHONPATH=src python -m repro.obs trace --workload resnet20 --out-dir obs_trace
 
 bench-pytest:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 bench-full:
-	REPRO_FULL_BENCH=1 pytest benchmarks/ --benchmark-only
+	REPRO_FULL_BENCH=1 PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 # The tee'd transcript (experiment_results.txt) is a local artifact —
 # gitignored, never committed; the reproducible record is the artifact
 # JSON plus the committed EXPERIMENTS.md tables.
 experiments:
-	python -m repro.experiments.runner all 2>&1 | tee experiment_results.txt
+	PYTHONPATH=src python -m repro.experiments.runner all 2>&1 | tee experiment_results.txt
 
 experiments-quick:
-	python -m repro.experiments.runner all --quick
+	PYTHONPATH=src python -m repro.experiments.runner all --quick
 
 # Quick suite over the persistent repro.dse cache: the first run pays
 # for the DP searches, re-runs replay cached schedules/results.

@@ -25,14 +25,12 @@ MAD to all baselines for fairness); on CROPHE hardware it reproduces the
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.hw.config import HardwareConfig
 from repro.ir.graph import OperatorGraph
-from repro.ir.operators import Operator
 from repro.sched.dataflow import SpatialGroupPlan
 from repro.sched.scheduler import Scheduler, SchedulerConfig
-from repro.sched.tiling import NestAssignment, assign_loop_nests
 
 #: MAD fusion depth: a handful of adjacent operators per fused group.
 MAD_MAX_GROUP = 4
@@ -50,30 +48,13 @@ MAD_KEEP_FRACTION = 0.5
 MAD_CONSTANT_FRACTION = 0.4
 
 
-def _clamp_matches(assignment: NestAssignment, depth: int) -> NestAssignment:
-    clamped = {
-        edge: min(match, depth)
-        for edge, match in assignment.edge_matches.items()
-    }
-    return NestAssignment(nests=assignment.nests, edge_matches=clamped)
-
-
 class MadSpatialGroupPlan(SpatialGroupPlan):
-    """A spatial group under MAD's limb-granular streaming."""
+    """A spatial group under MAD's limb-granular streaming: the same
+    construction, with every edge's matched depth capped after the
+    nest choice."""
 
     dataflow = "mad"
-
-    def __init__(
-        self,
-        graph: OperatorGraph,
-        ops: Sequence[Operator],
-        config: HardwareConfig,
-        n_split: Optional[Tuple[int, int]] = None,
-    ):
-        assignment = _clamp_matches(
-            assign_loop_nests(graph, ops, n_split), MAD_MAX_MATCH_DEPTH
-        )
-        super().__init__(graph, ops, config, n_split, assignment)
+    max_match_depth = MAD_MAX_MATCH_DEPTH
 
 
 class MadScheduler(Scheduler):

@@ -330,31 +330,6 @@ class OperatorGraph:
                 out.append(self._tensors[t_uid])
         return out
 
-    def boundary_tensors(
-        self, ops: Sequence[Operator]
-    ) -> Tuple[List[DataTensor], List[DataTensor]]:
-        """(external inputs, external outputs) of an operator window."""
-        uids = {op.uid for op in ops}
-        ins: List[DataTensor] = []
-        outs: List[DataTensor] = []
-        seen: Set[int] = set()
-        for op in ops:
-            for t in op.inputs:
-                producer = self._producer.get(t.uid)
-                external = producer is None or producer.uid not in uids
-                if external and t.uid not in seen:
-                    ins.append(t)
-                    seen.add(t.uid)
-        for op in ops:
-            for t in op.outputs:
-                consumers = self._consumers.get(t.uid, [])
-                if (
-                    not consumers
-                    or any(c.uid not in uids for c in consumers)
-                ):
-                    outs.append(t)
-        return ins, outs
-
     def __repr__(self) -> str:
         return (
             f"<OperatorGraph {self.name}: {self.num_operators} ops, "

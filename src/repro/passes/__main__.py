@@ -15,13 +15,16 @@ The lowering findings themselves are reported by
 :data:`~repro.analysis.diagnostics.EXIT_VERIFY` (5) when a lowering
 fails its invariants (one ``error:`` line on stderr) or the artifacts
 differ; an unknown workload, parameter set or rotation strategy, or an
-``--r-hyb`` below 1, is a usage error (exit 2).
+``--r-hyb`` below 1, is a usage error (exit 2).  A reader that closes
+the pipe early (``dump ... | head``) ends the command with exit 1 and
+no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -176,8 +179,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         if args.r_hyb < 1:
             dump_p.error(f"--r-hyb must be >= 1 (got {args.r_hyb})")
-        return _cmd_dump(args)
-    return _cmd_diff_artifacts(args)
+    try:
+        if args.command == "dump":
+            code = _cmd_dump(args)
+        else:
+            code = _cmd_diff_artifacts(args)
+        # Flushed here so that a closed pipe surfaces inside the try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``dump ... | head``): point stdout
+        # at devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

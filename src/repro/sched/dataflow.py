@@ -3,7 +3,8 @@
 A :class:`SpatialGroupPlan` is one bottom-level group of co-running
 operators (Section V-A): operators are allocated PEs proportional to
 their compute load and stream data to each other at the granularity
-their matched top loops allow.  The plan computes
+their matched top loops allow.  Planning a group (the skeleton builder
+of :mod:`repro.sched.plan_memo`) computes
 
 * the on-chip buffer footprint (fine-grained pipelining/sharing shrinks
   it from full tensors to per-chunk granules);
@@ -35,13 +36,11 @@ from typing import (
 from repro.hw.config import HardwareConfig
 from repro.hw.memory import HbmMemory, SramBuffer
 from repro.hw.noc import NOC_SERIALIZATION_FACTOR, MeshNoc
-from repro.hw.pe import operator_cycles
 from repro.hw.transpose import TransposeUnit
 from repro.ir.graph import OperatorGraph
 from repro.ir.operators import Operator, OpKind
 from repro.ir.tensors import DataTensor
-from repro.resilience.errors import InvariantViolation
-from repro.sched.tiling import NestAssignment, assign_loop_nests
+from repro.sched.tiling import NestAssignment
 
 
 #: Per-config pricing scalars (see :class:`GroupPricing`).  A DP search
@@ -185,33 +184,6 @@ def effective_dram_bytes(
     return max(dram_read, 0), dram_write + max(extra_write_bytes, 0)
 
 
-def _specialized_cycles(op: Operator, cfg: HardwareConfig) -> int:
-    """Cycles on a specialized baseline: only the matching functional
-    units' share of the total logic works on this operator class."""
-    mix = cfg.fu_mix
-    if mix is None:
-        raise InvariantViolation(
-            "repro.sched.dataflow._specialized_cycles",
-            f"hardware config {cfg.name} has no functional-unit mix",
-        )
-    if op.kind.is_monolithic_ntt or op.kind.is_ntt_phase:
-        fraction = mix.ntt
-    elif op.kind is OpKind.AUTOMORPHISM:
-        fraction = mix.automorphism
-    elif op.kind is OpKind.BCONV:
-        fraction = mix.bconv
-    else:
-        fraction = mix.elementwise
-    lanes = max(1, int(cfg.total_lanes * fraction))
-    if op.kind is OpKind.AUTOMORPHISM:
-        moves = op.limbs * op.n
-        return max(1, -(moves // -lanes))
-    work = op.mul_work or op.add_work
-    if work == 0:
-        return 1
-    return max(1, -(work // -lanes))
-
-
 @dataclass
 class GroupMetrics:
     """Raw resource demands of one spatial group."""
@@ -234,10 +206,31 @@ class GroupMetrics:
 
 
 class SpatialGroupPlan:
-    """One spatial pipelining/sharing group on the PE array."""
+    """One spatial pipelining/sharing group on the PE array.
+
+    The constructor plans ``ops`` (operators of ``graph``, in any order)
+    with the plan memo's skeleton builder
+    (:class:`repro.sched.plan_memo.SkeletonBuilder`), the one
+    implementation of nest assignment, PE allocation and traffic
+    metrics, then binds the position-keyed skeleton to the operators'
+    uids exactly as :func:`repro.sched.plan_memo.instantiate` does for
+    a memoized one.
+    """
 
     #: The dataflow this plan kind models (a plan-memo disk field).
     dataflow = "crophe"
+    #: Deepest matched prefix an edge streams at, applied after the nest
+    #: choice (``None``: as deep as the nests match).
+    max_match_depth: Optional[int] = None
+
+    graph: OperatorGraph
+    ops: Tuple[Operator, ...]
+    config: HardwareConfig
+    n_split: Optional[Tuple[int, int]]
+    assignment: NestAssignment
+    pe_allocation: Dict[int, int]
+    metrics: "GroupMetrics"
+    _boundary: Tuple[List[DataTensor], List[DataTensor]]
 
     def __init__(
         self,
@@ -245,202 +238,21 @@ class SpatialGroupPlan:
         ops: Sequence[Operator],
         config: HardwareConfig,
         n_split: Optional[Tuple[int, int]] = None,
-        assignment: Optional[NestAssignment] = None,
     ):
-        self.graph = graph
-        self.ops: Tuple[Operator, ...] = tuple(ops)
-        self.config = config
-        self.n_split = n_split
-        self.assignment = assignment or assign_loop_nests(graph, ops, n_split)
-        self.pe_allocation = self._allocate_pes()
-        self.metrics = self._compute_metrics()
-        self._boundary: Optional[
-            Tuple[List[DataTensor], List[DataTensor]]
-        ] = None
+        # Imported lazily: the plan memo builds on this module.
+        from repro.sched.plan_memo import MEMO, SkeletonBuilder, bind
 
-    @classmethod
-    def from_parts(
-        cls,
-        graph: OperatorGraph,
-        ops: Sequence[Operator],
-        config: HardwareConfig,
-        n_split: Optional[Tuple[int, int]],
-        assignment: NestAssignment,
-        pe_allocation: Dict[int, int],
-        metrics: GroupMetrics,
-    ) -> "SpatialGroupPlan":
-        """Assemble a plan from precomputed parts (structural memo).
-
-        Skips loop-nest assignment, PE allocation, and the metrics walk
-        entirely — the caller (:mod:`repro.sched.plan_memo`) guarantees
-        the parts were computed on a structurally identical window, so
-        the result is indistinguishable from direct construction.
-        """
-        plan = cls.__new__(cls)
-        plan.graph = graph
-        plan.ops = tuple(ops)
-        plan.config = config
-        plan.n_split = n_split
-        plan.assignment = assignment
-        plan.pe_allocation = pe_allocation
-        plan.metrics = metrics
-        plan._boundary = None
-        return plan
-
-    # ------------------------------------------------------------------
-    # PE allocation (Section IV-B: proportional to computational load)
-    # ------------------------------------------------------------------
-
-    def _allocate_pes(self) -> Dict[int, int]:
-        compute_ops = [
-            op for op in self.ops if op.kind is not OpKind.TRANSPOSE
-        ]
-        total_pes = self.config.num_pes
-        if len(compute_ops) > total_pes:
-            # More operators than PEs: infeasible as one spatial group.
-            return {}
-        loads = {op.uid: max(op.total_work, 1) for op in compute_ops}
-        total_load = sum(loads.values())
-        alloc: Dict[int, int] = {}
-        remaining = total_pes
-        # Everyone gets at least one PE; distribute the rest by load.
-        for op in compute_ops:
-            alloc[op.uid] = 1
-            remaining -= 1
-        if remaining > 0 and total_load > 0:
-            fractional = []
-            for pos, op in enumerate(compute_ops):
-                share = remaining * loads[op.uid] / total_load
-                extra = int(share)
-                alloc[op.uid] += extra
-                # Tie-break leftover PEs by window position, not uid:
-                # structurally congruent windows must allocate
-                # identically regardless of how their graphs were built
-                # (the plan memo rebinds skeletons by position).
-                fractional.append((share - extra, pos, op.uid))
-            leftover = remaining - sum(int(remaining * loads[u] / total_load)
-                                       for u in loads)
-            for _, _, uid in sorted(fractional, reverse=True)[:leftover]:
-                alloc[uid] += 1
-        return alloc
+        ops = tuple(ops)
+        builder = SkeletonBuilder(
+            graph, MEMO.table(graph), config, n_split, type(self)
+        )
+        bind(self, builder.group(ops), graph, ops, config, n_split)
 
     @property
     def feasible_allocation(self) -> bool:
         return bool(self.pe_allocation) or all(
             op.kind is OpKind.TRANSPOSE for op in self.ops
         )
-
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-
-    def _granule_bytes(self, op: Operator, matched: int) -> int:
-        nest = self.assignment.nest_of(op)
-        return nest.granule_elements(matched) * self.config.word_bytes
-
-    def _stream_chunk_bytes(self, consumer: Operator, tensor: DataTensor) -> int:
-        """Buffer slice for a tensor streamed from outside the group."""
-        nest = self.assignment.nest_of(consumer)
-        if len(nest) == 0:
-            return tensor.bytes
-        outer = nest.loops[0].size
-        chunk = max(tensor.bytes // max(outer, 1), self.config.word_bytes)
-        return min(tensor.bytes, chunk)
-
-    def _compute_metrics(self) -> GroupMetrics:
-        m = GroupMetrics()
-        uids = {op.uid for op in self.ops}
-        cfg = self.config
-
-        # Compute: pipelined operators run concurrently; the group's
-        # makespan is the slowest stage.
-        worst = 0
-        for op in self.ops:
-            if op.kind is OpKind.TRANSPOSE:
-                m.transpose_bytes += sum(t.bytes for t in op.inputs)
-                continue
-            if cfg.fu_mix is not None:
-                worst = max(worst, _specialized_cycles(op, cfg))
-            else:
-                pes = self.pe_allocation.get(op.uid, 1)
-                worst = max(worst, operator_cycles(op, pes, cfg.lanes_per_pe))
-        m.compute_cycles = worst
-
-        counted_constants: Set[int] = set()
-        counted_externals: Set[int] = set()
-        buffer = 0
-        transpose_capacity = TransposeUnit.for_config(cfg).capacity_bytes
-
-        for op in self.ops:
-            for t in op.inputs:
-                producer = self.graph.producer_of(t)
-                internal = producer is not None and producer.uid in uids
-                if internal:
-                    matched = self.assignment.match_of(producer, op)
-                    if matched > 0:
-                        # Fine-grained pipeline: PE-to-PE over the NoC,
-                        # double-buffered granule, no SRAM traffic.
-                        buffer += 2 * self._granule_bytes(producer, matched)
-                        m.noc_bytes += t.bytes
-                    else:
-                        # Orientation switch: materialize via SRAM (or the
-                        # transpose unit when it is a transpose edge).
-                        if (
-                            producer.kind is OpKind.TRANSPOSE
-                            or op.kind is OpKind.TRANSPOSE
-                        ):
-                            m.transpose_bytes += t.bytes
-                            buffer += min(t.bytes, transpose_capacity)
-                        else:
-                            buffer += t.bytes
-                            m.sram_bytes += 2 * t.bytes
-                elif t.is_constant:
-                    # Auxiliary constants: fetched once per group (spatial
-                    # sharing), streamed in chunks.
-                    if t.uid not in counted_constants:
-                        counted_constants.add(t.uid)
-                        chunk = self._stream_chunk_bytes(op, t)
-                        buffer += 2 * chunk
-                        m.constant_bytes[t.uid] = t.bytes
-                        m.sram_bytes += t.bytes
-                        m.noc_bytes += t.bytes
-                else:
-                    # External intermediate/input: streamed from memory,
-                    # fetched once per group even with several consumers
-                    # (spatial sharing applies to intermediates too), and
-                    # charged only for the slice the operator consumes —
-                    # a digit extraction reads alpha limbs of a full
-                    # ciphertext polynomial, not all of it.
-                    chunk = self._stream_chunk_bytes(op, t)
-                    buffer += 2 * chunk
-                    slice_bytes = min(
-                        t.bytes,
-                        op.limbs * op.n * self.config.word_bytes,
-                    )
-                    charged = m.external_read_bytes.get(t.uid, 0)
-                    if slice_bytes > charged:
-                        extra = slice_bytes - charged
-                        m.external_read_bytes[t.uid] = slice_bytes
-                        m.dram_read_bytes += extra
-                        m.sram_bytes += extra
-                        m.noc_bytes += extra
-                    counted_externals.add(t.uid)
-            for t in op.outputs:
-                consumers = self.graph.consumers_of(t)
-                escapes = not consumers or any(
-                    c.uid not in uids for c in consumers
-                )
-                if escapes:
-                    chunk = self._stream_chunk_bytes(op, t)
-                    buffer += 2 * chunk
-                    m.dram_write_bytes += t.bytes
-                    m.sram_bytes += t.bytes
-                    m.noc_bytes += t.bytes
-        # Constants' DRAM cost is accounted at schedule level (they may be
-        # resident from a previous step); record reads here as the default.
-        m.dram_read_bytes += sum(m.constant_bytes.values())
-        m.buffer_bytes = buffer
-        return m
 
     # ------------------------------------------------------------------
     # Timing
@@ -493,9 +305,7 @@ class SpatialGroupPlan:
         return eff
 
     def boundary(self) -> Tuple[List[DataTensor], List[DataTensor]]:
-        """External (inputs, outputs) of this group (cached)."""
-        if self._boundary is None:
-            self._boundary = self.graph.boundary_tensors(self.ops)
+        """External (inputs, outputs) of this group."""
         return self._boundary
 
     def __repr__(self) -> str:

@@ -31,22 +31,27 @@ Behind :data:`MEMO` (process-wide, thread-safe):
 
 A :class:`PlanSkeleton` is a plan's chosen loop nests, edge match
 depths, PE allocation, and metrics with every operator/tensor reference
-translated from process-local uids to window positions.
-:func:`instantiate` rebuilds a live plan from a skeleton on any
-structurally identical window via
-:meth:`~repro.sched.dataflow.SpatialGroupPlan.from_parts` — pure dict
-re-keying, no search, no float arithmetic — so a memoized plan is
-**identical** (not merely equivalent) to the one direct construction
-would produce: same nests, same integer metrics in the same dict
-order, and therefore float-identical schedules downstream.  The
-determinism tests in ``tests/sched/test_plan_memo.py`` pin this.
+keyed by window position.  :class:`SkeletonBuilder` is the one
+implementation of plan construction: it builds a skeleton from the
+window table's per-position rows, and a memo miss extends the
+searching scheduler's previous miss at the same start instead of
+starting over.  The :class:`~repro.sched.dataflow.SpatialGroupPlan`
+constructor runs the same builder over the operators it is given, and
+:func:`instantiate` (both through :func:`bind`) rebinds a skeleton to
+any structurally identical window — pure dict re-keying, no search, no
+float arithmetic — so a memoized plan is **identical** (not merely
+equivalent) to the one direct construction would produce: same nests,
+same integer metrics in the same dict order, and therefore
+float-identical schedules downstream.  The determinism tests in
+``tests/sched/test_plan_memo.py`` and the skeleton digests in
+``tests/sched/test_skeleton_digests.py`` pin this.
 
 :meth:`PlanMemo.clear` drops every entry, key id, table and row (a
 generation counter retires the tables cached on graph objects), so a
 search after it runs cold.  ``REPRO_PLAN_MEMO=0`` bypasses the memo:
-the scheduler builds every window's plan fresh and shares nothing
-across windows or searches — the comparison baseline for those tests
-and for benchmarking.
+the scheduler builds every window's plan fresh through the constructor
+and shares nothing across windows or searches — the comparison
+baseline for those tests and for benchmarking.
 """
 
 from __future__ import annotations
@@ -54,23 +59,27 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
 
-from repro.hw.config import HardwareConfig
+from repro.hw.config import FunctionalUnitMix, HardwareConfig
+from repro.hw.pe import operator_cycles
+from repro.hw.transpose import TransposeUnit
 from repro.ir.graph import OperatorGraph
 from repro.ir.loops import Axis, Loop, LoopNest
 from repro.ir.operators import Operator, OpKind
 from repro.obs.tracer import span as _span
 from repro.sched.dataflow import GroupMetrics, GroupPricing, SpatialGroupPlan
-from repro.sched.tiling import NestAssignment
+from repro.sched.tiling import NestAssignment, choose_nest
 
 __all__ = [
     "MEMO",
     "PlanMemo",
     "PlanSkeleton",
+    "SkeletonBuilder",
     "WindowRow",
     "WindowTable",
     "WindowTemplate",
+    "bind",
     "instantiate",
     "memo_enabled",
     "skeleton_from_doc",
@@ -191,15 +200,17 @@ class WindowTable:
     operator's signature, producers, consumers and byte sizes (what
     :func:`window_key` reads), and ``key_ids`` the interned structure id
     of each slot filled so far; ``rows`` holds this graph's
-    :class:`WindowRow` per (hw, split, plan kind).  Cached on the graph
-    by :meth:`PlanMemo.table` until its operator count or the memo's
-    generation changes.
+    :class:`WindowRow` per (hw, split, plan kind).  The per-position
+    rows the skeleton builder reads, and each operator uid's position,
+    are built on the first build (:meth:`plan_rows`).  Cached on the
+    graph by :meth:`PlanMemo.table` until its operator count or the
+    memo's generation changes.
     """
 
     __slots__ = (
         "num_operators", "generation", "order", "stride", "in_uids",
         "out_uids", "last_use", "consumers", "structure", "key_ids",
-        "rows",
+        "rows", "position", "_plan_rows",
     )
 
     def __init__(self, graph: OperatorGraph, generation: int):
@@ -235,6 +246,41 @@ class WindowTable:
             self.structure[op.uid] = (op.signature(), tuple(ins), outs)
         self.key_ids: Dict[int, int] = {}
         self.rows: Dict[Tuple, "WindowRow"] = {}
+        self.position: Dict[int, int] = {}
+        self._plan_rows: Optional[Tuple["_PositionRow", ...]] = None
+
+    def plan_rows(self, graph: OperatorGraph) -> Tuple["_PositionRow", ...]:
+        """One :class:`_PositionRow` per position (built once)."""
+        rows = self._plan_rows
+        if rows is None:
+            position = {op.uid: pos for pos, op in enumerate(self.order)}
+            consumers = self.consumers
+            built = []
+            for op in self.order:
+                sig = self.structure[op.uid][0]
+                costs = _OP_COSTS.get(sig)
+                if costs is None:
+                    costs = _OP_COSTS.setdefault(sig, _OpCosts())
+                ins = []
+                for t in op.inputs:
+                    producer = graph.producer_of(t)
+                    ins.append((
+                        t.uid,
+                        None if producer is None else position[producer.uid],
+                        t.bytes, t.is_constant,
+                    ))
+                built.append(_PositionRow(
+                    op, costs,
+                    tuple(position[p.uid] for p in graph.predecessors(op)),
+                    tuple(ins),
+                    tuple(
+                        (t.bytes, consumers.get(t.uid, ()))
+                        for t in op.outputs
+                    ),
+                ))
+            self.position = position
+            rows = self._plan_rows = tuple(built)
+        return rows
 
 
 class WindowTemplate:
@@ -404,24 +450,33 @@ def skeleton_of(plan: SpatialGroupPlan) -> PlanSkeleton:
     )
 
 
-def instantiate(
+def bind(
+    plan: SpatialGroupPlan,
     skeleton: PlanSkeleton,
     graph: OperatorGraph,
-    ops: Sequence[Operator],
+    ops: Tuple[Operator, ...],
     hw: HardwareConfig,
     n_split: Optional[Tuple[int, int]],
-    plan_kind: Type[SpatialGroupPlan] = SpatialGroupPlan,
 ) -> SpatialGroupPlan:
-    """Rebuild a live plan of ``plan_kind`` from a skeleton onto a
-    structural twin."""
-    ops = tuple(ops)
-    assignment = NestAssignment(
+    """Fill ``plan``'s live fields from ``skeleton`` over ``ops``.
+
+    Pure re-keying from window positions to this window's uids, the
+    boundary included, so no graph walk follows.
+    """
+    plan.graph = graph
+    plan.ops = ops
+    plan.config = hw
+    plan.n_split = n_split
+    plan.assignment = NestAssignment(
         nests={op.uid: nest for op, nest in zip(ops, skeleton.nests)},
         edge_matches={
             (ops[p].uid, ops[c].uid): depth
             for p, c, depth in skeleton.edge_matches
         },
     )
+    plan.pe_allocation = {
+        ops[p].uid: pes for p, pes in skeleton.pe_allocation
+    }
     # Built via __new__: the dataclass __init__ is measurable at the
     # hundreds of thousands of instantiations a cold search performs.
     metrics = GroupMetrics.__new__(GroupMetrics)
@@ -440,22 +495,428 @@ def instantiate(
         ops[p].inputs[idx].uid: nbytes
         for p, idx, nbytes in skeleton.external_read_bytes
     }
-    plan = plan_kind.from_parts(
-        graph, ops, hw, n_split,
-        assignment=assignment,
-        pe_allocation={
-            ops[p].uid: pes for p, pes in skeleton.pe_allocation
-        },
-        metrics=metrics,
+    plan.metrics = metrics
+    plan._boundary = (
+        [ops[p].inputs[idx] for p, idx in skeleton.boundary_ins],
+        [ops[p].outputs[idx] for p, idx in skeleton.boundary_outs],
     )
-    boundary_ins: List[Any] = [
-        ops[p].inputs[idx] for p, idx in skeleton.boundary_ins
-    ]
-    boundary_outs: List[Any] = [
-        ops[p].outputs[idx] for p, idx in skeleton.boundary_outs
-    ]
-    plan._boundary = (boundary_ins, boundary_outs)
     return plan
+
+
+def instantiate(
+    skeleton: PlanSkeleton,
+    graph: OperatorGraph,
+    ops: Sequence[Operator],
+    hw: HardwareConfig,
+    n_split: Optional[Tuple[int, int]],
+    plan_kind: Type[SpatialGroupPlan] = SpatialGroupPlan,
+) -> SpatialGroupPlan:
+    """Rebuild a live plan of ``plan_kind`` from a skeleton onto a
+    structural twin."""
+    return bind(
+        plan_kind.__new__(plan_kind), skeleton, graph, tuple(ops), hw,
+        n_split,
+    )
+
+
+# ---------------------------------------------------------------------
+# The skeleton builder: plan construction over window-table rows
+# ---------------------------------------------------------------------
+
+
+class _OpCosts:
+    """What plan construction reads of one operator signature.
+
+    A signature fixes an operator's kind and every trip count, so its
+    candidate nests (per NTT split), its load and its cycles are the
+    same for every operator that carries it; each is computed from the
+    first such operator that asks.
+    """
+
+    __slots__ = ("load", "nests", "cycles")
+
+    def __init__(self) -> None:
+        self.load: Optional[int] = None
+        #: n_split -> candidate nests.
+        self.nests: Dict[Optional[Tuple[int, int]], Tuple[LoopNest, ...]] = {}
+        #: (PEs, lanes per PE) -> cycles on CROPHE hardware, or
+        #: (functional-unit mix, total lanes) -> cycles on a
+        #: specialized baseline.
+        self.cycles: Dict[Tuple[Any, int], int] = {}
+
+
+#: Operator signature -> its :class:`_OpCosts` (process-wide; pure
+#: functions of the signature, so never cleared).
+_OP_COSTS: Dict[Tuple, _OpCosts] = {}
+
+
+class _PositionRow:
+    """One topological position of a :class:`WindowTable`.
+
+    ``preds`` are the predecessor positions in ``graph.predecessors``
+    order; ``ins`` one ``(uid, producer position or None, bytes,
+    is constant)`` per input; ``outs`` one ``(bytes, consumer
+    positions)`` per output.
+    """
+
+    __slots__ = ("op", "costs", "preds", "ins", "outs", "transpose")
+
+    def __init__(
+        self,
+        op: Operator,
+        costs: _OpCosts,
+        preds: Tuple[int, ...],
+        ins: Tuple[Tuple[int, Optional[int], int, bool], ...],
+        outs: Tuple[Tuple[int, Tuple[int, ...]], ...],
+    ):
+        self.op = op
+        self.costs = costs
+        self.preds = preds
+        self.ins = ins
+        self.outs = outs
+        self.transpose = op.kind is OpKind.TRANSPOSE
+
+
+def _specialized_cycles(
+    op: Operator, mix: FunctionalUnitMix, total_lanes: int
+) -> int:
+    """Cycles on a specialized baseline: only the matching functional
+    units' share of the total logic works on this operator class."""
+    if op.kind.is_monolithic_ntt or op.kind.is_ntt_phase:
+        fraction = mix.ntt
+    elif op.kind is OpKind.AUTOMORPHISM:
+        fraction = mix.automorphism
+    elif op.kind is OpKind.BCONV:
+        fraction = mix.bconv
+    else:
+        fraction = mix.elementwise
+    lanes = max(1, int(total_lanes * fraction))
+    if op.kind is OpKind.AUTOMORPHISM:
+        moves = op.limbs * op.n
+        return max(1, -(moves // -lanes))
+    work = op.mul_work or op.add_work
+    if work == 0:
+        return 1
+    return max(1, -(work // -lanes))
+
+
+def _chunk_bytes(nest: LoopNest, nbytes: int, word: int) -> int:
+    """Buffer slice of a tensor streamed between SRAM and an operator
+    running ``nest``: one iteration of its top loop."""
+    if not nest.loops:
+        return nbytes
+    outer = nest.loops[0].size
+    return min(nbytes, max(nbytes // max(outer, 1), word))
+
+
+class _Group:
+    """A skeleton under construction: the operators placed so far.
+
+    Everything an operator contributes on its input side — its nest,
+    its edge depths, matched/orientation-switch/constant/external
+    traffic and buffer, first-occurrence references — depends only on
+    the operators placed before it and on which of its producers belong
+    to the group, so it is accumulated once, when the operator is
+    placed.
+    The output side (what escapes), the PE split and the compute cycles
+    depend on the whole group and are computed by :meth:`skeleton`.
+    """
+
+    __slots__ = (
+        "builder", "members", "local", "nests", "edges", "compute",
+        "loads", "outs", "refs", "constants", "externals", "buffer", "noc",
+        "sram", "transpose", "dram_read", "specialized_worst",
+    )
+
+    def __init__(self, builder: "SkeletonBuilder", members: Set[int]):
+        self.builder = builder
+        #: Table positions in the group (a window grows it as it goes).
+        self.members = members
+        #: Placed position -> its index in the group.
+        self.local: Dict[int, int] = {}
+        self.nests: List[LoopNest] = []
+        self.edges: List[Tuple[int, int, int]] = []
+        #: (group index, row) and load per non-transpose operator.
+        self.compute: List[Tuple[int, _PositionRow]] = []
+        self.loads: List[int] = []
+        #: (group index, output index, bytes, consumer positions,
+        #: double-buffered chunk) per output.
+        self.outs: List[Tuple[int, int, int, Tuple[int, ...], int]] = []
+        #: First (group index, input index) of each boundary input.
+        self.refs: Dict[int, Tuple[int, int]] = {}
+        self.constants: Dict[int, int] = {}
+        self.externals: Dict[int, int] = {}
+        self.buffer = 0
+        self.noc = 0
+        self.sram = 0
+        self.transpose = 0
+        self.dram_read = 0
+        self.specialized_worst = 0
+
+    def add(self, pos: int) -> None:
+        """Place the operator at table position ``pos`` next."""
+        b = self.builder
+        rows = b.rows
+        row = rows[pos]
+        members = self.members
+        members.add(pos)
+        local = self.local
+        nests = self.nests
+        k = len(nests)
+
+        # Nest: the deepest summed match against the producers placed
+        # so far (only those score, and only their edges exist).
+        costs = row.costs
+        candidates = costs.nests.get(b.n_split)
+        if candidates is None:
+            candidates = costs.nests.setdefault(
+                b.n_split, tuple(row.op.candidate_loop_nests(b.n_split))
+            )
+        placed = [p for p in row.preds if p in local]
+        nest, depths = choose_nest(
+            candidates, [nests[local[p]] for p in placed]
+        )
+        depth_of: Dict[int, int] = {}
+        cap = b.max_depth
+        for p, depth in zip(placed, depths):
+            if cap is not None and depth > cap:
+                depth = cap
+            self.edges.append((local[p], k, depth))
+            depth_of[p] = depth
+        nests.append(nest)
+        local[pos] = k
+
+        word = b.word
+        refs = self.refs
+        for idx, (uid, producer, nbytes, constant) in enumerate(row.ins):
+            if producer is not None and producer in members:
+                matched = depth_of.get(producer, 0)
+                if matched > 0:
+                    # Fine-grained pipeline: PE-to-PE over the NoC,
+                    # double-buffered granule, no SRAM traffic.
+                    self.buffer += 2 * nests[local[producer]].granule_elements(
+                        matched
+                    ) * word
+                    self.noc += nbytes
+                elif rows[producer].transpose or row.transpose:
+                    # Orientation switch through the transpose unit.
+                    self.transpose += nbytes
+                    self.buffer += min(nbytes, b.transpose_capacity)
+                else:
+                    # Orientation switch: materialize via SRAM.
+                    self.buffer += nbytes
+                    self.sram += 2 * nbytes
+                continue
+            first = uid not in refs
+            if first:
+                refs[uid] = (k, idx)
+            if constant:
+                # Auxiliary constants: fetched once per group (spatial
+                # sharing), streamed in chunks.
+                if first:
+                    self.buffer += 2 * _chunk_bytes(nest, nbytes, word)
+                    self.constants[uid] = nbytes
+                    self.sram += nbytes
+                    self.noc += nbytes
+                continue
+            # External intermediate/input: streamed from memory, fetched
+            # once per group even with several consumers, and charged
+            # only for the slice the operator consumes (a digit
+            # extraction reads alpha limbs of a full polynomial).
+            self.buffer += 2 * _chunk_bytes(nest, nbytes, word)
+            slice_bytes = min(nbytes, row.op.limbs * row.op.n * word)
+            charged = self.externals.get(uid, 0)
+            if slice_bytes > charged:
+                extra = slice_bytes - charged
+                self.externals[uid] = slice_bytes
+                self.dram_read += extra
+                self.sram += extra
+                self.noc += extra
+        for idx, (nbytes, consumers) in enumerate(row.outs):
+            self.outs.append((
+                k, idx, nbytes, consumers,
+                2 * _chunk_bytes(nest, nbytes, word),
+            ))
+
+        if row.transpose:
+            self.transpose += sum(t[2] for t in row.ins)
+        else:
+            self.compute.append((k, row))
+            load = costs.load
+            if load is None:
+                load = costs.load = max(row.op.total_work, 1)
+            self.loads.append(load)
+            if b.fu_key is not None:
+                cycles = costs.cycles.get(b.fu_key)
+                if cycles is None:
+                    cycles = costs.cycles.setdefault(
+                        b.fu_key, _specialized_cycles(row.op, *b.fu_key)
+                    )
+                if cycles > self.specialized_worst:
+                    self.specialized_worst = cycles
+
+    def skeleton(self) -> PlanSkeleton:
+        """The skeleton of the group as placed so far."""
+        b = self.builder
+        members = self.members
+
+        # Outputs escape when unconsumed or consumed outside the group.
+        buffer = self.buffer
+        write = 0
+        boundary_outs = []
+        for k, idx, nbytes, consumers, chunk2 in self.outs:
+            if not consumers or not members.issuperset(consumers):
+                buffer += chunk2
+                write += nbytes
+                boundary_outs.append((k, idx))
+
+        # PE split (Section IV-B, proportional to load): one PE each,
+        # the rest by load, leftovers by largest fraction, ties to the
+        # later compute operator.  More operators than PEs: infeasible
+        # as one spatial group.
+        compute = self.compute
+        alloc: List[int] = []
+        if len(compute) <= b.num_pes:
+            loads = self.loads
+            alloc = [1] * len(compute)
+            remaining = b.num_pes - len(compute)
+            total_load = sum(loads)
+            if remaining > 0 and total_load > 0:
+                fractional = []
+                given = 0
+                for i, load in enumerate(loads):
+                    share = remaining * load / total_load
+                    extra = int(share)
+                    alloc[i] += extra
+                    given += extra
+                    fractional.append((share - extra, i))
+                for _, i in sorted(fractional, reverse=True)[
+                    :remaining - given
+                ]:
+                    alloc[i] += 1
+
+        # Compute: pipelined operators run concurrently; the group's
+        # makespan is the slowest stage.
+        if b.fu_key is not None:
+            worst = self.specialized_worst
+        else:
+            worst = 0
+            lanes = b.lanes
+            for i, (_, row) in enumerate(compute):
+                key = (alloc[i] if alloc else 1, lanes)
+                cycles = row.costs.cycles.get(key)
+                if cycles is None:
+                    cycles = row.costs.cycles.setdefault(
+                        key, operator_cycles(row.op, key[0], lanes)
+                    )
+                if cycles > worst:
+                    worst = cycles
+
+        refs = self.refs
+        return PlanSkeleton(
+            nests=tuple(self.nests),
+            edge_matches=tuple(self.edges),
+            pe_allocation=tuple(
+                (k, pes) for (k, _), pes in zip(compute, alloc)
+            ),
+            compute_cycles=worst,
+            buffer_bytes=buffer,
+            noc_bytes=self.noc + write,
+            transpose_bytes=self.transpose,
+            sram_bytes=self.sram + write,
+            # Constants' DRAM cost is settled at schedule level (they
+            # may be resident already); the default charges the read.
+            dram_read_bytes=self.dram_read + sum(self.constants.values()),
+            dram_write_bytes=write,
+            constant_bytes=tuple(
+                (*refs[uid], nbytes) for uid, nbytes in self.constants.items()
+            ),
+            external_read_bytes=tuple(
+                (*refs[uid], nbytes) for uid, nbytes in self.externals.items()
+            ),
+            boundary_ins=tuple(refs.values()),
+            boundary_outs=tuple(boundary_outs),
+        )
+
+
+class SkeletonBuilder:
+    """Plan construction over one window table's per-position rows.
+
+    Bound to one graph's table, live hardware config, NTT split and
+    plan kind (whose ``max_match_depth`` caps edge depths after the
+    nest choice).  :meth:`window` builds window (start, size) and keeps
+    its state: producers precede consumers in the topological order, so
+    a window's operators contribute the same input side in every larger
+    window at the same start, and the next call at that start extends
+    the state by the added operators instead of starting over (a new
+    start starts over).  :meth:`group` builds any operator list, in the
+    order given — the :class:`~repro.sched.dataflow.SpatialGroupPlan`
+    constructor's path.  Both yield the very skeleton of the other for
+    the same operators.  A builder is not thread-safe: each searching
+    scheduler owns its own.
+    """
+
+    __slots__ = (
+        "graph", "table", "rows", "n_split", "max_depth", "word",
+        "num_pes", "lanes", "fu_key", "transpose_capacity", "_window",
+    )
+
+    def __init__(
+        self,
+        graph: OperatorGraph,
+        table: WindowTable,
+        hw: HardwareConfig,
+        n_split: Optional[Tuple[int, int]],
+        plan_kind: Type[SpatialGroupPlan],
+    ):
+        self.graph = graph
+        self.table = table
+        #: The table's rows, fetched by the first build: a scheduler
+        #: whose windows are all memo or disk hits never needs them.
+        self.rows: Optional[Tuple[_PositionRow, ...]] = None
+        self.n_split = n_split
+        self.max_depth = plan_kind.max_match_depth
+        self.word = hw.word_bytes
+        self.num_pes = hw.num_pes
+        self.lanes = hw.lanes_per_pe
+        self.fu_key = (
+            None if hw.fu_mix is None else (hw.fu_mix, hw.total_lanes)
+        )
+        self.transpose_capacity = TransposeUnit.for_config(hw).capacity_bytes
+        #: (start, group) of the last window built.
+        self._window: Optional[Tuple[int, _Group]] = None
+
+    def _new_group(self) -> _Group:
+        """An empty group (the table's rows are fetched on first use)."""
+        if self.rows is None:
+            self.rows = self.table.plan_rows(self.graph)
+        return _Group(self, set())
+
+    def window(self, start: int, size: int) -> PlanSkeleton:
+        """The skeleton of window (start, size) of the table."""
+        last = self._window
+        if (
+            last is not None and last[0] == start
+            and len(last[1].nests) <= size
+        ):
+            group = last[1]
+        else:
+            group = self._new_group()
+            self._window = (start, group)
+        for pos in range(start + len(group.nests), start + size):
+            group.add(pos)
+        return group.skeleton()
+
+    def group(self, ops: Sequence[Operator]) -> PlanSkeleton:
+        """The skeleton of ``ops`` (graph operators, in any order)."""
+        group = self._new_group()
+        position = self.table.position
+        positions = [position[op.uid] for op in ops]
+        # Every given operator is a member before the first is placed.
+        group.members.update(positions)
+        for pos in positions:
+            group.add(pos)
+        return group.skeleton()
 
 
 # ---------------------------------------------------------------------
@@ -646,23 +1107,24 @@ class PlanMemo:
         row: WindowRow,
         start: int,
         size: int,
+        builder: SkeletonBuilder,
     ) -> WindowTemplate:
         """The template of window (start, size) of ``table``'s graph.
 
         Counts one memo hit, disk hit, or miss.  Tier order: the shared
         row, the memory entry (built into a template for ``row.hw`` if
         the entry has none yet), the disk skeleton (only when the DSE
-        cache has a root), then fresh construction — which back-fills
-        every tier.  A fresh construction runs under a ``sched.plan``
-        span so cold traces show exactly where structural planning time
-        goes; hits are span-free (they are dict lookups).
+        cache has a root), then ``builder`` — the caller's
+        :class:`SkeletonBuilder` for ``row`` — which back-fills every
+        tier.  A build runs under a ``sched.plan`` span so cold traces
+        show exactly where structural planning time goes; hits are
+        span-free (they are dict lookups).
         """
         slot = start * table.stride + size
         template = row.templates.get(slot)
         if template is not None:
             self._count("memo_hit")
             return template
-        ops = table.order[start:start + size]
         key = (
             row.memo_hw, row.n_split, row.plan_kind,
             self.structure_id(graph, table, start, size),
@@ -673,22 +1135,25 @@ class PlanMemo:
             if entry is not None:
                 self.stats["memo_hit"] += 1
         if entry is None:
-            entry = self._build(graph, ops, row, key)
+            entry = self._build(row, key, start, size, builder)
         skeleton, templates = entry
         template = templates.get(row.hw)
         if template is None:
             template = templates.setdefault(
-                row.hw, WindowTemplate(skeleton, ops, row.hw)
+                row.hw, WindowTemplate(
+                    skeleton, table.order[start:start + size], row.hw
+                )
             )
         row.templates[slot] = template
         return template
 
     def _build(
         self,
-        graph: OperatorGraph,
-        ops: Sequence[Operator],
         row: WindowRow,
         key: Tuple[Any, ...],
+        start: int,
+        size: int,
+        builder: SkeletonBuilder,
     ) -> Tuple[PlanSkeleton, Dict[HardwareConfig, WindowTemplate]]:
         """A memory-tier miss: load the skeleton from disk or build it."""
         # Imported lazily: repro.dse depends on this package.
@@ -705,13 +1170,12 @@ class PlanMemo:
             if skeleton is not None:
                 stat = "disk_hit"
         if skeleton is None:
-            with _span("sched.plan", ops=len(ops)):
-                plan = row.plan_kind(graph, ops, row.hw, row.n_split)
-            skeleton = skeleton_of(plan)
+            with _span("sched.plan", ops=size):
+                skeleton = builder.window(start, size)
             if fp is not None:
                 CACHE.put(
                     "plan", fp, skeleton_to_doc(skeleton),
-                    meta={"ops": len(ops), "hw": row.hw.name},
+                    meta={"ops": size, "hw": row.hw.name},
                 )
         with self._lock:
             entry = self._entries.setdefault(key, (skeleton, {}))

@@ -3,10 +3,10 @@
 Bottom-up composition with dynamic programming:
 
 1. enumerate candidate spatial groups as contiguous windows (size up to
-   ``max_group_size``) of the topological order, with one
-   :class:`~repro.sched.dataflow.SpatialGroupPlan` per (window structure,
-   NTT split) pair — plans for structurally identical windows are
-   memoized by signature (the paper's redundant-subgraph merging);
+   ``max_group_size``) of the topological order, with one plan skeleton
+   per (window structure, NTT split) pair — skeletons for structurally
+   identical windows are memoized by signature (the paper's
+   redundant-subgraph merging);
 2. dynamic programming over the topological order picks the window
    sequence minimizing end-to-end time under the analytical cost model;
 3. consecutive steps keep boundary tensors SRAM-resident when they fit
@@ -20,7 +20,9 @@ with :class:`~repro.sched.dataflow.GroupPricing`.  The search,
 and the winning chain's steps carry the very seconds and DRAM bytes it
 priced.  Templates come from the graph's window table
 (:mod:`repro.sched.plan_memo`), shared by every scheduler over the same
-graph, hardware, split and plan kind; live plans exist only for the
+graph, hardware, split and plan kind; a window no scheduler has seen is
+planned by this scheduler's skeleton builder, which extends its
+previous miss at the same start.  Live plans exist only for the
 winning cover.
 
 The paper searches all subgraphs of a pre-partitioned graph exhaustively
@@ -66,6 +68,7 @@ from repro.sched.dataflow import (
 )
 from repro.sched.plan_memo import (
     MEMO as _PLAN_MEMO,
+    SkeletonBuilder,
     WindowRow,
     WindowTable,
     WindowTemplate,
@@ -304,10 +307,12 @@ class Scheduler:
         )
         self._pricing = GroupPricing.for_config(hw)
         #: Set by :meth:`_begin`: the graph's window table, this
-        #: scheduler's row of it (``None`` when not shared), and the
-        #: windows requested so far by slot — each counts once.
+        #: scheduler's row of it and its skeleton builder for memo
+        #: misses (both ``None`` when not shared), and the windows
+        #: requested so far by slot — each counts once.
         self._table: Optional[WindowTable] = None
         self._row: Optional[WindowRow] = None
+        self._builder: Optional[SkeletonBuilder] = None
         self._windows: Dict[int, WindowTemplate] = {}
         self.stats: Dict[str, float] = {}
 
@@ -316,16 +321,17 @@ class Scheduler:
     def _plan_for(self, window: Tuple[Operator, ...]) -> SpatialGroupPlan:
         """A fresh plan of this scheduler's kind for one window.
 
-        Builds every window when the plan memo is off; a test double
-        that overrides it gets every window routed through the override,
-        unshared.
+        Builds every window when the plan memo is off (the constructor
+        runs the same skeleton builder as a memo miss, over this window
+        alone); a test double that overrides it gets every window
+        routed through the override, unshared.
         """
         return self.plan_kind(self.graph, window, self.hw, self.n_split)
 
     def _begin(self) -> Tuple[Operator, ...]:
         """The topological order, with the window table of the memo's
         current generation (a scheduler reused across ``MEMO.clear()``
-        starts cold again)."""
+        starts cold again, with a fresh skeleton builder)."""
         table = _PLAN_MEMO.table(self.graph)
         if table is not self._table:
             self._table = table
@@ -333,12 +339,16 @@ class Scheduler:
             if self._shared:
                 key = (self.hw, self.n_split, self.plan_kind)
                 self._row = table.rows.setdefault(key, WindowRow(*key))
+                self._builder = SkeletonBuilder(
+                    self.graph, table, self.hw, self.n_split, self.plan_kind
+                )
         return table.order
 
     def _window(self, start: int, size: int) -> WindowTemplate:
         """The template of window (start, size): from the shared row
         (the process-wide :data:`repro.sched.plan_memo.MEMO` serves
-        every structure it has seen), or built by :meth:`_plan_for`."""
+        every structure it has seen, and this scheduler's builder
+        plans the rest), or built by :meth:`_plan_for`."""
         slot = start * self._table.stride + size
         window = self._windows.get(slot)
         if window is None:
@@ -349,7 +359,8 @@ class Scheduler:
                 )
             else:
                 window = _PLAN_MEMO.template(
-                    self.graph, self._table, self._row, start, size
+                    self.graph, self._table, self._row, start, size,
+                    self._builder,
                 )
             self._windows[slot] = window
         return window

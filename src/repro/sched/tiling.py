@@ -5,17 +5,18 @@ as many producer->consumer edges as possible share top loops (enabling
 fine-grained pipelining) and co-running same-type operators share their
 constant-streaming order (enabling fine-grained sharing).
 
-The assignment walks the window in topological order; each operator
-tries all its candidate nests and keeps the one with the deepest match
-against its in-window producers (a greedy restriction of the paper's
-full enumeration that keeps the search fast; the nest candidate lists
-are tiny, so greedy rarely loses).
+The plan-skeleton builder (:mod:`repro.sched.plan_memo`) walks a
+window's operators in order; each operator tries all its candidate
+nests and keeps the one with the deepest match against its in-window
+producers placed so far (:func:`choose_nest`, a greedy restriction of
+the paper's full enumeration that keeps the search fast; the nest
+candidate lists are tiny, so greedy rarely loses).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ir.graph import OperatorGraph
 from repro.ir.loops import LoopNest, matched_prefix
@@ -24,53 +25,36 @@ from repro.ir.operators import Operator, OpKind
 
 @dataclass
 class NestAssignment:
-    """Chosen loop nests and the per-edge match depths for a window."""
+    """Chosen loop nests and the per-edge match depths of a live plan."""
 
     nests: Dict[int, LoopNest]                     # op uid -> nest
     edge_matches: Dict[Tuple[int, int], int]       # (prod, cons) -> depth
-
-    def nest_of(self, op: Operator) -> LoopNest:
-        """The loop nest chosen for an operator."""
-        return self.nests[op.uid]
 
     def match_of(self, producer: Operator, consumer: Operator) -> int:
         """Matched top-loop depth of an edge (0 = orientation switch)."""
         return self.edge_matches.get((producer.uid, consumer.uid), 0)
 
 
-def assign_loop_nests(
-    graph: OperatorGraph,
-    ops: Sequence[Operator],
-    n_split: Optional[Tuple[int, int]] = None,
-) -> NestAssignment:
-    """Greedy nest assignment maximizing matched prefixes along edges.
+def choose_nest(
+    candidates: Sequence[LoopNest], producer_nests: Sequence[LoopNest]
+) -> Tuple[LoopNest, List[int]]:
+    """One operator's nest and its edge depths against its producers.
 
-    ``n_split`` offers the streaming operators tiled-N nest variants so
-    they can match decomposed NTT phases (Section V-B).
+    ``candidates`` are the operator's candidate nests and
+    ``producer_nests`` the nests already chosen for its in-window
+    producers.  The first candidate with the strictly highest summed
+    matched prefix wins; the depths are its matched prefix with each
+    producer, in ``producer_nests`` order.
     """
-    uids = {op.uid for op in ops}
-    nests: Dict[int, LoopNest] = {}
-    edge_matches: Dict[Tuple[int, int], int] = {}
-    for op in ops:  # ops arrive in topological order
-        candidates = op.candidate_loop_nests(n_split)
-        producers = [
-            p for p in graph.predecessors(op) if p.uid in uids and p.uid in nests
-        ]
-        best_nest = candidates[0]
+    best = candidates[0]
+    if producer_nests and len(candidates) > 1:
         best_score = -1
         for nest in candidates:
-            score = sum(
-                matched_prefix(nests[p.uid], nest) for p in producers
-            )
+            score = sum(matched_prefix(p, nest) for p in producer_nests)
             if score > best_score:
                 best_score = score
-                best_nest = nest
-        nests[op.uid] = best_nest
-        for p in producers:
-            edge_matches[(p.uid, op.uid)] = matched_prefix(
-                nests[p.uid], best_nest
-            )
-    return NestAssignment(nests=nests, edge_matches=edge_matches)
+                best = nest
+    return best, [matched_prefix(p, best) for p in producer_nests]
 
 
 def count_orientation_switches(

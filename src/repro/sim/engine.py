@@ -109,6 +109,10 @@ class SimulationEngine:
         distinct graph the steps reference, and refuses schedules whose
         steps are non-physical, so cost-model bugs surface as a typed
         :class:`SimulationError` instead of silently wrong numbers.
+        F001 reads nothing but the graph, so a clean verdict is kept on
+        the graph until its operator count changes (the staleness rule
+        of its topological-order cache); a graph with findings is
+        checked, and refused, on every run.
         """
         from repro.analysis.flow import verify_levels
         from repro.analysis.schedule_verify import verify_steps
@@ -120,7 +124,12 @@ class SimulationEngine:
             if graph is None or id(graph) in seen_graphs:
                 continue
             seen_graphs.add(id(graph))
+            if graph.__dict__.get("_levels_clean") == graph.num_operators:
+                continue
+            found = len(report.diagnostics)
             verify_levels(graph, report)
+            if len(report.diagnostics) == found:
+                graph._levels_clean = graph.num_operators
         if not report.ok:
             raise SimulationError(
                 "schedule failed pre-run verification",

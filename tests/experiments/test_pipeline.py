@@ -124,10 +124,12 @@ class TestEvaluationPipeline:
 
 
 class TestRunnerCli:
-    def test_static_tables_via_cli(self, capsys):
+    def test_static_tables_via_cli(self, capsys, tmp_path):
         from repro.experiments.runner import main
 
-        assert main(["table2"]) == 0
+        artifact = tmp_path / "artifact.json"
+        assert main(["table2", "--artifact", str(artifact)]) == 0
+        assert artifact.exists()
         out = capsys.readouterr().out
         assert "global buffer" in out
 

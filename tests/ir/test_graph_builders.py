@@ -78,15 +78,6 @@ class TestGraph:
                 Operator("b", OpKind.EW_ADD, limbs=1, n=64, outputs=[t])
             )
 
-    def test_boundary_tensors(self):
-        g, a, b, (t0, t1, t2) = _chain_graph()
-        ins, outs = g.boundary_tensors([a])
-        assert ins == [t0]
-        assert outs == [t1]
-        ins, outs = g.boundary_tensors([a, b])
-        assert ins == [t0]
-        assert outs == [t2]
-
     def test_internal_tensors(self):
         g, a, b, (t0, t1, t2) = _chain_graph()
         assert g.internal_tensors([a, b]) == [t1]

@@ -1,6 +1,10 @@
 """Tests for the ``python -m repro.passes`` CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,26 @@ class TestDiffArtifacts:
         assert "cell sets diverge" in out
         assert "only-baseline=['table1']" in out
         assert "only-candidate=['fig10']" in out
+
+
+def test_dump_into_a_closed_pipe_exits_without_traceback():
+    """``dump ... | head -1``: the reader closes the pipe after one line
+    while the dump (about 500 kB, far beyond a pipe buffer) still
+    writes, so the write fails with EPIPE."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.passes", "dump", "bootstrapping",
+         "--level", "decomposed"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"== bootstrapping/")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
 
 
 def test_exit_verify_is_distinct():

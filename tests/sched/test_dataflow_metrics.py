@@ -110,6 +110,22 @@ class TestPeAllocationStructural:
             assert alloc[-1] == alloc[0] + 1
 
 
+class TestBoundary:
+    def test_chain_boundary(self):
+        """A window's external inputs and escaping outputs."""
+        g = OperatorGraph("chain")
+        t0, t1, t2 = (poly_tensor(f"t{i}", 2, N, WORD) for i in range(3))
+        a = Operator("a", OpKind.EW_MUL, limbs=2, n=N,
+                     inputs=[t0], outputs=[t1])
+        b = Operator("b", OpKind.EW_ADD, limbs=2, n=N,
+                     inputs=[t1], outputs=[t2])
+        g.add_operator(a)
+        g.add_operator(b)
+        assert SpatialGroupPlan(g, [a], CROPHE_64).boundary() == ([t0], [t1])
+        assert SpatialGroupPlan(g, [a, b], CROPHE_64).boundary() \
+            == ([t0], [t2])
+
+
 class TestDeferredWrites:
     def test_extra_write_bytes_added(self):
         g, op, src = _single_consumer_graph(4, 4)

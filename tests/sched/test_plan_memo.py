@@ -347,12 +347,7 @@ class _SizeInfeasibleScheduler(Scheduler):
         self.requested_sizes.add(len(window))
         plan = super()._plan_for(window)
         if len(window) in self._infeasible_sizes:
-            return SpatialGroupPlan.from_parts(
-                self.graph, window, self.hw, self.n_split,
-                assignment=plan.assignment,
-                pe_allocation={},
-                metrics=plan.metrics,
-            )
+            plan.pe_allocation = {}
         return plan
 
 

@@ -5,7 +5,7 @@ from repro.hw.config import CROPHE_64
 from repro.ir.builders import GraphBuilder
 from repro.ir.operators import OpKind
 from repro.sched.dataflow import SpatialGroupPlan
-from repro.sched.tiling import assign_loop_nests, count_orientation_switches
+from repro.sched.tiling import count_orientation_switches
 
 PARAMS = parameter_set("ARK")
 
@@ -23,6 +23,11 @@ def _bsgs_graph(split=None):
     b = GraphBuilder(PARAMS, ntt_split=split)
     b.bsgs_matvec(b.input_ciphertext("x", 10), 4, 4)
     return b.graph
+
+
+def assign_loop_nests(g, ops, n_split=None):
+    """The nest assignment a plan of ``ops`` chooses."""
+    return SpatialGroupPlan(g, ops, CROPHE_64, n_split).assignment
 
 
 class TestNestAssignment:

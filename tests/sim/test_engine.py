@@ -4,13 +4,18 @@ import os
 
 import pytest
 
+import repro.analysis.flow as flow
 from repro.fhe.params import parameter_set
 from repro.baselines.accelerators import SHARP
 from repro.baselines.mad import MadScheduler
 from repro.hw.config import CROPHE_64
 from repro.ir.builders import GraphBuilder
+from repro.ir.graph import OperatorGraph
+from repro.ir.operators import Operator, OpKind
+from repro.ir.tensors import poly_tensor
+from repro.resilience.errors import SimulationError
 from repro.sched.dataflow import Schedule
-from repro.sched.scheduler import Scheduler
+from repro.sched.scheduler import Scheduler, SchedulerConfig
 from repro.sim.engine import BARRIER_CYCLES, SimulationEngine
 from repro.sim.stats import TrafficReport, UtilizationReport
 from repro.sim.trace import EventKind, TraceEvent, dump_trace, load_trace
@@ -27,6 +32,46 @@ def _schedule(level=10):
 @pytest.fixture(scope="module")
 def sim_result():
     return SimulationEngine(CROPHE_64).run(_schedule())
+
+
+class TestLevelPrecheck:
+    """The engine's F001 precheck: a defect is refused on every run, a
+    clean graph is verified once."""
+
+    @staticmethod
+    def _minting_schedule():
+        # Two 2-row operands cannot yield 4 rows element-wise (F001).
+        op = Operator("mint", OpKind.EW_MUL, 4, 16,
+                      inputs=[poly_tensor("a", 2, 16),
+                              poly_tensor("b", 2, 16)],
+                      outputs=[poly_tensor("o", 4, 16)])
+        graph = OperatorGraph("mint")
+        graph.add_operator(op)
+        return Scheduler(
+            graph, CROPHE_64, SchedulerConfig(verify="off")
+        ).schedule()
+
+    def test_f001_defect_refused_on_every_run(self):
+        schedule = self._minting_schedule()
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="pre-run") as err:
+                SimulationEngine(CROPHE_64).run(schedule)
+            assert "F001" in err.value.detail
+
+    def test_clean_graph_levels_verified_once(self, monkeypatch):
+        schedule = _schedule()
+        calls = []
+
+        def counting(graph, report=None):
+            calls.append(graph)
+            return real(graph, report)
+
+        real = flow.verify_levels
+        monkeypatch.setattr(flow, "verify_levels", counting)
+        SimulationEngine(CROPHE_64).run(schedule)
+        assert len(calls) == 1
+        SimulationEngine(CROPHE_64).run(schedule)
+        assert len(calls) == 1
 
 
 class TestEngine:
