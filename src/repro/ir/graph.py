@@ -316,20 +316,6 @@ class OperatorGraph:
             parts.append((op.signature(), edges))
         return tuple(parts)
 
-    def internal_tensors(
-        self, ops: Sequence[Operator]
-    ) -> List[DataTensor]:
-        """Tensors produced and consumed entirely inside ``ops``."""
-        uids = {op.uid for op in ops}
-        out = []
-        for t_uid, producer in self._producer.items():
-            if producer.uid not in uids:
-                continue
-            consumers = self._consumers.get(t_uid, [])
-            if consumers and all(c.uid in uids for c in consumers):
-                out.append(self._tensors[t_uid])
-        return out
-
     def __repr__(self) -> str:
         return (
             f"<OperatorGraph {self.name}: {self.num_operators} ops, "

@@ -46,17 +46,14 @@ float-identical schedules downstream.  The determinism tests in
 ``tests/sched/test_plan_memo.py`` and the skeleton digests in
 ``tests/sched/test_skeleton_digests.py`` pin this.
 
+The memo is the only way a scheduler gets a window template.
 :meth:`PlanMemo.clear` drops every entry, key id, table and row (a
 generation counter retires the tables cached on graph objects), so a
-search after it runs cold.  ``REPRO_PLAN_MEMO=0`` bypasses the memo:
-the scheduler builds every window's plan fresh through the constructor
-and shares nothing across windows or searches — the comparison
-baseline for those tests and for benchmarking.
+search after it runs cold.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
@@ -81,23 +78,10 @@ __all__ = [
     "WindowTemplate",
     "bind",
     "instantiate",
-    "memo_enabled",
     "skeleton_from_doc",
-    "skeleton_of",
     "skeleton_to_doc",
     "window_key",
 ]
-
-#: Set to ``0``/``false``/``off`` to disable structural memoization.
-MEMO_ENV = "REPRO_PLAN_MEMO"
-
-
-def memo_enabled() -> bool:
-    """Whether structural plan memoization is on (the default)."""
-    return os.environ.get(MEMO_ENV, "").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
-
 
 #: SRAM-capacity/label projection of each hardware config (see
 #: :func:`_memo_hw`).
@@ -148,9 +132,10 @@ def _memo_hw(hw: HardwareConfig) -> HardwareConfig:
 
 
 def window_key(
-    graph: OperatorGraph, ops: Sequence[Operator]
+    table: "WindowTable", ops: Sequence[Operator]
 ) -> Tuple[Any, ...]:
-    """Uid-free structural identity of one candidate window.
+    """Uid-free structural identity of one candidate window of
+    ``table``'s graph.
 
     Covers everything plan construction reads: per-operator structure
     (:meth:`~repro.ir.operators.Operator.signature`), tensor *aliasing*
@@ -163,7 +148,7 @@ def window_key(
 
     Window tables call this once per (start, size) entry.
     """
-    rows = MEMO.table(graph).structure
+    rows = table.structure
     index = {op.uid: i for i, op in enumerate(ops)}
     local: Dict[int, int] = {}
     parts = []
@@ -400,54 +385,6 @@ class PlanSkeleton:
     external_read_bytes: Tuple[Tuple[int, int, int], ...]
     boundary_ins: Tuple[Tuple[int, int], ...]
     boundary_outs: Tuple[Tuple[int, int], ...]
-
-
-def _tensor_refs(ops: Sequence[Operator]) -> Dict[int, Tuple[int, int]]:
-    """First ``(op position, input index)`` occurrence of each input."""
-    refs: Dict[int, Tuple[int, int]] = {}
-    for pos, op in enumerate(ops):
-        for idx, t in enumerate(op.inputs):
-            refs.setdefault(t.uid, (pos, idx))
-    return refs
-
-
-def skeleton_of(plan: SpatialGroupPlan) -> PlanSkeleton:
-    """Strip a live plan down to its position-keyed skeleton."""
-    ops = plan.ops
-    pos = {op.uid: i for i, op in enumerate(ops)}
-    refs = _tensor_refs(ops)
-    out_refs: Dict[int, Tuple[int, int]] = {}
-    for p, op in enumerate(ops):
-        for idx, t in enumerate(op.outputs):
-            out_refs.setdefault(t.uid, (p, idx))
-    b_ins, b_outs = plan.boundary()
-    m = plan.metrics
-    return PlanSkeleton(
-        nests=tuple(plan.assignment.nests[op.uid] for op in ops),
-        edge_matches=tuple(
-            (pos[p], pos[c], depth)
-            for (p, c), depth in plan.assignment.edge_matches.items()
-        ),
-        pe_allocation=tuple(
-            (pos[uid], pes) for uid, pes in plan.pe_allocation.items()
-        ),
-        compute_cycles=m.compute_cycles,
-        buffer_bytes=m.buffer_bytes,
-        noc_bytes=m.noc_bytes,
-        transpose_bytes=m.transpose_bytes,
-        sram_bytes=m.sram_bytes,
-        dram_read_bytes=m.dram_read_bytes,
-        dram_write_bytes=m.dram_write_bytes,
-        constant_bytes=tuple(
-            (*refs[uid], nbytes) for uid, nbytes in m.constant_bytes.items()
-        ),
-        external_read_bytes=tuple(
-            (*refs[uid], nbytes)
-            for uid, nbytes in m.external_read_bytes.items()
-        ),
-        boundary_ins=tuple(refs[t.uid] for t in b_ins),
-        boundary_outs=tuple(out_refs[t.uid] for t in b_outs),
-    )
 
 
 def bind(
@@ -1058,14 +995,12 @@ class PlanMemo:
             graph._window_table = table
         return table
 
-    def structure_id(
-        self, graph: OperatorGraph, table: WindowTable, start: int, size: int
-    ) -> int:
+    def structure_id(self, table: WindowTable, start: int, size: int) -> int:
         """The interned structure id of window (start, size)."""
         slot = start * table.stride + size
         sid = table.key_ids.get(slot)
         if sid is None:
-            key = window_key(graph, table.order[start:start + size])
+            key = window_key(table, table.order[start:start + size])
             with self._lock:
                 sid = self._key_ids.setdefault(key, len(self._keys))
                 if sid == len(self._keys):
@@ -1102,7 +1037,6 @@ class PlanMemo:
 
     def template(
         self,
-        graph: OperatorGraph,
         table: WindowTable,
         row: WindowRow,
         start: int,
@@ -1127,7 +1061,7 @@ class PlanMemo:
             return template
         key = (
             row.memo_hw, row.n_split, row.plan_kind,
-            self.structure_id(graph, table, start, size),
+            self.structure_id(table, start, size),
         )
         # One lock round trip covers both the lookup and the counter.
         with self._lock:

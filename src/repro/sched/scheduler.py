@@ -18,12 +18,12 @@ residency against a window's pricing template and prices the result
 with :class:`~repro.sched.dataflow.GroupPricing`.  The search,
 ``replay``, and the greedy fallback all extend DP states through it,
 and the winning chain's steps carry the very seconds and DRAM bytes it
-priced.  Templates come from the graph's window table
-(:mod:`repro.sched.plan_memo`), shared by every scheduler over the same
-graph, hardware, split and plan kind; a window no scheduler has seen is
-planned by this scheduler's skeleton builder, which extends its
-previous miss at the same start.  Live plans exist only for the
-winning cover.
+priced.  Templates come only from the process-wide plan memo
+(:mod:`repro.sched.plan_memo`), through the graph's window table and
+its rows shared by every scheduler over the same graph, hardware,
+split and plan kind; a window no scheduler has seen is planned by this
+scheduler's skeleton builder, which extends its previous miss at the
+same start.  Live plans exist only for the winning cover.
 
 The paper searches all subgraphs of a pre-partitioned graph exhaustively
 (100 CPU-hours for ResNet-20); contiguous-window DP with memoization is
@@ -73,8 +73,6 @@ from repro.sched.plan_memo import (
     WindowTable,
     WindowTemplate,
     instantiate as _instantiate,
-    memo_enabled,
-    skeleton_of,
 )
 
 #: Fusion depth of the greedy fallback scheduler (MAD-style windows).
@@ -300,33 +298,16 @@ class Scheduler:
         self._const_budget = int(
             sram * self.config.constant_residency_fraction
         )
-        #: Whether the memo serves windows (it is on, and no test double
-        #: overrides :meth:`_plan_for`); sampled once.
-        self._shared = (
-            memo_enabled() and type(self)._plan_for is Scheduler._plan_for
-        )
         self._pricing = GroupPricing.for_config(hw)
         #: Set by :meth:`_begin`: the graph's window table, this
-        #: scheduler's row of it and its skeleton builder for memo
-        #: misses (both ``None`` when not shared), and the windows
-        #: requested so far by slot — each counts once.
+        #: scheduler's row of it, and its skeleton builder for memo
+        #: misses.
         self._table: Optional[WindowTable] = None
         self._row: Optional[WindowRow] = None
         self._builder: Optional[SkeletonBuilder] = None
-        self._windows: Dict[int, WindowTemplate] = {}
         self.stats: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
-
-    def _plan_for(self, window: Tuple[Operator, ...]) -> SpatialGroupPlan:
-        """A fresh plan of this scheduler's kind for one window.
-
-        Builds every window when the plan memo is off (the constructor
-        runs the same skeleton builder as a memo miss, over this window
-        alone); a test double that overrides it gets every window
-        routed through the override, unshared.
-        """
-        return self.plan_kind(self.graph, window, self.hw, self.n_split)
 
     def _begin(self) -> Tuple[Operator, ...]:
         """The topological order, with the window table of the memo's
@@ -335,35 +316,20 @@ class Scheduler:
         table = _PLAN_MEMO.table(self.graph)
         if table is not self._table:
             self._table = table
-            self._windows = {}
-            if self._shared:
-                key = (self.hw, self.n_split, self.plan_kind)
-                self._row = table.rows.setdefault(key, WindowRow(*key))
-                self._builder = SkeletonBuilder(
-                    self.graph, table, self.hw, self.n_split, self.plan_kind
-                )
+            key = (self.hw, self.n_split, self.plan_kind)
+            self._row = table.rows.setdefault(key, WindowRow(*key))
+            self._builder = SkeletonBuilder(
+                self.graph, table, self.hw, self.n_split, self.plan_kind
+            )
         return table.order
 
     def _window(self, start: int, size: int) -> WindowTemplate:
-        """The template of window (start, size): from the shared row
-        (the process-wide :data:`repro.sched.plan_memo.MEMO` serves
-        every structure it has seen, and this scheduler's builder
-        plans the rest), or built by :meth:`_plan_for`."""
-        slot = start * self._table.stride + size
-        window = self._windows.get(slot)
-        if window is None:
-            if self._row is None:
-                ops = self._table.order[start:start + size]
-                window = WindowTemplate(
-                    skeleton_of(self._plan_for(ops)), ops, self.hw
-                )
-            else:
-                window = _PLAN_MEMO.template(
-                    self.graph, self._table, self._row, start, size,
-                    self._builder,
-                )
-            self._windows[slot] = window
-        return window
+        """The template of window (start, size), from the process-wide
+        :data:`repro.sched.plan_memo.MEMO`: it serves every structure
+        it has seen, and this scheduler's builder plans the rest."""
+        return _PLAN_MEMO.template(
+            self._table, self._row, start, size, self._builder
+        )
 
     def _initial_state(self) -> _DpState:
         """The DP origin.
@@ -567,9 +533,6 @@ class Scheduler:
     ) -> Schedule:
         """Stamp search stats, run the verification gate, and return."""
         self.stats["search_seconds"] = meter.elapsed
-        # Most windows never instantiate a live plan; the requested
-        # templates are the per-window working set.
-        self.stats["plans_cached"] = float(len(self._windows))
         self.stats["degraded"] = 1.0 if schedule.degraded else 0.0
         self.stats["windows_explored"] = float(meter.nodes)
         # Structural plan-memo activity during this search (the memo is
@@ -584,9 +547,6 @@ class Scheduler:
         self.stats["plan_memo_misses"] = float(memo_misses)
         if _METRICS.enabled:
             _METRICS.counter("sched.searches").inc()
-            _METRICS.counter("sched.plans_cached").inc(
-                int(self.stats["plans_cached"])
-            )
             _METRICS.histogram("sched.search_seconds").observe(
                 self.stats["search_seconds"]
             )

@@ -78,11 +78,6 @@ class TestGraph:
                 Operator("b", OpKind.EW_ADD, limbs=1, n=64, outputs=[t])
             )
 
-    def test_internal_tensors(self):
-        g, a, b, (t0, t1, t2) = _chain_graph()
-        assert g.internal_tensors([a, b]) == [t1]
-        assert g.internal_tensors([a]) == []
-
     def test_subgraph_signature_matches_structure(self):
         g1, a1, b1, _ = _chain_graph()
         g2, a2, b2, _ = _chain_graph()

@@ -5,8 +5,11 @@ Each case searches one graph and hashes
 were recorded while the scheduler still carried three agreeing
 transition implementations (scalar over live plans, residency over
 window views, numpy block pricing) and a threaded frontier; the single
-transition path must reproduce them, with the plan memo on and with
-``REPRO_PLAN_MEMO=0``.  The cases cover CROPHE searches on two
+transition path must reproduce them.  Each case runs twice: with the
+plan memo's disk tier off (every window a search has not seen yet is
+built by its skeleton builder) and on (a first search fills the tier,
+the memory tiers are cleared, and the pinned search reads every
+skeleton back from disk).  The cases cover CROPHE searches on two
 hardware configs, the MAD baseline (whose windows go through the plan
 memo under their own plan kind), and a budget-degraded greedy
 schedule.  They were recorded on one-shot fully decomposed workload
@@ -151,7 +154,6 @@ def _sha(schedule):
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch):
     """Empty memo tiers and no disk root, before and after each case."""
-    monkeypatch.delenv("REPRO_PLAN_MEMO", raising=False)
     monkeypatch.delenv("REPRO_DSE_CACHE", raising=False)
     MEMO.clear()
     yield
@@ -162,16 +164,21 @@ def test_every_case_is_pinned():
     assert sorted(PINNED) == sorted(case[0] for case in CASES)
 
 
-@pytest.mark.parametrize("memo", ["on", "off"])
+@pytest.mark.parametrize("plan_tier", ["on", "off"])
 @pytest.mark.parametrize(
     "case_id,name,hw,config,dataflow", CASES, ids=[c[0] for c in CASES]
 )
-def test_schedule_matches_pin(case_id, name, hw, config, dataflow, memo,
-                              monkeypatch):
-    if memo == "off":
-        monkeypatch.setenv("REPRO_PLAN_MEMO", "0")
+def test_schedule_matches_pin(case_id, name, hw, config, dataflow,
+                              plan_tier, tmp_path, monkeypatch):
     graph = _graph(name)
+    if plan_tier == "on":
+        monkeypatch.setenv("REPRO_DSE_CACHE", str(tmp_path))
+        _scheduler(graph, hw, config, dataflow).schedule()
+        MEMO.clear()
     schedule = _scheduler(graph, hw, config, dataflow).schedule()
+    if plan_tier == "on":
+        assert MEMO.stats["memo_miss"] == 0
+        assert MEMO.stats["disk_hit"] >= 1
     assert schedule.degraded == (config is not None)
     assert _sha(schedule) == PINNED[case_id]
 

@@ -1,18 +1,21 @@
 """Structural plan memoization and a DP-loop fix.
 
-The hard requirement pinned here: the memo (on/off, warm or cold,
-memory or disk tier) must be **invisible** in the output —
-float-identical schedules, identical serialized window covers — while
-structurally congruent windows share stored skeletons across
-*workloads* (ResNet-20 warming ResNet-110) and across *hardware
-variants* that differ only in fields plan construction never reads.
-The last class is a regression test for an infeasible window size
-silently pruning every larger candidate at its frontier.
+The hard requirement pinned here: the memo (warm or cold, memory or
+disk tier) must be **invisible** in the output — float-identical
+schedules, identical serialized window covers — while structurally
+congruent windows share stored skeletons across *workloads*
+(ResNet-20 warming ResNet-110) and across *hardware variants* that
+differ only in fields plan construction never reads.  Skeletons for
+a single window come from a fresh
+:class:`~repro.sched.plan_memo.SkeletonBuilder`, the construction
+every memo miss runs.  The last class is a regression test for an
+infeasible window size silently pruning every larger candidate at its
+frontier.
 """
 
+import copy
 import dataclasses
 import json
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,9 +27,9 @@ from repro.ir.builders import GraphBuilder
 from repro.sched.dataflow import SpatialGroupPlan
 from repro.sched.plan_memo import (
     MEMO,
+    SkeletonBuilder,
     instantiate,
     skeleton_from_doc,
-    skeleton_of,
     skeleton_to_doc,
     window_key,
 )
@@ -49,12 +52,11 @@ TINY_BOOT = CKKSParams(
 
 @pytest.fixture(autouse=True)
 def _fresh_memo(monkeypatch):
-    """Each test starts memo-enabled with empty tiers and no disk root.
+    """Each test starts with empty memo tiers and no disk root.
 
     Structural plan fingerprints are intentionally identical across
     same-shaped graphs, so entries would otherwise leak between tests.
     """
-    monkeypatch.delenv("REPRO_PLAN_MEMO", raising=False)
     monkeypatch.delenv("REPRO_DSE_CACHE", raising=False)
     MEMO.clear()
     yield
@@ -84,8 +86,14 @@ def _distinct_segment_graphs(workload):
     return graphs
 
 
-def _schedule(graph, hw, monkeypatch, memo=True, fresh_memo=True, **knobs):
-    monkeypatch.setenv("REPRO_PLAN_MEMO", "1" if memo else "0")
+def _skeleton(graph, ops):
+    """A fresh build of ``ops`` (CROPHE-64, no split)."""
+    return SkeletonBuilder(
+        graph, MEMO.table(graph), CROPHE_64, None, SpatialGroupPlan
+    ).group(ops)
+
+
+def _schedule(graph, hw, fresh_memo=True, **knobs):
     if fresh_memo:
         MEMO.clear()
     sched = Scheduler(graph, hw, SchedulerConfig(**knobs))
@@ -106,7 +114,8 @@ class TestWindowKey:
         o2 = g2.operators_topological()
         assert len(o1) == len(o2)
         for a, b in zip(o1, o2):
-            assert window_key(g1, (a,)) == window_key(g2, (b,))
+            assert window_key(MEMO.table(g1), (a,)) \
+                == window_key(MEMO.table(g2), (b,))
 
     def test_escape_fate_is_part_of_the_key(self):
         """The same operator windowed alone vs with its consumer has a
@@ -117,21 +126,22 @@ class TestWindowKey:
         for i in range(len(order) - 1):
             prod, cons = order[i], order[i + 1]
             if any(g.producer_of(t) is prod for t in cons.inputs):
-                pair = window_key(g, (prod, cons))
+                table = MEMO.table(g)
+                pair = window_key(table, (prod, cons))
                 assert pair != (
-                    window_key(g, (prod,)) + window_key(g, (cons,))
+                    window_key(table, (prod,)) + window_key(table, (cons,))
                 )
                 return
         pytest.skip("no adjacent producer/consumer pair in this graph")
 
     def test_memoized_plan_is_bitwise_equal(self):
-        """An instantiated twin carries the exact nests, allocation,
-        and metrics of the originally constructed plan."""
+        """A skeleton built on one graph, instantiated on a twin window
+        of another, carries the exact nests, allocation, and metrics of
+        a plan constructed there."""
         g1, g2 = _hmult_graph(), _hmult_graph()
         w1 = tuple(g1.operators_topological()[:3])
         w2 = tuple(g2.operators_topological()[:3])
-        p1 = SpatialGroupPlan(g1, w1, CROPHE_64)
-        twin = instantiate(skeleton_of(p1), g2, w2, CROPHE_64, None)
+        twin = instantiate(_skeleton(g1, w1), g2, w2, CROPHE_64, None)
         direct = SpatialGroupPlan(g2, w2, CROPHE_64)
         assert twin.pe_allocation == direct.pe_allocation
         assert twin.metrics.__dict__ == direct.metrics.__dict__
@@ -151,10 +161,9 @@ class TestWindowKey:
 
 
 class TestDeterminism:
-    def test_warm_memo_all_hits_and_identical(self, monkeypatch):
+    def test_warm_memo_all_hits_and_identical(self):
         graph = _hmult_graph()
-        _, first = _schedule(graph, CROPHE_64, monkeypatch)
-        monkeypatch.setenv("REPRO_PLAN_MEMO", "1")
+        _, first = _schedule(graph, CROPHE_64)
         warm = Scheduler(graph, CROPHE_64, SchedulerConfig())
         second = warm.schedule()
         assert warm.stats["plan_memo_misses"] == 0
@@ -168,32 +177,29 @@ class TestDeterminism:
     @given(
         max_group_size=st.integers(min_value=1, max_value=6),
         stream_window=st.integers(min_value=1, max_value=4),
+        warm_group_size=st.integers(min_value=1, max_value=6),
+        warm_stream_window=st.integers(min_value=1, max_value=4),
     )
     def test_property_identical_under_any_knobs(
-        self, max_group_size, stream_window
+        self, max_group_size, stream_window, warm_group_size,
+        warm_stream_window,
     ):
-        """Any (window, stream) knob combination: the memo reproduces
-        the memo-free schedule exactly."""
+        """Any (window, stream) knob combination: a search over rows
+        that another combination's search warmed reproduces a cold
+        search exactly."""
         graph = _hmult_graph()
         knobs = dict(
             max_group_size=max_group_size, stream_window=stream_window
         )
-        os.environ["REPRO_PLAN_MEMO"] = "0"
-        try:
-            MEMO.clear()
-            base = Scheduler(
-                graph, CROPHE_64, SchedulerConfig(**knobs)
-            ).schedule()
-            os.environ["REPRO_PLAN_MEMO"] = "1"
-            MEMO.clear()
-            fast = Scheduler(
-                graph, CROPHE_64, SchedulerConfig(**knobs)
-            ).schedule()
-        finally:
-            os.environ.pop("REPRO_PLAN_MEMO", None)
-            MEMO.clear()
-        assert fast.total_seconds == base.total_seconds
-        assert _doc(fast) == _doc(base)
+        _schedule(
+            graph, CROPHE_64, max_group_size=warm_group_size,
+            stream_window=warm_stream_window,
+        )
+        warm, hot = _schedule(graph, CROPHE_64, fresh_memo=False, **knobs)
+        assert warm.stats["plan_memo_hits"] >= 1
+        _, cold = _schedule(graph, CROPHE_64, **knobs)
+        assert hot.total_seconds == cold.total_seconds
+        assert _doc(hot) == _doc(cold)
 
 
 # ---------------------------------------------------------------------
@@ -202,40 +208,38 @@ class TestDeterminism:
 
 
 class TestCrossWorkloadMemo:
-    def test_resnet20_warms_resnet110(self, monkeypatch):
+    def test_resnet20_warms_resnet110(self):
         """ResNet-110 segments are structural twins of ResNet-20's:
         after scheduling ResNet-20, a ResNet-110 segment search runs
         memo-hot and yields the byte-identical schedule a cold search
         produces."""
         graphs110 = _distinct_segment_graphs(build_resnet110(TINY_DEEP))
         target = graphs110[0]
-        _, cold = _schedule(target, CROPHE_36, monkeypatch)
+        _, cold = _schedule(target, CROPHE_36)
         # Warm the memo with ResNet-20 only, then search the
         # ResNet-110 segment without clearing.
         MEMO.clear()
         for graph in _distinct_segment_graphs(build_resnet20(TINY_DEEP)):
-            _schedule(graph, CROPHE_36, monkeypatch, fresh_memo=False)
-        warm, hot = _schedule(target, CROPHE_36, monkeypatch,
-                              fresh_memo=False)
+            _schedule(graph, CROPHE_36, fresh_memo=False)
+        warm, hot = _schedule(target, CROPHE_36, fresh_memo=False)
         assert warm.stats["plan_memo_hits"] >= 1
         assert warm.stats["plan_memo_misses"] == 0
         assert _doc(hot) == _doc(cold)
 
-    def test_hw_variants_share_skeletons(self, monkeypatch):
+    def test_hw_variants_share_skeletons(self):
         """Configs differing only in timing fields (clock, bandwidths,
         SRAM capacity label) share plan skeletons: construction reads
         none of them, and timing always evaluates against the live
         config — so the variant search runs miss-free yet prices with
         its own clock."""
         graph = _distinct_segment_graphs(build_bootstrapping(TINY_BOOT))[0]
-        first, base = _schedule(graph, CROPHE_64, monkeypatch)
+        first, base = _schedule(graph, CROPHE_64)
         assert first.stats["plan_memo_misses"] >= 1
         variant = dataclasses.replace(
             CROPHE_64, name="variant-2x",
             frequency_ghz=CROPHE_64.frequency_ghz * 2,
         )
-        second, out = _schedule(graph, variant, monkeypatch,
-                                fresh_memo=False)
+        second, out = _schedule(graph, variant, fresh_memo=False)
         assert second.stats["plan_memo_misses"] == 0
         assert second.stats["plan_memo_hits"] >= 1
         # Same windows (structure is config-independent here), faster
@@ -244,14 +248,13 @@ class TestCrossWorkloadMemo:
             == [len(s.plan.ops) for s in base.steps]
         assert out.total_seconds <= base.total_seconds
 
-    def test_word_bits_still_split_the_memo(self, monkeypatch):
+    def test_word_bits_still_split_the_memo(self):
         """Fields plan construction *does* read (word size) must keep
         separate memo entries — the projection only widens over timing
         fields."""
         graph = _distinct_segment_graphs(build_bootstrapping(TINY_BOOT))[0]
-        _schedule(graph, CROPHE_64, monkeypatch)
-        second, _ = _schedule(graph, CROPHE_36, monkeypatch,
-                              fresh_memo=False)
+        _schedule(graph, CROPHE_64)
+        second, _ = _schedule(graph, CROPHE_36, fresh_memo=False)
         assert second.stats["plan_memo_misses"] >= 1
 
 
@@ -264,7 +267,7 @@ class TestDiskTier:
     def test_skeleton_doc_round_trip(self):
         g = _hmult_graph()
         w = tuple(g.operators_topological()[:4])
-        skeleton = skeleton_of(SpatialGroupPlan(g, w, CROPHE_64))
+        skeleton = _skeleton(g, w)
         doc = json.loads(json.dumps(skeleton_to_doc(skeleton)))
         assert skeleton_from_doc(doc) == skeleton
 
@@ -280,7 +283,7 @@ class TestDiskTier:
     def test_corrupt_doc_degrades_to_miss(self, mangle):
         g = _hmult_graph()
         w = tuple(g.operators_topological()[:4])
-        doc = skeleton_to_doc(skeleton_of(SpatialGroupPlan(g, w, CROPHE_64)))
+        doc = skeleton_to_doc(_skeleton(g, w))
         mangle(doc)
         assert skeleton_from_doc(doc) is None
 
@@ -343,12 +346,14 @@ class _SizeInfeasibleScheduler(Scheduler):
         self._infeasible_sizes = set(infeasible_sizes)
         self.requested_sizes = set()
 
-    def _plan_for(self, window):
-        self.requested_sizes.add(len(window))
-        plan = super()._plan_for(window)
-        if len(window) in self._infeasible_sizes:
-            plan.pe_allocation = {}
-        return plan
+    def _window(self, start, size):
+        self.requested_sizes.add(size)
+        window = super()._window(start, size)
+        if size in self._infeasible_sizes:
+            # Templates are shared through the memo's rows: mark a copy.
+            window = copy.copy(window)
+            window.feasible = False
+        return window
 
 
 class TestInfeasibleSizeContinues:

@@ -13,8 +13,9 @@ The windows are requested twice: in DP order (each start's sizes
 ascending, the order a search asks for them, so each miss extends the
 previous one) and, after ``MEMO.clear()``, in a shuffled order (so a
 miss extends an arbitrary earlier state or starts afresh).  A third
-run with ``REPRO_PLAN_MEMO=0`` builds every window through the plan
-constructor.
+run builds every window on its own, with a fresh
+:class:`~repro.sched.plan_memo.SkeletonBuilder` over the window's
+operators — the plan constructor's path.
 """
 
 import hashlib
@@ -27,7 +28,7 @@ from repro.baselines.accelerators import SHARP
 from repro.baselines.mad import MadScheduler
 from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_36, CROPHE_64
-from repro.sched.plan_memo import MEMO, skeleton_to_doc
+from repro.sched.plan_memo import MEMO, SkeletonBuilder, skeleton_to_doc
 from repro.sched.scheduler import Scheduler
 from repro.workloads import build_bootstrapping
 from repro.workloads.base import WorkloadOptions
@@ -97,25 +98,39 @@ def _case(case_id):
     return _tiny_graphs(split), hw, dataflow, split
 
 
-def _digest(graphs, hw, dataflow, n_split, shuffle):
+def _digest(graphs, hw, dataflow, n_split, mode):
+    """The digest of every window's skeleton, requested from a scheduler
+    in ``"dp"`` or ``"shuffled"`` order, or built ``"fresh"`` per
+    window."""
     h = hashlib.sha256()
     for graph in graphs:
         if dataflow == "mad":
             sched = MadScheduler(graph, hw)
         else:
             sched = Scheduler(graph, hw, n_split=n_split)
-        n = len(sched._begin())
+        order = sched._begin()
+        n = len(order)
         windows = [
             (start, size)
             for start in range(n)
             for size in range(1, min(SPAN, n - start) + 1)
         ]
         requested = list(windows)
-        if shuffle:
+        if mode == "shuffled":
             random.Random(n).shuffle(requested)
-        docs = {
-            w: skeleton_to_doc(sched._window(*w).skeleton) for w in requested
-        }
+        if mode == "fresh":
+            table = MEMO.table(graph)
+            docs = {
+                (start, size): skeleton_to_doc(SkeletonBuilder(
+                    graph, table, hw, sched.n_split, sched.plan_kind,
+                ).group(order[start:start + size]))
+                for start, size in requested
+            }
+        else:
+            docs = {
+                w: skeleton_to_doc(sched._window(*w).skeleton)
+                for w in requested
+            }
         for w in windows:
             h.update(json.dumps([w, docs[w]], sort_keys=True).encode())
             h.update(b"\n")
@@ -125,7 +140,6 @@ def _digest(graphs, hw, dataflow, n_split, shuffle):
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch):
     """Empty memo tiers and no disk root, before and after each case."""
-    monkeypatch.delenv("REPRO_PLAN_MEMO", raising=False)
     monkeypatch.delenv("REPRO_DSE_CACHE", raising=False)
     MEMO.clear()
     yield
@@ -135,25 +149,22 @@ def _fresh(monkeypatch):
 @pytest.mark.parametrize("case_id", sorted(PINNED))
 def test_skeletons_match_pin_in_dp_then_shuffled_order(case_id):
     graphs, hw, dataflow, split = _case(case_id)
-    assert _digest(graphs, hw, dataflow, split, shuffle=False) \
-        == PINNED[case_id]
+    assert _digest(graphs, hw, dataflow, split, "dp") == PINNED[case_id]
     MEMO.clear()
-    assert _digest(graphs, hw, dataflow, split, shuffle=True) \
+    assert _digest(graphs, hw, dataflow, split, "shuffled") \
         == PINNED[case_id]
 
 
 @pytest.mark.parametrize(
     "case_id", ["tiny-CROPHE-36-split", "tiny-SHARP+MAD"]
 )
-def test_memo_off_constructs_the_pinned_skeletons(case_id, monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_MEMO", "0")
+def test_fresh_builds_match_pin(case_id):
     graphs, hw, dataflow, split = _case(case_id)
-    assert _digest(graphs, hw, dataflow, split, shuffle=False) \
-        == PINNED[case_id]
+    assert _digest(graphs, hw, dataflow, split, "fresh") == PINNED[case_id]
 
 
 if __name__ == "__main__":
     # Print the digests of the code in the tree (how PINNED was made).
     for case_id in sorted(PINNED):
         MEMO.clear()
-        print(f"    {case_id!r}:\n        {_digest(*_case(case_id), False)!r},")
+        print(f"    {case_id!r}:\n        {_digest(*_case(case_id), 'dp')!r},")

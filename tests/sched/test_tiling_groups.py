@@ -126,7 +126,12 @@ class TestSpatialGroupPlan:
         ops = g.operators_topological()
         plan = SpatialGroupPlan(g, ops, CROPHE_64)
         # Internal matched edges produce NoC traffic, not SRAM traffic.
-        internal = g.internal_tensors(ops)
+        uids = {op.uid for op in ops}
+        internal = [
+            t for op in ops for t in op.outputs
+            if g.consumers_of(t)
+            and all(c.uid in uids for c in g.consumers_of(t))
+        ]
         assert internal
         assert plan.metrics.noc_bytes > 0
 

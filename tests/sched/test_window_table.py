@@ -6,20 +6,28 @@ operators.  Templates are keyed by plan kind, so MAD and CROPHE
 searches never serve each other, and a second search over the same
 graph and hardware (CROPHE-p's other cluster counts) reuses every
 template it needs.  ``clear_cache`` empties all of it.
+
+On full-size SHARP bootstrapping segments, every template the memo
+serves — built by extending the previous miss at its start, or shared
+from a structurally identical window of another segment — must equal
+a fresh build of the window's own operators.
 """
 
 import json
 
 import pytest
 
+from repro.baselines.accelerators import SHARP
 from repro.baselines.mad import MadScheduler
 from repro.experiments.common import clear_cache
+from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_36
 from repro.sched import plan_memo
-from repro.sched.plan_memo import MEMO, window_key
+from repro.sched.plan_memo import MEMO, SkeletonBuilder, window_key
 from repro.sched.scheduler import Scheduler, SchedulerConfig
 from repro.sched.serialize import schedule_to_doc
 from repro.workloads import build_bootstrapping
+from repro.workloads.base import WorkloadOptions
 from repro.workloads.resnet import build_resnet20
 
 from tests.sched.test_pinned_schedules import TINY_BOOT, TINY_DEEP, _graph
@@ -28,7 +36,6 @@ from tests.sched.test_pinned_schedules import TINY_BOOT, TINY_DEEP, _graph
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch):
     """Empty memo tiers and no disk root, before and after each test."""
-    monkeypatch.delenv("REPRO_PLAN_MEMO", raising=False)
     monkeypatch.delenv("REPRO_DSE_CACHE", raising=False)
     MEMO.clear()
     yield
@@ -61,8 +68,8 @@ def test_table_keys_equal_window_key():
         n = len(table.order)
         for start in range(n):
             for size in range(1, min(span, n - start) + 1):
-                sid = MEMO.structure_id(graph, table, start, size)
-                key = window_key(graph, table.order[start:start + size])
+                sid = MEMO.structure_id(table, start, size)
+                key = window_key(table, table.order[start:start + size])
                 assert key_of.setdefault(sid, key) == key
                 assert id_of.setdefault(key, sid) == sid
     assert len(id_of) > 100
@@ -90,7 +97,8 @@ def test_mad_and_crophe_never_share_templates():
 
 def test_second_cluster_count_builds_no_template(monkeypatch):
     """A CROPHE-p re-search of the same graph and hardware reuses every
-    template of the first search, and equals a cold search."""
+    template of the first search (each window it explores is a memo
+    hit), and equals a cold search."""
     graph = _graph("boot1")
     Scheduler(graph, CROPHE_36, SchedulerConfig()).schedule()
     built = []
@@ -105,7 +113,7 @@ def test_second_cluster_count_builds_no_template(monkeypatch):
     warm = shared.schedule()
     assert not built
     assert shared.stats["plan_memo_misses"] == 0
-    assert shared.stats["plan_memo_hits"] == shared.stats["plans_cached"]
+    assert shared.stats["plan_memo_hits"] == shared.stats["windows_explored"]
     MEMO.clear()
     cold = Scheduler(graph, CROPHE_36, SchedulerConfig(constant_share=4))
     assert _doc(cold.schedule()) == _doc(warm)
@@ -123,3 +131,44 @@ def test_clear_cache_clears_the_plan_memo():
     assert _doc(again.schedule()) == _doc(first)
     assert again.stats["plan_memo_misses"] >= 1
     assert again.stats["plan_memo_misses"] == MEMO.stats["memo_miss"]
+
+
+def test_full_size_templates_equal_fresh_builds():
+    """SHARP bootstrapping lowered for CROPHE-36 (hybrid, r_hyb 4, NTT
+    split on) and for SHARP+MAD (hoisting, no split): every window of
+    up to each scheduler's group size, requested in DP order with one
+    memo shared across segments and designs, carries the skeleton a
+    fresh builder makes of its operators."""
+    params = parameter_set("SHARP")
+    root = 1 << (params.log_n // 2)
+    split = (root, params.n // root)
+    designs = (
+        (Scheduler, CROPHE_36, WorkloadOptions(
+            ntt_split=split, rotation_strategy="hybrid", r_hyb=4,
+        )),
+        (MadScheduler, SHARP, WorkloadOptions(rotation_strategy="hoisting")),
+    )
+    segments = windows = 0
+    for cls, hw, options in designs:
+        for graph in _segment_graphs(build_bootstrapping(params, options)):
+            if cls is MadScheduler:
+                sched = MadScheduler(graph, hw)
+            else:
+                sched = Scheduler(graph, hw, n_split=options.ntt_split)
+            order = sched._begin()
+            table = MEMO.table(graph)
+            n = len(order)
+            for start in range(n):
+                for size in range(
+                    1, min(sched.config.max_group_size, n - start) + 1
+                ):
+                    fresh = SkeletonBuilder(
+                        graph, table, hw, sched.n_split, sched.plan_kind
+                    ).group(order[start:start + size])
+                    served = sched._window(start, size).skeleton
+                    assert served == fresh, (graph.name, start, size)
+                    windows += 1
+            segments += 1
+    assert segments == 26
+    assert windows == 22554
+    assert MEMO.stats["memo_hit"] > 0

@@ -3,8 +3,8 @@
 A release-quality library documents its public surface; this test walks
 the package and fails on any public item without a docstring, and on
 any module that fails to import.  It also holds the runtime imports to
-what ``pyproject.toml`` declares, and fails on any imported name a
-module never uses.
+what ``pyproject.toml`` declares, fails on any imported name a module
+never uses, and pins the environment variables the package reads.
 """
 
 import ast
@@ -13,6 +13,7 @@ import inspect
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -141,3 +142,29 @@ def test_no_unused_imports():
         if names
     }
     assert not unused, f"unused imports: {unused}"
+
+
+#: Every environment variable the package reads.  A new knob must be
+#: added here, where review sees it.
+ENVIRONMENT_KNOBS = {
+    "REPRO_DSE_CACHE",
+    "REPRO_MAX_SEARCH_NODES",
+    "REPRO_MAX_SEARCH_SECONDS",
+    "REPRO_OBS",
+}
+
+
+def test_environment_knobs_are_pinned():
+    """The ``REPRO_*`` names in the package's source are exactly the
+    pinned set."""
+    root = pathlib.Path(repro.__file__).parent
+    pattern = re.compile(r"^REPRO_[A-Z0-9_]+$")
+    found = {
+        node.value
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and pattern.match(node.value)
+    }
+    assert found == ENVIRONMENT_KNOBS
