@@ -10,7 +10,9 @@ A :class:`DesignPoint` names (hardware, dataflow) — e.g. "ARK + MAD" or
    structural twins share one schedule through its fingerprint and
    identical windows share one plan through the plan memo, the paper's
    redundant-subgraph merging;
-3. simulate each segment and sum time and traffic over repeats;
+3. simulate each segment and sum time and traffic over repeats: a
+   (schedule fingerprint, repeat) pair the process has simulated
+   before reuses that run's result;
 4. for data-parallel CROPHE-p, share the constant (evk) fetches across
    clusters.
 
@@ -62,7 +64,7 @@ from repro.sched.serialize import (
     schedule_from_doc,
     schedule_to_doc,
 )
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimResult, SimulationEngine
 from repro.sim.stats import TrafficReport, UtilizationReport
 from repro.workloads.base import WorkloadOptions
 
@@ -135,6 +137,15 @@ _RESULT_LIVE: Dict[str, EvalResult] = {}
 #: share one entry too (the fingerprint is structural, not id-based).
 _SCHED_LIVE: Dict[str, Tuple[Schedule, object]] = {}
 
+#: Simulated results by (schedule fingerprint, repeat, events
+#: collected).  The fingerprint fixes the live schedule (one object per
+#: fingerprint above) and every engine setting: the hardware, the
+#: ``constant_share`` and the residency fraction (``keep_fraction``) of
+#: the scheduler config it hashes.  The repeat count is the engine's
+#: only other input, and a run that collects events never reuses one
+#: simulated without them.
+_SIM_LIVE: Dict[Tuple[str, int, bool], SimResult] = {}
+
 
 def default_scheduler_config() -> SchedulerConfig:
     """Scheduler knobs with search budgets taken from the environment.
@@ -160,11 +171,12 @@ def default_scheduler_config() -> SchedulerConfig:
 
 
 def _schedule_segment(graph, hw, dataflow, config, n_split):
+    """The segment's schedule fingerprint and its one live schedule."""
     fp = schedule_fingerprint(graph, hw, dataflow, config, n_split)
     live = _SCHED_LIVE.get(fp)
     if live is not None:
         CACHE.bump("hits")
-        return live[0]
+        return fp, live[0]
     doc = CACHE.get("schedule", fp)
     if doc is not None:
         try:
@@ -185,7 +197,7 @@ def _schedule_segment(graph, hw, dataflow, config, n_split):
             )
         else:
             _SCHED_LIVE[fp] = (schedule, graph)
-            return schedule
+            return fp, schedule
     if dataflow == "mad":
         schedule = MadScheduler(graph, hw, config).schedule()
     else:
@@ -196,7 +208,7 @@ def _schedule_segment(graph, hw, dataflow, config, n_split):
         schedule_to_doc(schedule, dataflow=dataflow, n_split=n_split),
         meta={"graph": graph.name, "hw": hw.name, "dataflow": dataflow},
     )
-    return schedule
+    return fp, schedule
 
 
 def _workload_options(
@@ -259,18 +271,22 @@ def _evaluate_once(
     )
     with eval_span:
         for segment in workload.segments:
-            cached = _schedule_segment(
+            fp, cached = _schedule_segment(
                 segment.graph, point.hw, point.dataflow, config,
                 options.ntt_split,
             )
             degraded = degraded or cached.degraded
-            # Shallow copy: segment repeat counts differ across workloads.
-            schedule = Schedule(
-                steps=cached.steps, repeat=segment.repeat,
-                degraded=cached.degraded,
-                degraded_reason=cached.degraded_reason,
-            )
-            result = engine.run(schedule)
+            run_key = (fp, segment.repeat, engine.collect_trace)
+            result = _SIM_LIVE.get(run_key)
+            if result is None:
+                # Shallow copy: segment repeat counts differ across
+                # workloads.
+                schedule = Schedule(
+                    steps=cached.steps, repeat=segment.repeat,
+                    degraded=cached.degraded,
+                    degraded_reason=cached.degraded_reason,
+                )
+                result = _SIM_LIVE[run_key] = engine.run(schedule)
             if _EVENT_SINK.enabled:
                 _EVENT_SINK.add_run(
                     result.events,
@@ -424,17 +440,21 @@ def _restore_result(doc: Any) -> Optional[EvalResult]:
 
 
 def clear_cache() -> None:
-    """Drop all in-memory cached results, schedules and plans.
+    """Drop all in-memory cached results, schedules, simulations and
+    plans.
 
-    Clears the live front maps, the lowering memo, and the structural
-    plan memo with its window tables (tests and ``python -m repro.obs
-    trace``, which must measure search work from cold).  On-disk
-    entries survive — remove the cache directory to go fully cold.
+    Clears the live front maps (results, schedules, and the simulated
+    result of each (schedule, repeat) pair), the lowering memo, and the
+    structural plan memo with its window tables (tests and ``python -m
+    repro.obs trace``, which must measure search and simulation work
+    from cold).  On-disk entries survive — remove the cache directory
+    to go fully cold.
     """
     from repro.passes.lowering import clear_lowering_memo
 
     _RESULT_LIVE.clear()
     _SCHED_LIVE.clear()
+    _SIM_LIVE.clear()
     clear_lowering_memo()
     PLAN_MEMO.clear()
 

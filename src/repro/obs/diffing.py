@@ -11,11 +11,17 @@ documents such as the committed ``BENCH_quick/<cell>.metrics.json`` and
 
 All gated catalog metrics are *higher-is-worse* (busy cycles, windows
 explored, degraded fallbacks): a reproducibility baseline should only
-shrink.  Wall-clock metrics (a dotted name segment ending ``_seconds``,
-see :func:`repro.obs.metrics.is_time_metric`) are noisy across machines,
-so they are reported but **never gated** unless ``include_time=True`` —
-this is what lets CI diff against a committed baseline without flaking
-on runner speed.
+shrink.  The registry creates a counter when it first counts, so a
+gated metric missing from the old snapshot was 0 there: it is compared
+against 0 and regresses when it appears (a quick sweep that starts
+degrading searches fails the gate); one missing from the new snapshot
+dropped to 0 and stays an informational ``removed``.  Wall-clock
+metrics (a dotted name segment ending ``_seconds``, see
+:func:`repro.obs.metrics.is_time_metric`) are noisy across machines,
+so they are reported but **never gated** unless ``include_time=True``
+— this is what lets CI diff against a committed baseline without
+flaking on runner speed; one on only one side is ``added`` or
+``removed``.
 """
 
 from __future__ import annotations
@@ -155,7 +161,7 @@ def diff_snapshots(
         new_value = _comparable_value(name, new.get(name)) if name in new else None
         if old_value is None and new_value is None:
             continue
-        if old_value is None:
+        if old_value is None and not gated:
             report.deltas.append(MetricDelta(
                 name, None, new_value, "added", gated=False
             ))
@@ -165,7 +171,8 @@ def diff_snapshots(
                 name, old_value, None, "removed", gated=False
             ))
             continue
-        verdict, rel = _verdict(old_value, new_value, threshold)
+        # A gated metric absent from the baseline was 0 there.
+        verdict, rel = _verdict(old_value or 0.0, new_value, threshold)
         report.deltas.append(MetricDelta(
             name, old_value, new_value, verdict,
             rel_change=rel, gated=gated,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Collection,
     Dict,
     Iterable,
@@ -41,6 +42,9 @@ from repro.ir.graph import OperatorGraph
 from repro.ir.operators import Operator, OpKind
 from repro.ir.tensors import DataTensor
 from repro.sched.tiling import NestAssignment
+
+if TYPE_CHECKING:
+    from repro.sched.plan_memo import WindowTemplate
 
 
 #: Per-config pricing scalars (see :class:`GroupPricing`).  A DP search
@@ -318,9 +322,15 @@ class SpatialGroupPlan:
 
 @dataclass
 class ScheduledStep:
-    """One executed group with its residency-adjusted cost."""
+    """One executed group with its residency-adjusted cost.
+
+    ``template`` is the window template the step was priced from, and
+    ``plan`` is its skeleton bound to the window's operators; the
+    simulator reads the per-window quantities the template carries.
+    """
 
     plan: SpatialGroupPlan
+    template: WindowTemplate
     seconds: float
     metrics: GroupMetrics
     resident_inputs: Set[int] = field(default_factory=set)

@@ -284,13 +284,20 @@ class WindowTemplate:
     positions' (``matched_prefix > 0``, Section V-A).  Uid-free, so one
     template serves every structural twin; the transition binds uids
     through the :class:`WindowTable`.
+
+    ``sim_terms`` is what the simulator derives from a plan bound to
+    the template: ``(mean mapped hops, useful lane work)``, ``None``
+    until a step priced from it is first simulated.  Placement reads
+    operator kinds, work and the PE split, the window-internal edges
+    and the live config's mesh, all fixed by the window's structure on
+    ``hw``, so every bound plan shares both.
     """
 
     __slots__ = (
         "skeleton", "compute_cycles", "sram_bytes", "noc_bytes",
         "transpose_bytes", "dram_read_bytes", "dram_write_bytes",
         "buffer_bytes", "floor", "feasible", "fits", "constants",
-        "externals", "outs", "tops",
+        "externals", "outs", "tops", "sim_terms",
     )
 
     def __init__(
@@ -327,6 +334,7 @@ class WindowTemplate:
             else None
             for nest in skeleton.nests
         )
+        self.sim_terms: Optional[Tuple[float, int]] = None
 
 
 class WindowRow:

@@ -354,8 +354,9 @@ class Scheduler:
 
         Each link's plan instantiates now from its template's skeleton
         (for memo-served windows the only live plan that ever exists),
-        and its step carries the link's priced seconds and effective
-        DRAM bytes — the step costs exactly what the DP compared.
+        and its step carries the template, the link's priced seconds and
+        effective DRAM bytes — the step costs exactly what the DP
+        compared.
         """
         chain: List[_DpState] = []
         node = state
@@ -373,6 +374,7 @@ class Scheduler:
             )
             steps.append(ScheduledStep(
                 plan=plan,
+                template=link.window,
                 seconds=link.step_seconds,
                 metrics=plan.effective_metrics(
                     link.dram_read, link.dram_write

@@ -6,8 +6,8 @@ For each scheduled step the engine derives per-resource busy times:
   cycle count; PE busy time integrates (pes x cycles) over operators.
 * **NoC** — matched producer->consumer edges ship their tensor over the
   mesh; the busy time scales with bytes x hops over total link capacity
-  (the mapping provides real hop counts; without one, an average-hop
-  estimate is used).
+  (the mean hop count of the operator placement, :func:`~repro.sched.
+  mapper.map_group`, kept on the step's window template).
 * **SRAM / DRAM / transpose** — queue the step's effective byte counts
   on the respective bandwidths.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.resilience.errors import ConfigError, SimulationError
 
@@ -38,7 +38,7 @@ from repro.ir.operators import OpKind
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.tracer import span as _span
 from repro.sched.dataflow import GroupPricing, Schedule, ScheduledStep
-from repro.sched.mapper import GroupMapping, map_group
+from repro.sched.mapper import map_group
 from repro.sim.stats import (
     TrafficReport,
     UtilizationReport,
@@ -113,6 +113,15 @@ class SimulationEngine:
         the graph until its operator count changes (the staleness rule
         of its topological-order cache); a graph with findings is
         checked, and refused, on every run.
+
+        Each step's mean mapped hops and useful lane work come from its
+        window template, filled by the first step simulated from it, so
+        the operator placement runs once per template; with
+        ``collect_trace`` every step is also placed for its OP_EXECUTE
+        events.  The result depends only on the steps, ``repeat`` and
+        the engine's settings, which is what lets
+        :mod:`repro.experiments.common` keep one result per (schedule
+        fingerprint, repeat, trace flag).
         """
         from repro.analysis.flow import verify_levels
         from repro.analysis.schedule_verify import verify_steps
@@ -162,9 +171,8 @@ class SimulationEngine:
                 pass_traffic = TrafficReport()
                 for gi, step in enumerate(schedule.steps):
                     try:
-                        mapping = map_group(step.plan)
                         duration, step_busy, m = self._simulate_step(
-                            gi, step, mapping, events,
+                            gi, step, events,
                             extra_resident=(
                                 warm_residents if warm else frozenset()
                             ),
@@ -252,11 +260,31 @@ class SimulationEngine:
                 used += nbytes
         return frozenset(kept)
 
+    @staticmethod
+    def _window_terms(step: ScheduledStep) -> Tuple[float, int]:
+        """The step's mean mapped hops and useful lane work.
+
+        Both are fixed by the step's window template (see
+        :class:`~repro.sched.plan_memo.WindowTemplate`), so the first
+        simulated step of a template fills them from its own plan and
+        every later one reads them.
+        """
+        terms = step.template.sim_terms
+        if terms is None:
+            plan = step.plan
+            terms = step.template.sim_terms = (
+                max(map_group(plan).average_hops(), 1.0),
+                sum(
+                    op.total_work for op in plan.ops
+                    if op.kind is not OpKind.TRANSPOSE
+                ),
+            )
+        return terms
+
     def _simulate_step(
         self,
         group_index: int,
         step: ScheduledStep,
-        mapping: GroupMapping,
         events: List[TraceEvent],
         extra_resident: frozenset = frozenset(),
         start_cycle: int = 0,
@@ -279,12 +307,13 @@ class SimulationEngine:
         # work-based (useful lane-cycles / lane capacity) so the reported
         # utilization directly reflects idle logic — specialized units on
         # baselines and under-allocated PEs on CROPHE alike.
-        useful_lane_cycles = 0
-        for op in plan.ops:
-            if op.kind is OpKind.TRANSPOSE:
-                continue
-            useful_lane_cycles += op.total_work
-            if self.collect_trace:
+        avg_hops, useful_lane_cycles = self._window_terms(step)
+        if self.collect_trace:
+            # Only the trace places this plan's own uids on the mesh.
+            mapping = map_group(plan)
+            for op in plan.ops:
+                if op.kind is OpKind.TRANSPOSE:
+                    continue
                 pes = plan.pe_allocation.get(op.uid, 1)
                 cyc = operator_cycles(op, pes, cfg.lanes_per_pe)
                 placement = mapping.placements.get(op.uid)
@@ -312,7 +341,6 @@ class SimulationEngine:
         if cfg.fu_mix is not None:
             noc_seconds = 0.0
         else:
-            avg_hops = max(mapping.average_hops(), 1.0)
             link_bytes_per_s = self._noc.aggregate_bytes_per_cycle() * freq
             noc_seconds = m.noc_bytes * avg_hops / link_bytes_per_s
 

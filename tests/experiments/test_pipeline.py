@@ -5,12 +5,18 @@ The dynamic figures are exercised on a deliberately tiny parameter set
 the full paper-scale sweeps live in ``benchmarks/``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.accelerators import SHARP
+from repro.dse.fingerprint import schedule_fingerprint
+from repro.experiments import common
 from repro.experiments.common import (
+    R_HYB_CANDIDATES,
     DesignPoint,
     clear_cache,
+    default_scheduler_config,
     evaluate_workload,
     speedup,
 )
@@ -19,6 +25,11 @@ from repro.experiments.table2 import compare_with_paper, format_table2
 from repro.experiments.table3 import format_table3, table3
 from repro.fhe.params import CKKSParams
 from repro.hw.config import CROPHE_36
+from repro.obs.events import SINK
+from repro.passes.lowering import lower_workload
+from repro.sched.dataflow import Schedule
+from repro.sim.engine import SimulationEngine
+from repro.sim.stats import TrafficReport, UtilizationReport
 
 TINY = CKKSParams(
     log_n=12, max_level=7, boot_levels=5, dnum=2, alpha=4,
@@ -121,6 +132,133 @@ class TestEvaluationPipeline:
             "bootstrapping", TINY,
         )
         assert r.seconds > 0
+
+
+def _fresh_best(point, params):
+    """``point``'s evaluation rebuilt from its live schedules: every
+    segment simulated on a fresh engine, no result reused.  Returns the
+    fastest variant's result and the (fingerprint, repeat) pairs."""
+    base = default_scheduler_config()
+    best, pairs = None, set()
+    for r_hyb in R_HYB_CANDIDATES:
+        for decompose in (True, False):
+            for clusters in (c for c in (1, 2, 4) if c <= point.clusters):
+                options = common._workload_options(
+                    point, params, r_hyb, decompose
+                )
+                config = replace(base, constant_share=clusters)
+                seconds, groups = 0.0, 0
+                traffic, busy, per_segment = TrafficReport(), {}, {}
+                workload = lower_workload("bootstrapping", params, options)
+                for seg in workload.segments:
+                    fp = schedule_fingerprint(
+                        seg.graph, point.hw, point.dataflow, config,
+                        options.ntt_split,
+                    )
+                    pairs.add((fp, seg.repeat))
+                    schedule = common._SCHED_LIVE[fp][0]
+                    run = SimulationEngine(
+                        point.hw, residency_fraction=base.keep_fraction,
+                        constant_share=clusters,
+                    ).run(Schedule(steps=schedule.steps, repeat=seg.repeat))
+                    seconds += run.total_seconds
+                    groups += run.num_groups
+                    traffic.add(run.traffic)
+                    per_segment[seg.name] = (
+                        per_segment.get(seg.name, 0.0) + run.total_seconds
+                    )
+                    for key in ("pe", "noc", "sram_bw", "dram_bw"):
+                        busy[key] = busy.get(key, 0.0) + (
+                            getattr(run.utilization, key) * run.total_seconds
+                        )
+                result = common.EvalResult(
+                    label=point.label, workload="bootstrapping",
+                    seconds=seconds,
+                    utilization=UtilizationReport(
+                        **{k: v / seconds for k, v in busy.items()}
+                    ),
+                    traffic=traffic, num_groups=groups,
+                    segment_seconds=per_segment,
+                )
+                if best is None or result.seconds < best.seconds:
+                    best = result
+    return best, pairs
+
+
+class TestSimulationReuse:
+    """One engine run per (schedule fingerprint, repeat, events
+    collected): CROPHE-p's ``clusters=1`` variants are CROPHE's, and the
+    reused results equal fresh simulations."""
+
+    P = DesignPoint("CROPHE-p-36", CROPHE_36, clusters=4)
+    TWIN = DesignPoint("CROPHE-36", CROPHE_36)
+
+    @staticmethod
+    def _count_runs(mp):
+        """Patch the engine to log each run's trace flag."""
+        runs = []
+        real = SimulationEngine.run
+
+        def counting(engine, schedule):
+            runs.append(engine.collect_trace)
+            return real(engine, schedule)
+
+        mp.delenv("REPRO_DSE_CACHE", raising=False)
+        mp.setattr(SimulationEngine, "run", counting)
+        return runs
+
+    @pytest.fixture(scope="class")
+    def evaluated(self):
+        """From cold: CROPHE-p, then its twin, counting engine runs."""
+        with pytest.MonkeyPatch.context() as mp:
+            runs = self._count_runs(mp)
+            clear_cache()
+            p = evaluate_workload(self.P, "bootstrapping", TINY)
+            after_p = len(runs)
+            twin = evaluate_workload(self.TWIN, "bootstrapping", TINY)
+        return {"p": p, "twin": twin, "runs": len(runs), "after_p": after_p}
+
+    @staticmethod
+    def _comparable(result):
+        return (
+            result.seconds, result.traffic, result.utilization,
+            result.num_groups, result.segment_seconds,
+        )
+
+    def test_one_run_per_pair_and_the_twin_adds_none(self, evaluated):
+        _, pairs = _fresh_best(self.P, TINY)
+        assert evaluated["after_p"] == len(pairs)
+        assert evaluated["runs"] == evaluated["after_p"]
+
+    def test_results_equal_fresh_simulations(self, evaluated):
+        for point, name in ((self.P, "p"), (self.TWIN, "twin")):
+            fresh, _ = _fresh_best(point, TINY)
+            assert self._comparable(evaluated[name]) == (
+                self._comparable(fresh)
+            )
+
+    def test_event_runs_never_reuse_eventless_results(
+        self, evaluated, monkeypatch
+    ):
+        _, pairs = _fresh_best(self.TWIN, TINY)
+        assert all(
+            (fp, repeat, False) in common._SIM_LIVE for fp, repeat in pairs
+        )
+        runs = self._count_runs(monkeypatch)
+        SINK.clear()
+        SINK.enable()
+        try:
+            # A new label: the result misses, every schedule hits.
+            evaluate_workload(
+                replace(self.TWIN, label="CROPHE-36-traced"),
+                "bootstrapping", TINY,
+            )
+            assert runs == [True] * len(pairs)
+            assert SINK.runs
+            assert all(run.events for run in SINK.runs)
+        finally:
+            SINK.disable()
+            SINK.clear()
 
 
 class TestRunnerCli:

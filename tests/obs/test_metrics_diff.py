@@ -97,10 +97,27 @@ class TestDiffVerdicts:
         assert not report.ok
 
     def test_added_and_removed_are_informational(self):
-        report = diff_snapshots(_snap(old_only=1), _snap(new_only=2))
+        """Only a wall-clock metric is ever "added"; a removed counter
+        dropped to 0, which is never worse."""
+        old = _snap(old_only=1)
+        new = _snap(**{"fig9.wall_seconds": 2.0})
+        report = diff_snapshots(old, new)
         verdicts = {d.name: d.verdict for d in report.deltas}
-        assert verdicts == {"old_only": "removed", "new_only": "added"}
+        assert verdicts == {
+            "old_only": "removed", "fig9.wall_seconds": "added",
+        }
+        assert not any(d.gated for d in report.deltas)
         assert report.ok
+
+    def test_counter_missing_from_baseline_is_compared_against_zero(self):
+        """The registry creates a counter when it first counts: absent
+        from the baseline means 0 there, so its appearance regresses."""
+        new = _snap(**{"sched.degraded_fallbacks": 2})
+        report = diff_snapshots(_snap(), new)
+        (delta,) = report.deltas
+        assert delta.verdict == "regressed" and delta.gated
+        assert not report.ok
+        assert diff_snapshots(_snap(), _snap(zero=0)).ok
 
     def test_histogram_compares_on_count(self):
         old = {"h": {"type": "histogram", "count": 10, "total": 1.0}}

@@ -10,7 +10,9 @@ template it needs.  ``clear_cache`` empties all of it.
 On full-size SHARP bootstrapping segments, every template the memo
 serves — built by extending the previous miss at its start, or shared
 from a structurally identical window of another segment — must equal
-a fresh build of the window's own operators.
+a fresh build of the window's own operators, and the simulator terms a
+template carries (filled by whichever step is simulated first) must
+equal the ones each step's own plan places.
 """
 
 import json
@@ -22,10 +24,13 @@ from repro.baselines.mad import MadScheduler
 from repro.experiments.common import clear_cache
 from repro.fhe.params import parameter_set
 from repro.hw.config import CROPHE_36
+from repro.ir.operators import OpKind
 from repro.sched import plan_memo
+from repro.sched.mapper import map_group
 from repro.sched.plan_memo import MEMO, SkeletonBuilder, window_key
 from repro.sched.scheduler import Scheduler, SchedulerConfig
 from repro.sched.serialize import schedule_to_doc
+from repro.sim.engine import SimulationEngine
 from repro.workloads import build_bootstrapping
 from repro.workloads.base import WorkloadOptions
 from repro.workloads.resnet import build_resnet20
@@ -172,3 +177,53 @@ def test_full_size_templates_equal_fresh_builds():
     assert segments == 26
     assert windows == 22554
     assert MEMO.stats["memo_hit"] > 0
+
+
+def test_template_sim_terms_equal_every_steps_own_placement():
+    """SHARP bootstrapping scheduled for CROPHE-36 (hybrid, r_hyb 4,
+    NTT split on) and for CROPHE-hw+MAD (hoisting), then simulated: for
+    every step, not only the one that filled its template, the
+    template's mean hops and lane work equal those of the step's own
+    plan, and collecting events (which places every step) changes no
+    simulated number."""
+    params = parameter_set("SHARP")
+    root = 1 << (params.log_n // 2)
+    split = (root, params.n // root)
+    designs = (
+        (Scheduler, split, WorkloadOptions(
+            ntt_split=split, rotation_strategy="hybrid", r_hyb=4,
+        )),
+        (MadScheduler, None, WorkloadOptions(rotation_strategy="hoisting")),
+    )
+    templates = set()
+    steps = 0
+    for cls, n_split, options in designs:
+        for graph in _segment_graphs(build_bootstrapping(params, options)):
+            if cls is MadScheduler:
+                schedule = MadScheduler(graph, CROPHE_36).schedule()
+            else:
+                schedule = Scheduler(
+                    graph, CROPHE_36, n_split=n_split
+                ).schedule()
+            plain, traced = (
+                SimulationEngine(CROPHE_36, collect_trace=trace).run(
+                    schedule
+                )
+                for trace in (False, True)
+            )
+            assert traced.events and not plain.events
+            assert plain.total_seconds == traced.total_seconds
+            assert plain.traffic == traced.traffic
+            assert plain.utilization == traced.utilization
+            for step in schedule.steps:
+                plan = step.plan
+                templates.add(id(step.template))
+                hops, work = step.template.sim_terms
+                assert hops == max(map_group(plan).average_hops(), 1.0)
+                assert work == sum(
+                    op.total_work for op in plan.ops
+                    if op.kind is not OpKind.TRANSPOSE
+                )
+                steps += 1
+    # 991 steps over 549 templates: the rest read another step's terms.
+    assert steps > len(templates)
