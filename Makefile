@@ -77,15 +77,19 @@ serve:
 		--summary-json serve_summary.json
 
 # Determinism-under-chaos check: the aggressive fault plan, run twice
-# in separate processes with the same seed; the two summaries must be
-# byte-identical (CI's chaos-smoke job runs the same check).
+# in separate processes with the same seed; the two summaries and the
+# two flight-recorder postmortems must be byte-identical (CI's
+# chaos-smoke job runs the same check).
 serve-chaos:
 	PYTHONPATH=src python -m repro.serve run --quick --faults aggressive \
-		--seed 3 --summary-json serve_chaos_a.json
+		--seed 3 --summary-json serve_chaos_a.json \
+		--postmortem-out serve_chaos_postmortem_a.json
 	PYTHONPATH=src python -m repro.serve run --quick --faults aggressive \
-		--seed 3 --summary-json serve_chaos_b.json
+		--seed 3 --summary-json serve_chaos_b.json \
+		--postmortem-out serve_chaos_postmortem_b.json
 	cmp serve_chaos_a.json serve_chaos_b.json
-	@echo "chaos determinism: summaries byte-identical"
+	cmp serve_chaos_postmortem_a.json serve_chaos_postmortem_b.json
+	@echo "chaos determinism: summaries and postmortems byte-identical"
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \

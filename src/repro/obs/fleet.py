@@ -36,7 +36,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.obs.metrics import percentile_summary
 
@@ -266,8 +268,7 @@ class FleetTracer:
 # Time-series rollups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """The rollup-relevant facts of one finished request."""
 
     tenant: str

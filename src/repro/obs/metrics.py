@@ -240,6 +240,9 @@ class MetricsRegistry:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._metrics: Dict[str, Union[Counter, Gauge, Histogram]] = {}
+        #: Snapshot name by the caller's ``(name, labels)``: a labeled
+        #: call validates and renders its label set once.
+        self._names: Dict[Tuple[str, object], str] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -260,7 +263,7 @@ class MetricsRegistry:
 
     def _get(self, name: str, cls, labels=None):
         if labels:
-            name = labeled_name(name, labels)
+            name = self._labeled(name, labels)
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
@@ -272,6 +275,23 @@ class MetricsRegistry:
                     f"{type(metric).__name__}, not {cls.__name__}"
                 )
             return metric
+
+    def _labeled(
+        self, name: str, labels: Sequence[Tuple[str, object]]
+    ) -> str:
+        key = (name, labels)
+        try:
+            rendered = self._names.get(key)
+        except TypeError:  # an unhashable label sequence
+            return labeled_name(name, labels)
+        if rendered is None:
+            # An off-catalog key raises here, so it is never memoized.
+            rendered = labeled_name(name, labels)
+            # Label values 1, 1.0 and True are one dict key but render
+            # differently: memoize str values only.
+            if all(type(value) is str for _, value in labels):
+                self._names[key] = rendered
+        return rendered
 
     def counter(
         self,

@@ -20,24 +20,29 @@ postmortem document (eviction and lost-request snapshots, or a final
 ``--summary-json`` / ``--trace-out`` / ``--postmortem-out``, two runs
 with the same arguments write byte-identical files; CI diffs them.
 
-A ``SIGTERM`` mid-run still produces a parseable postmortem: the
-handler aborts the event loop, snapshots the flight-recorder rings at
-the last simulated instant, force-closes any open trace spans, writes
-whatever outputs were requested, and exits ``EXIT_INTERRUPTED``.
+A ``SIGTERM`` anywhere in ``run`` after its ``serve: running`` stderr
+line still produces a parseable postmortem: the handler aborts the
+event loop (or the summary, report or output writes that follow it),
+snapshots the flight-recorder rings at the last simulated instant,
+force-closes any open trace spans, writes the requested trace and
+postmortem, and exits ``EXIT_INTERRUPTED``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 from dataclasses import replace
 from types import FrameType
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.obs.export import fleet_to_perfetto, write_json_stable
+from repro.obs.export import (
+    fleet_to_perfetto,
+    render_json_stable,
+    write_json_stable,
+)
 from repro.obs.fleet import FleetObserver, postmortem_document
 from repro.obs.metrics import REGISTRY
 from repro.resilience.errors import ReproError
@@ -45,7 +50,7 @@ from repro.serve.faults import FAULT_PRESETS, FaultPlan
 from repro.serve.fleet import FleetSpec, TableOracle
 from repro.serve.loadgen import LoadSpec
 from repro.serve.policies import ServePolicies
-from repro.serve.sim import ServeSimulator, ServeSummary
+from repro.serve.sim import ServeSimulator
 
 EXIT_OK = 0
 EXIT_LOST = 1
@@ -54,11 +59,13 @@ EXIT_INTERRUPTED = 3
 
 
 class _Interrupted(Exception):
-    """Raised by the SIGTERM handler to abort the event loop."""
+    """Raised by the SIGTERM handler to abort the run."""
 
 
 def _install_sigterm() -> None:
     def handler(signum: int, frame: Optional[FrameType]) -> None:
+        # One shot: a second SIGTERM must not abort the postmortem.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         raise _Interrupted()
 
     signal.signal(signal.SIGTERM, handler)
@@ -167,21 +174,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
         plan=plan, oracle=TableOracle(), seed=args.seed,
         observer=observer,
     )
-    _install_sigterm()
+    previous = signal.getsignal(signal.SIGTERM)
     try:
-        summary = sim.run()
+        _install_sigterm()
+        print(
+            f"serve: running {sim.total} requests (SIGTERM writes a "
+            "postmortem)", file=sys.stderr, flush=True,
+        )
+        return _finish_run(args, sim, observer)
     except _Interrupted:
         return _on_interrupt(args, sim, observer)
-    _report(summary)
+    finally:
+        signal.signal(
+            signal.SIGTERM, signal.SIG_DFL if previous is None else previous
+        )
+
+
+def _finish_run(
+    args: argparse.Namespace,
+    sim: ServeSimulator,
+    observer: FleetObserver,
+) -> int:
+    """Run the scenario, report it and write the requested outputs."""
+    summary = sim.run()
+    doc = summary.to_doc()
+    _report(doc)
     if args.summary_json:
-        with open(args.summary_json, "w", encoding="utf-8") as fh:
-            fh.write(summary.to_json())
+        write_json_stable(doc, args.summary_json)
         print(f"summary: {args.summary_json}")
     if args.metrics_json:
-        snap = REGISTRY.snapshot()
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(snap, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json_stable(REGISTRY.snapshot(), args.metrics_json)
         print(f"metrics: {args.metrics_json}")
     if args.trace_out and observer.tracer is not None:
         observer.tracer.finish(summary.makespan)
@@ -208,7 +230,7 @@ def _on_interrupt(
     sim: ServeSimulator,
     observer: FleetObserver,
 ) -> int:
-    """SIGTERM landed mid-run: dump what the recorder saw and exit."""
+    """SIGTERM landed: dump what the recorder saw and exit."""
     at = sim.now
     postmortems = list(sim.postmortems)
     if observer.recorder is not None:
@@ -222,8 +244,7 @@ def _on_interrupt(
         write_json_stable(doc, args.postmortem_out)
         print(f"postmortem: {args.postmortem_out}", file=sys.stderr)
     else:
-        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(render_json_stable(doc) + "\n")
     if args.trace_out and observer.tracer is not None:
         observer.tracer.finish(at)
         write_json_stable(
@@ -237,8 +258,8 @@ def _on_interrupt(
     return EXIT_INTERRUPTED
 
 
-def _report(summary: ServeSummary) -> None:
-    doc = summary.to_doc()
+def _report(doc: Dict[str, Any]) -> None:
+    """Print the headline of a summary document (``ServeSummary.to_doc``)."""
     totals, lat, rec = (
         doc["totals"], doc["latency_ms"], doc["recovery"]
     )

@@ -102,13 +102,15 @@ class RequestOutcome:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class Batch:
     """A group of same-workload requests dispatched as one unit.
 
-    ``cancelled`` marks work lost to a crash (the completion event
-    still fires but is ignored); ``is_hedge`` marks a speculative
-    duplicate racing the primary.
+    Batches compare by identity (ids are unique, and a node's in-flight
+    list is scanned on every completion).  ``cancelled`` marks work lost
+    to a crash or a hedge race (the completion event still fires and
+    takes the batch off its node, but serves nothing); ``is_hedge``
+    marks a speculative duplicate racing the primary.
     """
 
     batch_id: int
@@ -132,6 +134,9 @@ class AdmissionQueue:
     favor the already-queued request, FIFO fairness) is shed.  Shed
     requests get a terminal outcome; they are degraded service, not
     lost work.
+
+    ``depth`` is a running count of the queued requests, kept by every
+    method that adds or removes one; mutate lanes only through them.
     """
 
     def __init__(self, max_depth: int):
@@ -142,12 +147,9 @@ class AdmissionQueue:
             )
         self.max_depth = max_depth
         self._lanes: Dict[str, List[ServeRequest]] = {}
+        #: Total requests waiting across all lanes.
+        self.depth = 0
         self.peak_depth = 0
-
-    @property
-    def depth(self) -> int:
-        """Total requests waiting across all lanes."""
-        return sum(len(lane) for lane in self._lanes.values())
 
     def lane(self, workload: str) -> List[ServeRequest]:
         """The FIFO lane for one workload (created on demand)."""
@@ -173,9 +175,11 @@ class AdmissionQueue:
             if lowest is not None and lowest.priority < request.priority:
                 victim = lowest
                 self.lane(victim.workload).remove(victim)
+                self.depth -= 1
             else:
                 return request  # newcomer sheds on ties: FIFO fairness
         self.lane(request.workload).append(request)
+        self.depth += 1
         self.peak_depth = max(self.peak_depth, self.depth)
         return victim
 
@@ -184,12 +188,14 @@ class AdmissionQueue:
         lane = self.lane(workload)
         taken, rest = lane[:limit], lane[limit:]
         self._lanes[workload] = rest
+        self.depth -= len(taken)
         return taken
 
     def requeue_front(self, requests: List[ServeRequest]) -> None:
         """Put requests back at the head of their lanes (in order)."""
         for request in reversed(requests):
             self.lane(request.workload).insert(0, request)
+        self.depth += len(requests)
         self.peak_depth = max(self.peak_depth, self.depth)
 
     def _lowest_priority(self) -> Optional[ServeRequest]:

@@ -28,11 +28,11 @@ invariant is ``lost == 0`` in the summary, and the CLI's exit code.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.obs.export import render_json_stable
 from repro.obs.fleet import (
     FleetObserver,
     FleetTracer,
@@ -110,25 +110,6 @@ class ServeSummary:
         total = int(self.load_doc.get("requests", len(self.outcomes)))
         return total - len(self.outcomes)
 
-    def ok_latencies(self) -> List[float]:
-        """Ascending latencies (seconds) of successful requests."""
-        return sorted(
-            o.latency for o in self.outcomes.values() if o.status == "ok"
-        )
-
-    def records(self) -> List[RequestRecord]:
-        """Rollup records (rid-ordered) the time-series bins over."""
-        return [
-            RequestRecord(
-                tenant=out.tenant,
-                arrival=out.arrival,
-                completion=out.arrival + out.latency,
-                status=out.status,
-                latency_ms=out.latency * 1e3,
-            )
-            for _, out in sorted(self.outcomes.items())
-        ]
-
     def objectives(self) -> Dict[str, Tuple[float, float]]:
         """Tenant → ``(p95_ms, availability)`` SLOs from the load doc."""
         out: Dict[str, Tuple[float, float]] = {}
@@ -142,17 +123,37 @@ class ServeSummary:
         return out
 
     def to_doc(self) -> Dict[str, Any]:
-        """The canonical summary document (stable key order via JSON)."""
-        lats = self.ok_latencies()
-        ms = [round(v * 1e3, 6) for v in lats]
+        """The canonical summary document (stable key order via JSON).
+
+        One rid-ordered pass over the outcomes collects every section's
+        inputs: status totals, ok latencies overall and per tenant, the
+        rollup records and the per-request docs.
+        """
+        totals = {"ok": 0, "shed": 0, "failed": 0}
+        ok_latencies: List[float] = []
         tenants: Dict[str, Dict[str, Any]] = {}
-        for out in self.outcomes.values():
-            roll = tenants.setdefault(
-                out.tenant, {"ok": 0, "shed": 0, "failed": 0, "lat": []}
-            )
-            roll[out.status] += 1
-            if out.status == "ok":
-                roll["lat"].append(out.latency)
+        records: List[RequestRecord] = []
+        outcome_docs: Dict[str, Dict[str, Any]] = {}
+        for rid in sorted(self.outcomes):
+            out = self.outcomes[rid]
+            status, latency = out.status, out.latency
+            totals[status] += 1
+            roll = tenants.get(out.tenant)
+            if roll is None:
+                roll = tenants[out.tenant] = {
+                    "ok": 0, "shed": 0, "failed": 0, "lat": [],
+                }
+            roll[status] += 1
+            if status == "ok":
+                ok_latencies.append(latency)
+                roll["lat"].append(latency)
+            records.append(RequestRecord(
+                out.tenant, out.arrival, out.arrival + latency,
+                status, latency * 1e3,
+            ))
+            outcome_docs[rid] = out.as_doc()
+        ok_latencies.sort()
+        ms = [round(v * 1e3, 6) for v in ok_latencies]
         tenant_doc = {
             name: {
                 "ok": roll["ok"],
@@ -162,9 +163,8 @@ class ServeSummary:
                     percentile(sorted(roll["lat"]), 95.0) * 1e3, 6
                 ),
             }
-            for name, roll in tenants.items()
+            for name, roll in sorted(tenants.items())
         }
-        records = self.records()
         latency_doc: Dict[str, Any] = dict(percentile_summary(ms))
         latency_doc["mean"] = round(sum(ms) / len(ms), 6) if ms else 0.0
         latency_doc["max"] = ms[-1] if ms else 0.0
@@ -177,9 +177,7 @@ class ServeSummary:
             "oracle": self.oracle_name,
             "totals": {
                 "requests": int(self.load_doc.get("requests", 0)),
-                "ok": self.count("ok"),
-                "shed": self.count("shed"),
-                "failed": self.count("failed"),
+                **totals,
                 "lost": self.lost,
             },
             "latency_ms": latency_doc,
@@ -195,7 +193,7 @@ class ServeSummary:
                 "faults_fired": dict(sorted(self.faults_fired.items())),
                 "postmortems": self.postmortem_triggers,
             },
-            "tenants": dict(sorted(tenant_doc.items())),
+            "tenants": tenant_doc,
             "timeseries": rollup_timeseries(
                 records, self.depth_samples,
                 self.rollup_bucket, self.makespan,
@@ -204,16 +202,13 @@ class ServeSummary:
                 records, self.objectives(),
                 self.rollup_bucket, self.makespan,
             ),
-            "outcomes": {
-                rid: self.outcomes[rid].as_doc()
-                for rid in sorted(self.outcomes)
-            },
+            "outcomes": outcome_docs,
             "makespan": round(self.makespan, 9),
         }
 
     def to_json(self) -> str:
         """Byte-stable rendering — CI diffs this across same-seed runs."""
-        return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+        return render_json_stable(self.to_doc()) + "\n"
 
 
 class ServeSimulator:
@@ -516,12 +511,17 @@ class ServeSimulator:
     def _on_complete(self, now: float, payload: Tuple[int, bool]) -> None:
         batch_id, failed_fast = payload
         batch = self._batches.get(batch_id)
-        if batch is None or batch.cancelled:
+        if batch is None:
             return
-        self._done_batches.add(batch_id)
+        # The node is done with the batch whether or not it still
+        # counts: a hedge-race loser must not linger for a later crash
+        # to tag, truncate and orphan.
         node = self.fleet.by_name.get(batch.node)
         if node is not None and batch in node.inflight:
             node.inflight.remove(batch)
+        if batch.cancelled:
+            return
+        self._done_batches.add(batch_id)
 
         rival_id = self._rivals.get(batch_id)
         rival = self._batches.get(rival_id) if rival_id else None

@@ -89,6 +89,35 @@ class TestLabels:
         assert snap["x.y{node=acc0}"]["value"] == 1
         assert snap["x.y{node=acc1}"]["value"] == 2
 
+    def test_off_catalog_key_raises_on_every_call(self):
+        registry = MetricsRegistry(enabled=True)
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                registry.counter("serve.outcomes", labels=(("color", "red"),))
+        assert registry.snapshot() == {}
+
+    def test_memoized_name_still_checks_the_type(self):
+        registry = MetricsRegistry(enabled=True)
+        labels = (("tenant", "batch"),)
+        registry.counter("serve.outcomes", labels=labels).inc()
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                registry.gauge("serve.outcomes", labels=labels)
+
+    def test_unhashable_and_equal_label_values(self):
+        registry = MetricsRegistry(enabled=True)
+        registry.counter("x.y", labels=[["node", "acc0"]]).inc()
+        registry.counter("x.y", labels=[["node", "acc0"]]).inc()
+        # 1, True and "1" are equal or equal-hashing keys that render
+        # differently; each keeps its own name.
+        registry.counter("x.y", labels=(("kind", 1),)).inc()
+        registry.counter("x.y", labels=(("kind", True),)).inc()
+        registry.counter("x.y", labels=(("kind", "1"),)).inc()
+        snap = registry.snapshot()
+        assert snap["x.y{node=acc0}"]["value"] == 2
+        assert snap["x.y{kind=1}"]["value"] == 2
+        assert snap["x.y{kind=True}"]["value"] == 1
+
     def test_labeled_time_metric_still_noisy(self):
         assert is_time_metric("run.wall_seconds{node=acc0}")
         assert not is_time_metric("serve.outcomes{status=ok}")

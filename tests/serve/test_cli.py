@@ -1,5 +1,6 @@
 """The ``python -m repro.serve`` entry point."""
 
+import hashlib
 import json
 
 import pytest
@@ -49,6 +50,18 @@ class TestRun:
                 "--seed", "3", "--summary-json", str(path),
             ]) == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_quick_aggressive_summary_bytes_are_pinned(self, tmp_path):
+        """The summary every serve change must leave byte-identical
+        (recorded before the one-pass summary and the renderer)."""
+        path = tmp_path / "summary.json"
+        assert main([
+            "run", "--quick", "--faults", "aggressive", "--seed", "3",
+            "--summary-json", str(path),
+        ]) == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "20fb0a89090b49b79695b89230ef8a6dc8edd4330b7d1b5289825c082ecccb67"
+        )
 
     def test_no_hedge_flag_disables_hedging(self, tmp_path):
         path = tmp_path / "s.json"

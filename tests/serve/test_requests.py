@@ -1,6 +1,8 @@
 """Admission queue shedding semantics and outcome validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.resilience.errors import InvariantViolation
 from repro.serve.requests import (
@@ -84,3 +86,50 @@ class TestAdmissionQueue:
     def test_zero_depth_rejected(self):
         with pytest.raises(InvariantViolation):
             AdmissionQueue(max_depth=0)
+
+
+_WORKLOADS = ("bootstrapping", "helr", "resnet20")
+
+#: One queue operation: admit a fresh request (priority, workload),
+#: requeue one (bypassing the bound), take from a lane, or put a
+#: batch back at the head of its lanes.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("admit"), st.integers(0, 3),
+                  st.sampled_from(_WORKLOADS)),
+        st.tuples(st.just("requeue"), st.integers(0, 3),
+                  st.sampled_from(_WORKLOADS)),
+        st.tuples(st.just("take"), st.integers(1, 4),
+                  st.sampled_from(_WORKLOADS)),
+        st.tuples(st.just("front"), st.integers(0, 3),
+                  st.sampled_from(_WORKLOADS)),
+    ),
+    max_size=60,
+)
+
+
+class TestRunningDepth:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), _ops)
+    def test_depth_is_the_lane_total_throughout(self, max_depth, ops):
+        """The running count equals a re-sum after every operation, and
+        the peak is the largest depth any admit or requeue left."""
+        q = AdmissionQueue(max_depth=max_depth)
+        peak = 0
+        for i, (op, arg, workload) in enumerate(ops):
+            if op in ("admit", "requeue"):
+                req = _req(i, priority=arg, workload=workload,
+                           arrival=float(i))
+                victim = q.admit(req, requeue=op == "requeue")
+                if victim is not req:
+                    peak = max(peak, sum(map(len, q._lanes.values())))
+            elif op == "take":
+                q.take(workload, limit=arg)
+            else:
+                q.requeue_front([
+                    _req(i * 10 + k, workload=workload, arrival=float(i))
+                    for k in range(arg)
+                ])
+                peak = max(peak, sum(map(len, q._lanes.values())))
+            assert q.depth == sum(map(len, q._lanes.values()))
+            assert q.peak_depth == peak
